@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+from scipy.special import expit
 
 from . import geometry
 
@@ -272,7 +273,7 @@ def batch_losses(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray):
     if inst.kind == LOGISTIC:
         u = inst.b[idx] * (rows @ x)
         vals = 0.5 * np.logaddexp(0.0, -u)
-        return vals, rows.T * (-0.5 * inst.b[idx] * _expit(-u)), infs
+        return vals, rows.T * (-0.5 * inst.b[idx] * expit(-u)), infs
     if inst.kind == HALFSPACE:
         nrm = inst.row_norms[idx]
         viol = rows @ x - inst.b[idx]
@@ -297,15 +298,6 @@ def _twopoint_losses(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray):
     vals = np.where(informative, val1, 0.0)
     grads = np.where(informative, grad1, 0.0)[np.newaxis, :]
     return vals, grads, np.zeros(idx.size)
-
-
-def _expit(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def loss_eval(inst: ProblemInstance, x: np.ndarray, i: int):
@@ -413,7 +405,7 @@ def _logistic_reference(inst: ProblemInstance) -> OptimumInfo:
 
     def jac(x):
         u = b * (A @ x)
-        return A.T @ (-0.5 * b * _expit(-u)) / N
+        return A.T @ (-0.5 * b * expit(-u)) / N
 
     res = scipy.optimize.minimize(
         fun, np.zeros(inst.n), jac=jac, method="L-BFGS-B",

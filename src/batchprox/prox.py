@@ -4,7 +4,9 @@ Each outer iteration minimizes ``model(x) + ||x - center||^2 / (2 alpha)``.
 For the linear model this is a (projected) gradient step; for the truncated
 model it is the clipped Polyak step; for the average-of-truncated model it
 reduces to a box-constrained QP in the dual; the full proximal model gets an
-exact per-loss solver (linear system, box QP, or damped Newton).
+exact per-loss solver (linear system, box QP, or damped Newton for a logistic
+batch).  Single-sample proxes reduce to one-dimensional roots along the sample
+direction; the logistic one is found by safeguarded Newton.
 
 Dual of the average-of-truncated subproblem: with per-sample gradients
 G = [g_1 ... g_m] and shifted values v_i = F(x;s_i) - inf F(.;s_i),
@@ -20,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import geometry, models, problems
 
@@ -77,7 +80,6 @@ class ProxResult:
     lam: np.ndarray | None = None
     duality_gap: float = 0.0
     inner_iterations: int = 0
-    converged: bool = True
 
 
 def solve_box_qp(qp: BoxQP, tol: float = 1e-9, max_sweeps: int = 20_000):
@@ -193,7 +195,7 @@ def pam_step(x_k, model: models.BatchModel, alpha, tol: float = 1e-9) -> ProxRes
             f"box QP did not converge (residual {info.residual:.3e})"
         )
     return ProxResult(x_next, lam=lam, duality_gap=gap,
-                      inner_iterations=info.sweeps, converged=True)
+                      inner_iterations=info.sweeps)
 
 
 def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
@@ -243,16 +245,18 @@ def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
             f"box QP did not converge (residual {info.residual:.3e})"
         )
     return ProxResult(x_next, lam=lam, duality_gap=gap,
-                      inner_iterations=info.sweeps, converged=True)
+                      inner_iterations=info.sweeps)
 
 
 def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
                        max_newton: int = 100) -> ProxResult:
     """Full prox step for (1/2m) sum log(1+exp(-b <a,x>)) by damped Newton.
 
-    For m < n the problem is reduced to the batch row space
-    x = x_k + A' w; otherwise Newton runs directly in x.  Stops when the
-    gradient of the prox objective drops below tol.
+    Each step solves the n x n Newton system of the prox objective, whose
+    Hessian I/alpha + A'WA (W the diagonal of logistic curvatures) is
+    positive definite for every batch shape.  Stops when the gradient of the
+    prox objective drops below tol; raises InnerSolveError if max_newton
+    steps do not get there.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("prox_step_logistic needs a finite positive stepsize")
@@ -261,64 +265,39 @@ def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
     b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
     m, n = A_b.shape
 
-    def loss_terms(x):
-        u = b_b * (A_b @ x)
-        val = float(np.logaddexp(0.0, -u).sum()) / (2 * m)
-        s = _expit(-u)
-        grad = A_b.T @ (-0.5 * b_b * s) / m
-        w = 0.5 * s * (1.0 - s) / m  # Hessian weights (b^2 = 1)
-        return val, grad, w
-
-    def objective(x):
-        u = b_b * (A_b @ x)
-        d = x - x_k
+    def objective(u, d):  # prox objective from margins u = b * Ax and d = x - x_k
         return float(np.logaddexp(0.0, -u).sum()) / (2 * m) + float(d @ d) / (2 * alpha)
 
     x = x_k.copy()
     iters = 0
-    for iters in range(1, max_newton + 1):
-        val, grad, w = loss_terms(x)
-        full_grad = grad + (x - x_k) / alpha
-        gnorm = float(np.linalg.norm(full_grad))
+    while True:
+        iters += 1
+        u = b_b * (A_b @ x)
+        s = expit(-u)
+        d = x - x_k
+        grad = A_b.T @ (-0.5 * b_b * s) / m + d / alpha
+        gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
-            break
-        if m < n:
-            # Newton step restricted to x_k + span(rows of A); the gradient
-            # already lies in that span.
-            H = (A_b * w[:, np.newaxis]) @ A_b.T + (A_b @ A_b.T) / alpha
-            rhs = A_b @ full_grad
-            try:
-                u = np.linalg.solve(H, rhs)
-            except np.linalg.LinAlgError:
-                u = np.linalg.lstsq(H, rhs, rcond=None)[0]
-            step = -A_b.T @ u
-        else:
-            H = (A_b.T * w) @ A_b + np.eye(n) / alpha
-            step = -np.linalg.solve(H, full_grad)
-        # Armijo backtracking
-        f0 = objective(x)
-        slope = float(full_grad @ step)
+            # (1/alpha)-strong convexity turns the gradient norm into a gap bound.
+            return ProxResult(x, duality_gap=0.5 * alpha * gnorm ** 2,
+                              inner_iterations=iters)
+        if iters > max_newton:
+            raise InnerSolveError(
+                f"logistic prox Newton did not converge (gradient norm {gnorm:.3e})"
+            )
+        w = 0.5 * s * (1.0 - s) / m  # Hessian weights (b^2 = 1)
+        step = -np.linalg.solve((A_b.T * w) @ A_b + np.eye(n) / alpha, grad)
+        f0 = objective(u, d)
+        slope = float(grad @ step)  # minus the squared Newton decrement
         t = 1.0
-        while objective(x + t * step) > f0 + 1e-4 * t * slope and t > 1e-12:
-            t *= 0.5
+        # A decrease below rounding level cannot be tested; such a step is
+        # tiny (||step||^2 <= alpha * |slope|) and is taken in full.
+        if -slope > 1e-12 * (1.0 + abs(f0)):
+            du = b_b * (A_b @ step)
+            while (objective(u + t * du, d + t * step) > f0 + 1e-4 * t * slope
+                   and t > 1e-12):
+                t *= 0.5
         x = x + t * step
-    else:
-        val, grad, w = loss_terms(x)
-        gnorm = float(np.linalg.norm(grad + (x - x_k) / alpha))
-        # (1/alpha)-strong convexity turns the gradient norm into a gap bound.
-        return ProxResult(x, duality_gap=0.5 * alpha * gnorm ** 2,
-                          inner_iterations=max_newton, converged=gnorm <= tol)
-    return ProxResult(x, duality_gap=0.5 * alpha * gnorm ** 2,
-                      inner_iterations=iters, converged=True)
-
-
-def _expit(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +432,47 @@ def _twopoint_single_prox(inst, centers, idx, alpha):
     return out
 
 
-def _logistic_single_prox_t(b, az, asq, alpha, iters: int = 80):
-    """Bisection for t with x = z - t a minimizing the single-sample
-    logistic prox; az = <a, z>.  The stationarity function is strictly
-    increasing in t and the root lies in [-alpha/2, alpha/2]."""
+def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
+    """Safeguarded Newton (rtsafe) for t with x = z - t a minimizing the
+    single-sample logistic prox; az = <a, z>, vectorized over the entries.
+
+    The stationarity function phi(t) = t/alpha + (b/2) expit(-b (az - t asq))
+    is strictly increasing, phi'(t) = 1/alpha + (asq/2) s (1 - s) with
+    s = expit(-b (az - t asq)), and its root lies in [-alpha/2, alpha/2].
+    The bracket shrinks by the sign of phi; a Newton iterate that leaves it,
+    or whose step is more than half the previous step, is replaced by
+    bisection.  Stops on phi = 0 or when the step or the bracket falls below
+    1e-15 alpha; raises InnerSolveError if max_iter steps do not get there.
+    """
+    xtol = 1e-15 * alpha
     lo = np.full(b.shape, -0.5 * alpha)
     hi = np.full(b.shape, 0.5 * alpha)
+    t = np.zeros(b.shape)
+    prev = np.full(b.shape, float(alpha))  # length of the previous step
+    half_b, half_asq, inv_alpha = 0.5 * b, 0.5 * asq, 1.0 / alpha
 
     def phi(t):
-        # Stationarity of the 1-d prox along a: t/alpha + (b/2) expit(-u) = 0.
-        u = b * (az - t * asq)
-        return t / alpha + 0.5 * b * _expit(-u)
+        s = expit(b * (t * asq - az))
+        return t * inv_alpha + half_b * s, inv_alpha + half_asq * s * (1.0 - s)
 
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = phi(mid) < 0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+    f, df = phi(t)
+    done = f == 0
+    for _ in range(max_iter):
+        neg = f < 0
+        lo = np.where(neg, t, lo)
+        hi = np.where(neg, hi, t)
+        dx = f / df
+        newton = t - dx
+        bisect = (newton < lo) | (newton > hi) | (np.abs(dx + dx) > prev)
+        t_next = np.where(bisect, 0.5 * (lo + hi), newton)
+        prev = np.abs(t_next - t)
+        t = np.where(done, t, t_next)
+        done |= (prev <= xtol) | (hi - lo <= xtol)
+        if done.all():
+            return t
+        f, df = phi(t)
+        done |= f == 0
+    raise InnerSolveError("single-sample logistic prox did not converge")
 
 
 def _power_single_prox_t(r, asq, alpha, gamma, iters: int = 100):

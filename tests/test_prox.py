@@ -268,17 +268,59 @@ class TestFullProxSolvers:
 
     def test_logistic_gradient_postcondition(self):
         rng = np.random.default_rng(8)
-        for m, n in ((3, 6), (8, 4)):
+        # alpha None draws a moderate stepsize; the m < n cases at large
+        # alpha need the exact Newton step to converge quadratically.
+        for m, n, alpha in ((3, 6, None), (8, 4, None), (16, 20, 10.0),
+                            (16, 20, 100.0)):
             A = rng.standard_normal((m, n))
             b = np.where(rng.random(m) < 0.5, -1.0, 1.0)
             xk = rng.standard_normal(n)
-            alpha = float(rng.uniform(0.2, 4.0))
+            if alpha is None:
+                alpha = float(rng.uniform(0.2, 4.0))
             res = prox.prox_step_logistic(xk, A, b, alpha, tol=1e-10)
-            assert res.converged
+            assert res.inner_iterations <= 20
             u = b * (A @ res.x_next)
             s = 1.0 / (1.0 + np.exp(np.minimum(u, 500.0)))
             grad = A.T @ (-0.5 * b * s) / m + (res.x_next - xk) / alpha
             assert np.linalg.norm(grad) <= 1e-10
+
+    def test_logistic_unconverged_newton_raises(self):
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((16, 20))
+        b = np.where(rng.random(16) < 0.5, -1.0, 1.0)
+        with pytest.raises(prox.InnerSolveError):
+            prox.prox_step_logistic(rng.standard_normal(20), A, b, 100.0,
+                                    max_newton=1)
+
+    def test_logistic_single_prox_against_bisection(self):
+        def bisect_t(b, az, asq, alpha, iters=200):
+            lo = np.full(b.shape, -0.5 * alpha)
+            hi = np.full(b.shape, 0.5 * alpha)
+            for _ in range(iters):
+                mid = 0.5 * (lo + hi)
+                u = np.clip(b * (az - mid * asq), -700.0, 700.0)
+                neg = mid / alpha + 0.5 * b / (1.0 + np.exp(u)) < 0
+                lo = np.where(neg, mid, lo)
+                hi = np.where(neg, hi, mid)
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(13)
+        b = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+        az = rng.standard_normal(40) * np.repeat([0.1, 1.0, 10.0, 100.0], 10)
+        asq = rng.uniform(0.01, 60.0, 40)
+        for alpha in 10.0 ** np.arange(-3, 5):
+            t = prox._logistic_single_prox_t(b, az, asq, alpha)
+            np.testing.assert_allclose(t, bisect_t(b, az, asq, alpha),
+                                       rtol=0, atol=2e-15 * alpha)
+        # An exact root after one Newton step (phi(0) ~ 8e-36), and a case
+        # where plain Newton from t = 0 cycles between two points.
+        b = np.array([1.0, -1.0])
+        az = np.array([80.06523159, 3.7552639])
+        asq = np.array([41.55740061, 45.95995174])
+        t = prox._logistic_single_prox_t(b, az, asq, 1.0)
+        np.testing.assert_allclose(t, bisect_t(b, az, asq, 1.0), rtol=1e-12)
+        with pytest.raises(prox.InnerSolveError):
+            prox._logistic_single_prox_t(b, az, asq, 1.0, max_iter=2)
 
 
 class TestDispatcherAndPia:
