@@ -57,11 +57,6 @@ class DistanceGenerator:
             return float(np.linalg.norm(v))
         return float(np.abs(v).sum())
 
-    def dual_norm(self, v: np.ndarray) -> float:
-        if self.kind == EUCLIDEAN:
-            return float(np.linalg.norm(v))
-        return float(np.abs(v).max())
-
 
 def euclidean(dim: int) -> DistanceGenerator:
     return DistanceGenerator(EUCLIDEAN, dim)

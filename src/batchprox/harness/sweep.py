@@ -4,7 +4,8 @@ Every cell derives its RNG stream from a stable 64-bit hash of the master
 seed and the cell coordinates, so results are independent of execution
 order and parallelism degree.  Cells sharing a problem instance (same
 problem/cond/seed) are grouped so the instance and its reference optimum
-are computed once.
+are computed once, and the alpha0 cells of each (method, m) run in
+lockstep, which leaves every row as it would be run alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .. import models, optimizers
+from .. import models, optimizers, problems
 from .config import MethodSpec, ProblemSpec, SweepConfig
 from .results import CellResult
 
@@ -50,46 +51,47 @@ def _schedule(ms: MethodSpec, alpha0: float, inst):
     return optimizers.smoothness_adaptive(L, eta0=1.0 / alpha0, power=ms.power)
 
 
-def run_cell(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
-             alpha0: float, seed: int, config: SweepConfig) -> CellResult:
-    rng = np.random.default_rng(
-        _cell_seed(config.master_seed, prob, cond, seed, ms, m, alpha0)
-    )
-    n_steps = max(1, config.sample_budget // m)
-    record = optimizers.RecordOptions(stride=config.record_stride,
-                                      record_average=False)
-    kwargs = dict(m=m, n_steps=n_steps, rng=rng, record=record)
-    strategy = models.strategy_from_id(ms.method)
-
+def run_group(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
+              seed: int, config: SweepConfig) -> list:
+    """The cells of one (instance, method spec, m) group, one per alpha0,
+    run in lockstep.  Solver failures end as per-cell innerfail statuses;
+    any other exception propagates, noted with the group's coordinates."""
     try:
-        schedule = _schedule(ms, alpha0, inst)
-        eps_abs = config.epsilon * _initial_gap(inst)
-        if ms.accelerated:
-            rec = optimizers.run_accelerated(inst, strategy, schedule,
-                                             epsilon=eps_abs, **kwargs)
-        else:
-            rec = optimizers.run_base(inst, strategy, schedule,
-                                      epsilon=eps_abs, **kwargs)
-        status = rec.status
-        k_conv = rec.k_converged
-        final_gap = float(rec.gaps[-1])
-    except Exception:
-        status, k_conv, final_gap = optimizers.STATUS_INNERFAIL, None, float("nan")
-    samples = None if k_conv is None else max(k_conv * m, m)
+        rngs = [np.random.default_rng(
+                    _cell_seed(config.master_seed, prob, cond, seed, ms, m, a0))
+                for a0 in config.alpha0_grid]
+        recs = optimizers._run_lockstep(
+            inst, models.strategy_from_id(ms.method),
+            [_schedule(ms, a0, inst) for a0 in config.alpha0_grid],
+            m=m, n_steps=max(1, config.sample_budget // m),
+            epsilon=config.epsilon * _initial_gap(inst), rngs=rngs,
+            accelerated=ms.accelerated,
+            record=optimizers.RecordOptions(stride=config.record_stride,
+                                            record_average=False))
+    except Exception as exc:
+        exc.add_note(f"in sweep group problem={prob.label()} cond={cond:g} "
+                     f"seed={seed} method={ms.method} "
+                     f"accelerated={ms.accelerated} m={m}")
+        raise
+    return [_row(prob, ms, cond, m, a0, seed, rec)
+            for a0, rec in zip(config.alpha0_grid, recs)]
+
+
+def _row(prob, ms, cond, m, alpha0, seed, rec) -> CellResult:
+    k_conv = rec.k_converged
     return CellResult(
         problem=prob.label(), noise=prob.noise_label(), cond=float(cond),
         method=ms.method, accelerated=ms.accelerated, m=int(m),
         alpha0=float(alpha0), seed=int(seed),
         k_to_eps=(None if k_conv is None else max(k_conv, 1)),
-        samples_to_eps=samples, final_gap=final_gap, status=status,
+        samples_to_eps=None if k_conv is None else max(k_conv * m, m),
+        final_gap=float(rec.gaps[-1]), status=rec.status,
     )
 
 
 def _initial_gap(inst) -> float:
-    from .. import problems
-
-    ref = problems.reference_optimum(inst)
-    gap0 = problems.objective_value(inst, np.zeros(inst.n)) - ref.f_star
+    gap0 = (problems.objective_value(inst, np.zeros(inst.n))
+            - problems.reference_optimum(inst).f_star)
     return max(gap0, 1e-300)
 
 
@@ -97,18 +99,14 @@ def _run_instance_group(args):
     config, prob, cond, seed = args
     inst = prob.instantiate(cond, _instance_seed(config.master_seed, prob,
                                                  cond, seed))
-    out = []
-    for ms in config.methods:
-        for m in config.m_grid:
-            for alpha0 in config.alpha0_grid:
-                out.append(run_cell(prob, ms, inst, cond, m, alpha0, seed,
-                                    config))
-    return out
+    return [row for ms in config.methods for m in config.m_grid
+            for row in run_group(prob, ms, inst, cond, m, seed, config)]
 
 
 def execute_sweep(config: SweepConfig, jobs: int = 1, progress=None):
-    """Run every grid cell; per-cell failures become status rows, never
-    abort the sweep.  Returns canonically sorted CellResult rows."""
+    """Run every grid cell and return canonically sorted CellResult rows.
+    Solver failures become innerfail rows; any other exception aborts the
+    sweep, with a note naming its (method, m) group."""
     config.validate()
     groups = [
         (config, prob, cond, seed)

@@ -1,6 +1,17 @@
 """Outer iterations: base model-based loop, iterate averaging, and the
 accelerated three-term loop, with stepsize schedules and run recording.
 
+One lockstep engine runs all three loops.  It advances C cells that share an
+instance, a strategy, a batch size and a starting point and differ in their
+schedule and generator: the stacked iterates X, Z (C, n), a per-cell
+stepsize vector and a running set.  Converged, diverged and inner-failed
+cells stop while the others go on.  Each running cell draws its batch from
+its own generator, once per attempt, exactly as a lone run does (the same
+stream, the same redraws after a solver failure), and every stacked product
+is per cell, so a cell's record does not depend on C or on the other cells.
+``run_base``, ``run_pia`` and ``run_accelerated`` are one-cell calls; sweeps
+step the alpha0 cells of a (method, m) group together.
+
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
 ``full_batch=True`` (or m equal to the dataset size) uses the whole dataset
@@ -83,19 +94,8 @@ def smoothness_adaptive(L: float, eta0: float, power: float = 0.5) -> StepSchedu
 @dataclass(frozen=True)
 class ThetaSchedule:
     """Momentum schedule theta_k = 2/(k+2): theta_0 = 1, non-increasing, and
-    (1-theta_k)/theta_k^2 <= 1/theta_{k-1}^2 (verified numerically up to
-    k = 10^6 on construction)."""
-
-    check_horizon: int = 1_000_000
-
-    def __post_init__(self):
-        ks = np.arange(1, self.check_horizon + 1, dtype=float)
-        th = 2.0 / (ks + 2.0)
-        prev = 2.0 / (ks + 1.0)
-        if self.theta(0) != 1.0:
-            raise AssertionError("theta_0 must equal 1")
-        if np.any((1.0 - th) / th**2 > 1.0 / prev**2 + 1e-12):
-            raise AssertionError("theta schedule violates its recursion bound")
+    (1-theta_k)/theta_k^2 <= 1/theta_{k-1}^2 for every k >= 1, since
+    (1-theta_k)/theta_k^2 = k(k+2)/4 <= (k+1)^2/4 = 1/theta_{k-1}^2."""
 
     def theta(self, k: int) -> float:
         return 2.0 / (k + 2.0)
@@ -152,64 +152,63 @@ class RunRecord:
 
 
 class _Recorder:
-    def __init__(self, inst, opts: RecordOptions, m_eff: int, f_star: float):
+    """Recorded gaps of C lockstep cells.  Every record covers the cells
+    still running, so cell c's records are the first count[c] rows."""
+
+    def __init__(self, inst, opts: RecordOptions, C: int, f_star: float):
         self.inst = inst
         self.opts = opts
-        self.m_eff = m_eff
         self.f_star = f_star
         self.ks, self.gaps, self.avg_gaps, self.dists = [], [], [], []
-        self.snapshots = []
+        self.count = np.zeros(C, dtype=int)
+        self.snapshots = [[] for _ in range(C)]
 
-    def due(self, k: int, last: bool) -> bool:
-        return last or k % max(self.opts.stride, 1) == 0
+    def _row(self, cells, values):
+        if cells.size == self.count.size:
+            return values
+        row = np.full(self.count.size, np.nan)
+        row[cells] = values
+        return row
 
-    def record(self, k: int, x, x_avg):
-        gap = problems.objective_value(self.inst, x) - self.f_star
+    def record(self, k: int, cells, X, X_avg) -> np.ndarray:
+        """Record the cells' gaps at step k; returns them."""
+        opts = self.opts
+        every = cells.size == self.count.size
+        Xc = X if every else X[cells]
+        gaps = problems.objective_values(self.inst, Xc) - self.f_star
         self.ks.append(k)
-        self.gaps.append(gap)
-        if self.opts.record_average and x_avg is not None:
-            self.avg_gaps.append(
-                problems.objective_value(self.inst, x_avg) - self.f_star
-            )
-        if self.opts.record_distance:
-            self.dists.append(problems.distance_to_optimum(self.inst, x))
-        if self.opts.snapshot_stride and k % self.opts.snapshot_stride == 0:
-            self.snapshots.append((k, np.array(x)))
-        return gap
+        self.gaps.append(self._row(cells, gaps))
+        if opts.record_average:
+            Xa = X_avg if every else X_avg[cells]
+            self.avg_gaps.append(self._row(
+                cells, problems.objective_values(self.inst, Xa) - self.f_star))
+        if opts.record_distance:
+            self.dists.append(self._row(cells, np.array(
+                [problems.distance_to_optimum(self.inst, X[c]) for c in cells])))
+        if opts.snapshot_stride and k % opts.snapshot_stride == 0:
+            for c in cells:
+                self.snapshots[c].append((k, X[c].copy()))
+        self.count[cells] += 1
+        return gaps
 
-    def finish(self, status, k_conv, x, x_avg, initial_gap, config) -> RunRecord:
-        return RunRecord(
-            ks=np.array(self.ks, dtype=int),
-            gaps=np.array(self.gaps),
-            avg_gaps=np.array(self.avg_gaps) if self.avg_gaps else None,
-            dists=np.array(self.dists) if self.dists else None,
-            samples=np.array(self.ks, dtype=int) * self.m_eff,
-            status=status,
-            k_converged=k_conv,
-            x_final=np.array(x),
-            x_avg_final=np.array(x_avg) if x_avg is not None else None,
-            f_star=self.f_star,
-            initial_gap=initial_gap,
-            config=dict(config),
-            snapshots=self.snapshots,
-        )
-
-
-def _prepare(inst, m, x0, full_batch):
-    if m < 1:
-        raise ValueError("batch size must be at least 1")
-    full = full_batch or (inst.sample_probabilities is None and m == inst.N)
-    m_eff = inst.N if full else m
-    x = np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    x = geometry.project_domain(inst.domain, x)
-    f_star = problems.reference_optimum(inst).f_star
-    return x, m_eff, full, f_star
-
-
-def _draw(inst, m, rng, full):
-    if full:
-        return np.arange(inst.N)
-    return problems.sample_batch(inst, m, rng)
+    def finish(self, m_eff, status, k_conv, X, X_avg, gap0, configs) -> list:
+        ks = np.array(self.ks, dtype=int)
+        C = self.count.size
+        tables = [np.concatenate(t).reshape(-1, C) if t else None
+                  for t in (self.gaps, self.avg_gaps, self.dists)]
+        out = []
+        for c, n in enumerate(self.count):
+            gaps, avg_gaps, dists = [t[:n, c] if t is not None else None
+                                     for t in tables]
+            out.append(RunRecord(
+                ks=ks[:n], gaps=gaps, avg_gaps=avg_gaps, dists=dists,
+                samples=ks[:n] * m_eff, status=status[c], k_converged=k_conv[c],
+                x_final=X[c].copy(),
+                x_avg_final=X_avg[c].copy() if X_avg is not None else None,
+                f_star=self.f_star, initial_gap=float(gap0[c]),
+                config=configs[c], snapshots=self.snapshots[c],
+            ))
+        return out
 
 
 def run_base(
@@ -233,72 +232,295 @@ def run_base(
     Non-Euclidean geometries are supported for the linear model (the exact
     mirror step); other models require the Euclidean geometry, and on
     constrained domains their unconstrained prox solve is followed by a
-    projection.
+    projection.  Iterate averaging (``models.pia``) solves the m
+    single-sample subproblems from x_k and averages them; it does not redraw
+    a batch whose solve fails.
+    """
+    return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
+                         record=record, x0=x0, h=h, full_batch=full_batch,
+                         inner_tol=inner_tol, debug_checks=debug_checks)[0]
+
+
+def run_pia(
+    inst: problems.ProblemInstance,
+    per_sample_model: str,
+    schedule: StepSchedule,
+    m: int,
+    n_steps: int,
+    epsilon: float,
+    rng: np.random.Generator,
+    record: RecordOptions | None = None,
+    x0=None,
+    full_batch: bool = False,
+) -> RunRecord:
+    """Iterate averaging: per step, solve the m single-sample prox
+    subproblems from the same point and average the solutions."""
+    return run_base(inst, models.pia(per_sample_model), schedule, m, n_steps,
+                    epsilon, rng, record=record, x0=x0, full_batch=full_batch)
+
+
+def run_accelerated(
+    inst: problems.ProblemInstance,
+    strategy: models.BatchStrategy,
+    schedule: StepSchedule,
+    m: int,
+    n_steps: int,
+    epsilon: float,
+    rng: np.random.Generator,
+    theta: ThetaSchedule | None = None,
+    reg: Regularizer | None = None,
+    record: RecordOptions | None = None,
+    x0=None,
+    full_batch: bool = False,
+    inner_tol: float = 1e-9,
+) -> RunRecord:
+    """Three-term accelerated iteration:
+
+        y_k     = (1 - theta_k) x_k + theta_k z_k
+        z_{k+1} = argmin model_at_y + r + ||. - z_k||^2 / (2 alpha_k)
+        x_{k+1} = (1 - theta_k) x_k + theta_k z_{k+1}
+
+    With a smoothness-adaptive schedule the stepsize is
+    alpha_k = 1/(L theta_k + eta0 sqrt(k+1)) (the tightest admissible
+    choice).  A squared-l2 regularizer folds analytically into the prox
+    term.
+
+    Iterate averaging composes with this wrapper but does not enjoy the
+    accelerated guarantee.
+    """
+    return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
+                         accelerated=True, theta=theta, reg=reg, record=record,
+                         x0=x0, full_batch=full_batch, inner_tol=inner_tol)[0]
+
+
+def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
+                  accelerated=False, theta=None, reg=None, record=None, x0=None,
+                  h=None, full_batch=False, inner_tol=1e-9,
+                  debug_checks=False) -> list:
+    """Run C cells that share the instance, strategy, m and starting point
+    and differ in their schedule and generator (cell c uses schedules[c]
+    and rngs[c]); returns one RunRecord per cell.
+
+    The cells advance together, one step of every running cell per
+    iteration, and a cell stops on its own status.  Each cell draws from
+    its own generator exactly as a lone run does, and every stacked product
+    is per cell, so a cell's record does not depend on C or on the other
+    cells.
     """
     if n_steps < 1 or epsilon <= 0:
         raise ValueError("need n_steps >= 1 and epsilon > 0")
-    if strategy.scheme == models.ITERATE_AVERAGE:
-        return run_pia(inst, strategy.kind, schedule, m, n_steps, epsilon, rng,
-                       record=record, x0=x0, full_batch=full_batch)
+    if m < 1:
+        raise ValueError("batch size must be at least 1")
     opts = record if record is not None else RecordOptions()
-    x, m_eff, full, f_star = _prepare(inst, m, x0, full_batch)
+    full = full_batch or (inst.sample_probabilities is None and m == inst.N)
+    m_eff = inst.N if full else m
+    x = np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = geometry.project_domain(inst.domain, x)
+    f_star = problems.reference_optimum(inst).f_star
+    pia = strategy.scheme == models.ITERATE_AVERAGE
     hgen = h if h is not None else geometry.euclidean(inst.n)
-    geometry.check_compatible(hgen, inst.domain)
-    if hgen.kind != geometry.EUCLIDEAN and not (
-        strategy.scheme == models.MODEL_OF_AVERAGE and strategy.kind == models.LINEAR
-    ):
-        raise ValueError("non-Euclidean geometry requires the linear model")
-    _check_infinite_alpha(strategy, schedule)
+    if accelerated:
+        theta = theta if theta is not None else _STANDARD_THETA
+        reg = reg if reg is not None else zero_regularizer()
+        if any(s.kind == POLY_DECAY and math.isinf(s.alpha0) for s in schedules):
+            raise ValueError("the accelerated loop requires finite stepsizes")
+        config = {"method": strategy.method_id, "accelerated": True, "m": m_eff,
+                  "epsilon": epsilon, "full_batch": full, "mu": reg.mu}
+    else:
+        geometry.check_compatible(hgen, inst.domain)
+        if hgen.kind != geometry.EUCLIDEAN and not (
+            strategy.scheme == models.MODEL_OF_AVERAGE and strategy.kind == models.LINEAR
+        ):
+            raise ValueError("non-Euclidean geometry requires the linear model")
+        for s in schedules:
+            _check_infinite_alpha(strategy, s)
+        config = {"method": strategy.method_id, "m": m_eff, "epsilon": epsilon,
+                  "full_batch": full}
+        if pia:
+            config["pia_kind"] = strategy.kind
+    configs = [dict(config, schedule=s) for s in schedules]
+    step = _stepper(inst, strategy, m, full, rngs,
+                    _kernel(inst, strategy, m_eff, inner_tol, hgen),
+                    retries=0 if pia and not accelerated else _INNER_RETRIES,
+                    project=hgen.kind == geometry.EUCLIDEAN,
+                    debug=debug_checks and not (accelerated or pia))
 
-    config = {"method": strategy.method_id, "m": m_eff, "schedule": schedule,
-              "epsilon": epsilon, "full_batch": full}
-    rec = _Recorder(inst, opts, m_eff, f_star)
-    x_avg = x.copy() if opts.record_average else None
-    gap0 = rec.record(0, x, x_avg)
-    if gap0 <= epsilon:
-        return rec.finish(STATUS_CONVERGED, 0, x, x_avg, gap0, config)
+    C = len(schedules)
+    X = np.repeat(x[np.newaxis], C, axis=0)
+    Z = X.copy() if accelerated else None
+    X_avg = X.copy() if opts.record_average else None
+    rec = _Recorder(inst, opts, C, f_star)
+    cells = np.arange(C)  # the cells still running
+    gap0 = rec.record(0, cells, X, X_avg)
+    limit = (_DIVERGENCE_FACTOR * np.maximum(gap0, 1e-12)).tolist()
+    status = [STATUS_BUDGET] * C
+    k_conv = [None] * C
+    cells = _settle(cells, 0, gap0, epsilon, limit, status, k_conv)
 
-    status, k_conv = STATUS_BUDGET, None
+    stride = max(opts.stride, 1)
     for k in range(1, n_steps + 1):
-        alpha = schedule.alpha(k)
-        x_new, ok = _model_step(inst, strategy, x, m, alpha, rng, full,
-                                hgen, inner_tol, debug_checks)
-        if not ok:
-            status = STATUS_INNERFAIL
-            x = x_new
+        if cells.size == 0:
             break
-        x = x_new
-        if x_avg is not None:
-            x_avg += (x - x_avg) / k  # running mean of x_2 .. x_{k+1}
-        if rec.due(k, k == n_steps):
-            gap = rec.record(k, x, x_avg)
-            if gap <= epsilon:
-                status, k_conv = STATUS_CONVERGED, k
-                break
-            if not math.isfinite(gap) or gap > _DIVERGENCE_FACTOR * max(gap0, 1e-12):
-                status = STATUS_DIVERGED
-                break
-    return rec.finish(status, k_conv, x, x_avg, gap0, config)
+        th = theta.theta(k - 1) if accelerated else None
+        alpha = np.array([_stepsize(schedules[c], k, th) for c in cells])
+        run = slice(None) if cells.size == C else cells  # rows of the running cells
+        if accelerated:
+            anchors = (1.0 - th) * X[run] + th * Z[run]
+            centers = Z[run]
+            if reg.mu > 0.0:
+                # Fold (mu/2)||x||^2 + ||x-z||^2/(2 alpha) into a single
+                # quadratic: stepsize alpha/(1+alpha*mu), center z/(1+alpha*mu).
+                scale = 1.0 + alpha * reg.mu
+                alpha, centers = alpha / scale, centers / scale[:, np.newaxis]
+        else:
+            anchors = centers = X[run]
+        new, ok = step(cells, anchors, centers, alpha)
+        if not ok.all():
+            for c in cells[~ok]:
+                status[c] = STATUS_INNERFAIL
+            cells, new = cells[ok], new[ok]
+            run = cells
+        if accelerated:
+            Z[run] = new
+            X[run] = (1.0 - th) * X[run] + th * new
+        else:
+            X[run] = new
+        if X_avg is not None:
+            X_avg[run] += (X[run] - X_avg[run]) / k  # mean of x_1 .. x_k
+        if k % stride == 0 or k == n_steps:
+            # Recorded gaps are for f alone; a nonzero regularizer only
+            # shapes the z-subproblem.
+            gaps = rec.record(k, cells, X, X_avg)
+            cells = _settle(cells, k, gaps, epsilon, limit, status, k_conv)
+    return rec.finish(m_eff, status, k_conv, X, X_avg, gap0, configs)
 
 
-def _model_step(inst, strategy, x, m, alpha, rng, full, hgen, inner_tol, debug):
-    """One prox step; returns (x_next, ok)."""
-    for attempt in range(_INNER_RETRIES + 1):
-        idx = _draw(inst, m, rng, full)
-        model = models.build_batch_model(inst, x, idx, strategy)
+def _stepsize(schedule, k, theta_k):
+    """alpha_k of a cell; the accelerated loop (theta_k given) takes the
+    smoothness-adaptive stepsize 1/(L theta_k + eta0 sqrt(k))."""
+    if theta_k is not None and schedule.kind == SMOOTHNESS_ADAPTIVE:
+        return 1.0 / (schedule.L * theta_k + schedule.eta0 * math.sqrt(k))
+    return schedule.alpha(k)
+
+
+def _settle(cells, k, gaps, epsilon, limit, status, k_conv):
+    """Stop the cells whose recorded gap converged or diverged; returns the
+    cells still running."""
+    running = []
+    for c, gap in zip(cells.tolist(), gaps.tolist()):
+        if gap <= epsilon:
+            status[c], k_conv[c] = STATUS_CONVERGED, k
+        elif not math.isfinite(gap) or gap > limit[c]:
+            status[c] = STATUS_DIVERGED
+        else:
+            running.append(c)
+    return cells if len(running) == cells.size else np.array(running, dtype=int)
+
+
+_SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
+
+
+def _stepper(inst, strategy, m, full, rngs, kernel, retries, project, debug):
+    """step(cells, anchors, centers, alpha) -> (new points, ok) for the
+    running cells: draw each cell's batch, apply the stacked kernel, project,
+    and redraw up to ``retries`` times for the cells whose solve failed.  ok
+    is False for a cell whose every attempt failed (its row is then
+    meaningless)."""
+    project = project and inst.domain.kind != geometry.ALL_SPACE
+
+    def attempt(cells, A, Zc, alpha):
+        idx = np.array([np.arange(inst.N) if full else problems.sample_batch(inst, m, rngs[c])
+                        for c in cells])
+        out, good = _apply(kernel, A, Zc, alpha, idx)
+        if project:
+            out = np.array([geometry.project_domain(inst.domain, x) for x in out])
+        if debug:
+            for i in np.flatnonzero(good):
+                model = models.build_batch_model(inst, A[i], idx[i], strategy)
+                _debug_step_checks(model, Zc[i], out[i], alpha[i], rngs[cells[i]])
+        return out, good
+
+    def step(cells, anchors, centers, alpha):
+        new, ok = attempt(cells, anchors, centers, alpha)
+        for _ in range(retries):
+            if ok.all():
+                break
+            bad = np.flatnonzero(~ok)
+            A = anchors[bad]
+            out, good = attempt(cells[bad], A, A if centers is anchors else centers[bad],
+                                alpha[bad])
+            new[bad[good]] = out[good]
+            ok[bad[good]] = True
+        return new, ok
+    return step
+
+
+def _apply(kernel, A, Zc, alpha, idx):
+    """(kernel output, ok mask).  If the stacked kernel raises a solver
+    error, the cells are redone one by one, so only the cells that fail
+    alone are charged with it."""
+    try:
+        return kernel(A, Zc, alpha, idx), np.ones(alpha.size, dtype=bool)
+    except _SOLVER_ERRORS:
+        if alpha.size == 1:
+            return Zc.copy(), np.zeros(1, dtype=bool)
+    out = Zc.copy()
+    good = np.ones(alpha.size, dtype=bool)
+    for i in range(alpha.size):
+        a = A[i:i + 1]
         try:
-            if strategy.scheme == models.MODEL_OF_AVERAGE and strategy.kind == models.LINEAR:
-                x_next = prox.linear_step(hgen, inst.domain, x, model.gbar, alpha)
-            else:
-                res = prox.solve_model_prox(model, x, alpha, tol=inner_tol)
-                x_next = geometry.project_domain(inst.domain, res.x_next)
-            if debug:
-                _debug_step_checks(model, x, x_next, alpha, rng)
-            return x_next, True
-        except (prox.InnerSolveError, prox.DegenerateSampleError):
-            if attempt == _INNER_RETRIES:
-                return x, False
-    return x, False  # pragma: no cover
+            out[i] = kernel(a, a if Zc is A else Zc[i:i + 1], alpha[i:i + 1],
+                            idx[i:i + 1])[0]
+        except _SOLVER_ERRORS:
+            good[i] = False
+    return out, good
+
+
+def _kernel(inst, strategy, m_eff, tol, h):
+    """The step of a strategy on a stack of cells: kernel(A, Zc, alpha, idx)
+    takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
+    and batches idx (C, m), and returns the new points before projection or
+    raises a solver error.  Closed forms run on the whole stack; the box-QP
+    duals and the logistic Newton solve run per cell."""
+    scheme, kind = strategy.scheme, strategy.kind
+    if scheme == models.ITERATE_AVERAGE:
+        return lambda A, Zc, alpha, idx: prox.pia_steps(inst, A, Zc, idx, kind, alpha)
+    if scheme == models.AVERAGE_OF_TRUNCATED and m_eff > 1:
+        def pam(A, Zc, alpha, idx):
+            return np.array([
+                prox.pam_step(Zc[i], models.build_batch_model(inst, A[i], idx[i], strategy),
+                              float(alpha[i]), tol=tol).x_next
+                for i in range(alpha.size)])
+        return pam
+    if scheme == models.MODEL_OF_AVERAGE and kind == models.FULL_PROX:
+        if m_eff == 1:
+            return lambda A, Zc, alpha, idx: prox.single_sample_prox(inst, Zc, idx[:, 0], alpha)
+        if inst.kind == problems.LINREG:
+            return lambda A, Zc, alpha, idx: prox.linreg_prox_stacked(
+                Zc, inst.A[idx], inst.b[idx], alpha)
+
+        def full_prox(A, Zc, alpha, idx):
+            return np.array([prox.full_prox_step(inst, idx[i], Zc[i], float(alpha[i]), tol).x_next
+                             for i in range(alpha.size)])
+        return full_prox
+    linear = scheme == models.MODEL_OF_AVERAGE and kind == models.LINEAR
+
+    def model_of_average(A, Zc, alpha, idx):
+        # The linear or truncated model of the batch average (pam at m = 1
+        # is the same truncated step).
+        vals, grads = problems.stacked_losses(inst, A, idx)
+        inv_m = 1.0 / idx.shape[1]
+        gbar = np.add.reduce(grads, axis=1) * inv_m
+        if linear and h.kind != geometry.EUCLIDEAN:
+            return np.array([geometry.mirror_linear_step(h, inst.domain, Zc[i], gbar[i], alpha[i])
+                             for i in range(alpha.size)])
+        if linear:
+            return Zc - alpha[:, np.newaxis] * gbar
+        fbar = np.add.reduce(vals, axis=1) * inv_m
+        if Zc is not A:  # the model's value at the prox center
+            fbar = fbar + prox.rowdot(gbar, Zc - A)
+        return prox.truncated_steps(Zc, fbar, gbar, alpha)
+    return model_of_average
 
 
 def _debug_step_checks(model, center, x_plus, alpha, rng, n_probes: int = 3,
@@ -333,187 +555,6 @@ def _check_infinite_alpha(strategy, schedule):
             )
         if schedule.beta != 0.0:
             raise ValueError("infinite stepsize requires beta = 0")
-
-
-def run_pia(
-    inst: problems.ProblemInstance,
-    per_sample_model: str,
-    schedule: StepSchedule,
-    m: int,
-    n_steps: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    record: RecordOptions | None = None,
-    x0=None,
-    full_batch: bool = False,
-) -> RunRecord:
-    """Iterate averaging: per step, solve the m single-sample prox
-    subproblems from the same point and average the solutions."""
-    if n_steps < 1 or epsilon <= 0:
-        raise ValueError("need n_steps >= 1 and epsilon > 0")
-    if per_sample_model not in models.MODEL_KINDS:
-        raise ValueError(f"unknown per-sample model: {per_sample_model!r}")
-    _check_infinite_alpha(models.pia(per_sample_model), schedule)
-    opts = record if record is not None else RecordOptions()
-    x, m_eff, full, f_star = _prepare(inst, m, x0, full_batch)
-
-    config = {"method": "pia", "pia_kind": per_sample_model, "m": m_eff,
-              "schedule": schedule, "epsilon": epsilon, "full_batch": full}
-    rec = _Recorder(inst, opts, m_eff, f_star)
-    x_avg = x.copy() if opts.record_average else None
-    gap0 = rec.record(0, x, x_avg)
-    if gap0 <= epsilon:
-        return rec.finish(STATUS_CONVERGED, 0, x, x_avg, gap0, config)
-
-    status, k_conv = STATUS_BUDGET, None
-    for k in range(1, n_steps + 1):
-        alpha = schedule.alpha(k)
-        idx = _draw(inst, m, rng, full)
-        try:
-            x = geometry.project_domain(
-                inst.domain, prox.pia_step(inst, x, idx, per_sample_model, alpha)
-            )
-        except (prox.InnerSolveError, prox.DegenerateSampleError):
-            status = STATUS_INNERFAIL
-            break
-        if x_avg is not None:
-            x_avg += (x - x_avg) / k
-        if rec.due(k, k == n_steps):
-            gap = rec.record(k, x, x_avg)
-            if gap <= epsilon:
-                status, k_conv = STATUS_CONVERGED, k
-                break
-            if not math.isfinite(gap) or gap > _DIVERGENCE_FACTOR * max(gap0, 1e-12):
-                status = STATUS_DIVERGED
-                break
-    return rec.finish(status, k_conv, x, x_avg, gap0, config)
-
-
-def run_accelerated(
-    inst: problems.ProblemInstance,
-    strategy: models.BatchStrategy,
-    schedule: StepSchedule,
-    m: int,
-    n_steps: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    theta: ThetaSchedule | None = None,
-    reg: Regularizer | None = None,
-    record: RecordOptions | None = None,
-    x0=None,
-    conservative_alpha: bool = False,
-    full_batch: bool = False,
-    inner_tol: float = 1e-9,
-) -> RunRecord:
-    """Three-term accelerated iteration:
-
-        y_k     = (1 - theta_k) x_k + theta_k z_k
-        z_{k+1} = argmin model_at_y + r + ||. - z_k||^2 / (2 alpha_k)
-        x_{k+1} = (1 - theta_k) x_k + theta_k z_{k+1}
-
-    With a smoothness-adaptive schedule the stepsize is
-    alpha_k = 1/(L theta_k + eta_k) (the tightest admissible choice); pass
-    ``conservative_alpha=True`` for the looser 1/(L + eta_k) choice.  A squared-l2
-    regularizer folds analytically into the prox term.
-
-    Iterate averaging composes with this wrapper but does not enjoy the
-    accelerated guarantee.
-    """
-    if n_steps < 1 or epsilon <= 0:
-        raise ValueError("need n_steps >= 1 and epsilon > 0")
-    theta = theta if theta is not None else _STANDARD_THETA
-    reg = reg if reg is not None else zero_regularizer()
-    opts = record if record is not None else RecordOptions()
-    x, m_eff, full, f_star = _prepare(inst, m, x0, full_batch)
-    if schedule.kind == POLY_DECAY and math.isinf(schedule.alpha0):
-        raise ValueError("the accelerated loop requires finite stepsizes")
-
-    config = {"method": strategy.method_id, "accelerated": True, "m": m_eff,
-              "schedule": schedule, "epsilon": epsilon, "full_batch": full,
-              "mu": reg.mu}
-    rec = _Recorder(inst, opts, m_eff, f_star)
-    x_avg = x.copy() if opts.record_average else None
-    gap0 = rec.record(0, x, x_avg)
-    if gap0 <= epsilon:
-        return rec.finish(STATUS_CONVERGED, 0, x, x_avg, gap0, config)
-
-    z = x.copy()
-    status, k_conv = STATUS_BUDGET, None
-    for k in range(n_steps):
-        th = theta.theta(k)
-        y = (1.0 - th) * x + th * z
-        if schedule.kind == SMOOTHNESS_ADAPTIVE:
-            eta_k = schedule.eta0 * math.sqrt(k + 1)
-            alpha = 1.0 / (schedule.L + eta_k) if conservative_alpha else \
-                1.0 / (schedule.L * th + eta_k)
-            if not math.isfinite(alpha):
-                raise ValueError("L and eta0 cannot both vanish")
-        else:
-            alpha = schedule.alpha(k + 1)
-        z_new, ok = _accel_z_step(inst, strategy, y, z, m, alpha, reg, rng,
-                                  full, inner_tol)
-        if not ok:
-            status = STATUS_INNERFAIL
-            break
-        z = z_new
-        x = (1.0 - th) * x + th * z
-        if x_avg is not None:
-            x_avg += (x - x_avg) / (k + 1)
-        if rec.due(k + 1, k + 1 == n_steps):
-            # Recorded gaps are for f alone; a nonzero regularizer only
-            # shapes the z-subproblem.
-            gap = rec.record(k + 1, x, x_avg)
-            if gap <= epsilon:
-                status, k_conv = STATUS_CONVERGED, k + 1
-                break
-            if not math.isfinite(gap) or gap > _DIVERGENCE_FACTOR * max(gap0, 1e-12):
-                status = STATUS_DIVERGED
-                break
-    return rec.finish(status, k_conv, x, x_avg, gap0, config)
-
-
-def _accel_z_step(inst, strategy, y, z, m, alpha, reg, rng, full, inner_tol):
-    # Fold (mu/2)||x||^2 + ||x-z||^2/(2 alpha) into a single quadratic:
-    # effective stepsize alpha/(1+alpha*mu), effective center z/(1+alpha*mu).
-    if reg.mu > 0.0:
-        scale = 1.0 + alpha * reg.mu
-        alpha_eff, center = alpha / scale, z / scale
-    else:
-        alpha_eff, center = alpha, z
-    for attempt in range(_INNER_RETRIES + 1):
-        idx = _draw(inst, m, rng, full)
-        try:
-            if strategy.scheme == models.ITERATE_AVERAGE:
-                centers = np.broadcast_to(center, (idx.size, center.size))
-                if strategy.kind == models.FULL_PROX:
-                    z_parts = prox.single_sample_prox(inst, centers, idx, alpha_eff)
-                    z_new = z_parts.mean(axis=0)
-                else:
-                    z_new = _pia_z_from_y(inst, y, center, idx, strategy.kind,
-                                          alpha_eff)
-            else:
-                model = models.build_batch_model(inst, y, idx, strategy)
-                res = prox.solve_model_prox(model, center, alpha_eff, tol=inner_tol)
-                z_new = res.x_next
-            return geometry.project_domain(inst.domain, z_new), True
-        except (prox.InnerSolveError, prox.DegenerateSampleError):
-            if attempt == _INNER_RETRIES:
-                return z, False
-    return z, False  # pragma: no cover
-
-
-def _pia_z_from_y(inst, y, center, idx, kind, alpha):
-    """Per-sample linear/truncated models anchored at y, prox centered at
-    ``center``, solved independently and averaged."""
-    vals, grads, infs = problems.batch_losses(inst, y, idx)
-    shift = grads.T @ (center - y)
-    if kind == models.LINEAR:
-        return center - alpha * grads.mean(axis=1)
-    gsq = np.einsum("ji,ji->i", grads, grads)
-    gap = vals - infs + shift
-    ratio = np.where(gsq > 0, np.maximum(gap, 0.0) / np.where(gsq > 0, gsq, 1.0), 0.0)
-    t = np.minimum(alpha, ratio)
-    return center - (grads * t).mean(axis=1)
 
 
 _STANDARD_THETA = ThetaSchedule()

@@ -151,16 +151,33 @@ def truncated_step(x_k, fbar, gbar, lam_lb, alpha):
         raise ValueError("stepsize must be positive")
     x_k = np.asarray(x_k, dtype=float)
     gbar = np.asarray(gbar, dtype=float)
-    gap = fbar - lam_lb
-    gsq = float(gbar @ gbar)
-    if gsq == 0.0:
-        if gap > 1e-12 * (1.0 + abs(fbar)):
+    return truncated_steps(x_k[np.newaxis], np.array([fbar - lam_lb]),
+                           gbar[np.newaxis], np.array([alpha], dtype=float))[0]
+
+
+def truncated_steps(centers, gaps, gbars, alpha) -> np.ndarray:
+    """truncated_step for a stack of C rows: centers and gbars (C, n), gaps
+    (model value minus its floor) and alpha (C,).  Raises
+    DegenerateSampleError if any row has a zero gradient above its floor.
+
+    A NaN ratio takes the full stepsize, as Python's min does.
+    """
+    gsq = rowdot(gbars, gbars)
+    if not gsq.all():
+        flat = gsq == 0.0
+        if np.any(flat & (gaps > 1e-12 * (1.0 + np.abs(gaps)))):
             raise DegenerateSampleError(
                 "zero model gradient with value above the lower bound"
             )
-        return x_k.copy()
-    t = min(alpha, max(gap, 0.0) / gsq)
-    return x_k - t * gbar
+        gsq = np.where(flat, np.inf, gsq)  # already at the floor: no step
+    t = np.fmin(np.maximum(gaps, 0.0) / gsq, alpha)
+    return centers - t[:, np.newaxis] * gbars
+
+
+def rowdot(U, V) -> np.ndarray:
+    """Row-wise inner products of two (C, n) stacks, one BLAS dot per row
+    (the same call as ``u @ v`` on the rows alone)."""
+    return np.matmul(U[:, np.newaxis, :], V[:, :, np.newaxis])[:, 0, 0]
 
 
 def pam_step(x_k, model: models.BatchModel, alpha, tol: float = 1e-9) -> ProxResult:
@@ -209,18 +226,36 @@ def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
     x_k = np.asarray(x_k, dtype=float)
     A_b = np.atleast_2d(np.asarray(A_b, dtype=float))
     b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
-    m, n = A_b.shape
+    return linreg_prox_stacked(x_k[np.newaxis], A_b[np.newaxis],
+                               b_b[np.newaxis], np.array([alpha], dtype=float))[0]
+
+
+def linreg_prox_stacked(X, A, B, alpha) -> np.ndarray:
+    """prox_step_linreg for C problems at once: centers X (C, n), batches
+    A (C, m, n) and B (C, m), stepsizes alpha (C,).  Every product and solve
+    is per problem, so each row equals its own single solve bit for bit.
+    Raises InnerSolveError if any row fails its stationarity check."""
+    m, n = A.shape[1:]
+    At = A.transpose(0, 2, 1)
     c = 1.0 / alpha
-    rhs = c * x_k + A_b.T @ b_b / m
+    rhs = c[:, np.newaxis] * X + _matvec(At, B) / m
     if m < n:
-        u = np.linalg.solve(m * c * np.eye(m) + A_b @ A_b.T, A_b @ rhs)
-        x = (rhs - A_b.T @ u) / c
+        K = (m * c)[:, np.newaxis, np.newaxis] * np.eye(m) + np.matmul(A, At)
+        u = np.linalg.solve(K, _matvec(A, rhs)[..., np.newaxis])[..., 0]
+        x = (rhs - _matvec(At, u)) / c[:, np.newaxis]
     else:
-        x = np.linalg.solve(c * np.eye(n) + A_b.T @ A_b / m, rhs)
-    resid = c * (x - x_k) + A_b.T @ (A_b @ x - b_b) / m
-    if float(np.linalg.norm(resid)) > 1e-10 * (1.0 + float(np.linalg.norm(x_k))) * max(c, 1.0):
+        M = c[:, np.newaxis, np.newaxis] * np.eye(n) + np.matmul(At, A) / m
+        x = np.linalg.solve(M, rhs[..., np.newaxis])[..., 0]
+    resid = c[:, np.newaxis] * (x - X) + _matvec(At, _matvec(A, x) - B) / m
+    bound = 1e-10 * (1.0 + np.sqrt(rowdot(X, X))) * np.maximum(c, 1.0)
+    if np.any(np.sqrt(rowdot(resid, resid)) > bound):
         raise InnerSolveError("linear prox stationarity residual too large")
     return x
+
+
+def _matvec(M, V):
+    """Per-row matrix-vector products of (C, p, q) and (C, q) stacks."""
+    return np.matmul(M, V[..., np.newaxis])[..., 0]
 
 
 def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
@@ -301,7 +336,8 @@ def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# Dispatch for the outer loops
+# Dispatch on a batch model (one prox step for one point; the optimizer
+# engine calls the stacked kernels above and full_prox_step directly)
 
 
 def solve_model_prox(model: models.BatchModel, center, alpha,
@@ -327,13 +363,13 @@ def solve_model_prox(model: models.BatchModel, center, alpha,
         return ProxResult(truncated_step(center, val_c, model.gbar,
                                          model.lower_bound, alpha))
     if strat.kind == models.FULL_PROX:
-        return _full_prox_step(model, center, alpha, tol)
+        return full_prox_step(model.inst, model.batch, center, alpha, tol)
     raise ValueError(f"unsupported strategy for prox dispatch: {strat}")
 
 
-def _full_prox_step(model, center, alpha, tol) -> ProxResult:
-    inst, idx = model.inst, model.batch
-    if model.m == 1:
+def full_prox_step(inst, idx, center, alpha, tol: float = 1e-9) -> ProxResult:
+    """Exact prox step on the batch-averaged loss of samples ``idx``."""
+    if idx.size == 1:
         x = single_sample_prox(inst, center[np.newaxis, :], idx, alpha)
         return ProxResult(x[0])
     if inst.kind == problems.LINREG:
@@ -376,40 +412,36 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
     """Exact per-sample full-prox solutions from per-sample centers.
 
     ``centers`` has shape (m, n) (one prox center per sample; iterate
-    averaging passes m copies of the same point).  All solves reduce to
-    one-dimensional problems along the sample direction.
+    averaging passes m copies of the same point) and ``alpha`` is a scalar
+    or one stepsize per sample.  All solves reduce to one-dimensional
+    problems along the sample direction, and each row's solution depends
+    only on that row.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     idx = np.asarray(idx, dtype=int)
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), idx.shape)
     if inst.kind == problems.TWOPOINT:
         return _twopoint_single_prox(inst, centers, idx, alpha)
+    if inst.kind != problems.HALFSPACE and not np.all(np.isfinite(alpha)):
+        raise ValueError("full prox with infinite stepsize is not supported")
     rows = inst.A[idx]
     r = np.einsum("ij,ij->i", rows, centers) - inst.b[idx]
     asq = np.einsum("ij,ij->i", rows, rows)
     safe_asq = np.where(asq > 0, asq, 1.0)
 
     if inst.kind == problems.LINREG:
-        if not math.isfinite(alpha):
-            raise ValueError("full prox with infinite stepsize is not supported")
         t = alpha * r / (1.0 + alpha * asq)
     elif inst.kind == problems.ABSREG:
-        if not math.isfinite(alpha):
-            raise ValueError("full prox with infinite stepsize is not supported")
         lam = np.clip(r / (alpha * safe_asq), -0.5, 0.5)
         t = alpha * lam
     elif inst.kind == problems.HALFSPACE:
         nrm = np.sqrt(safe_asq)
         d0 = np.maximum(r, 0.0) / nrm
-        step = np.minimum(alpha, d0) if math.isfinite(alpha) else d0
-        t = step / nrm
+        t = np.minimum(alpha, d0) / nrm  # an infinite alpha projects
     elif inst.kind == problems.LOGISTIC:
-        if not math.isfinite(alpha):
-            raise ValueError("full prox with infinite stepsize is not supported")
         az = np.einsum("ij,ij->i", rows, centers)
         t = _logistic_single_prox_t(inst.b[idx], az, asq, alpha)
     elif inst.kind == problems.POWER:
-        if not math.isfinite(alpha):
-            raise ValueError("full prox with infinite stepsize is not supported")
         t = _power_single_prox_t(r, asq, alpha, inst.gamma)
     else:
         raise ValueError(f"no single-sample prox for kind {inst.kind!r}")
@@ -422,19 +454,21 @@ def _twopoint_single_prox(inst, centers, idx, alpha):
     if not np.any(informative):
         return out
     r = centers[informative, 0] - inst.sign * inst.radius
-    if inst.gamma == 0.0 and not math.isfinite(alpha):
-        out[informative, 0] = inst.sign * inst.radius
-        return out
-    if not math.isfinite(alpha):
+    a = alpha[informative]
+    infinite = ~np.isfinite(a)
+    if np.any(infinite) and inst.gamma != 0.0:
         raise ValueError("infinite stepsize only supported for gamma = 0 here")
-    t = _power_single_prox_t(r, np.ones_like(r), alpha, inst.gamma)
-    out[informative, 0] -= t
+    t = _power_single_prox_t(r, np.ones_like(r), np.where(infinite, 1.0, a),
+                             inst.gamma)
+    out[informative, 0] = np.where(infinite, inst.sign * inst.radius,
+                                   centers[informative, 0] - t)
     return out
 
 
 def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
     """Safeguarded Newton (rtsafe) for t with x = z - t a minimizing the
-    single-sample logistic prox; az = <a, z>, vectorized over the entries.
+    single-sample logistic prox; az = <a, z>, vectorized over the entries
+    (alpha is a scalar or one stepsize per entry).
 
     The stationarity function phi(t) = t/alpha + (b/2) expit(-b (az - t asq))
     is strictly increasing, phi'(t) = 1/alpha + (asq/2) s (1 - s) with
@@ -448,7 +482,7 @@ def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
     lo = np.full(b.shape, -0.5 * alpha)
     hi = np.full(b.shape, 0.5 * alpha)
     t = np.zeros(b.shape)
-    prev = np.full(b.shape, float(alpha))  # length of the previous step
+    prev = np.full(b.shape, alpha, dtype=float)  # length of the previous step
     half_b, half_asq, inv_alpha = 0.5 * b, 0.5 * asq, 1.0 / alpha
 
     def phi(t):
@@ -501,27 +535,35 @@ def _power_single_prox_t(r, asq, alpha, gamma, iters: int = 100):
 def pia_step(inst, x_k, idx, kind: str, alpha) -> np.ndarray:
     """Iterate-averaging update: solve the m single-sample prox subproblems
     from the same point and average the solutions."""
-    x_k = np.asarray(x_k, dtype=float)
-    idx = np.asarray(idx, dtype=int)
-    m = idx.size
-    if kind == models.LINEAR:
-        if not (alpha > 0 and math.isfinite(alpha)):
-            raise ValueError("linear model needs a finite positive stepsize")
-        _, grads, _ = problems.batch_losses(inst, x_k, idx)
-        return x_k - alpha * grads.mean(axis=1)
-    if kind == models.TRUNCATED:
-        vals, grads, infs = problems.batch_losses(inst, x_k, idx)
-        gsq = np.einsum("ji,ji->i", grads, grads)
-        gap = vals - infs
-        if np.any((gsq == 0) & (gap > 1e-12 * (1.0 + np.abs(vals)))):
-            raise DegenerateSampleError("zero per-sample gradient above its infimum")
-        ratio = np.where(gsq > 0, gap / np.where(gsq > 0, gsq, 1.0), 0.0)
-        t = np.minimum(alpha, np.maximum(ratio, 0.0))
-        return x_k - (grads * t).mean(axis=1)
+    if kind not in models.MODEL_KINDS:
+        raise ValueError(f"unknown per-sample model kind: {kind!r}")
+    if kind == models.LINEAR and not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError("linear model needs a finite positive stepsize")
+    x_k = np.asarray(x_k, dtype=float)[np.newaxis]
+    idx = np.asarray(idx, dtype=int)[np.newaxis]
+    return pia_steps(inst, x_k, x_k, idx, kind, np.array([alpha], dtype=float))[0]
+
+
+def pia_steps(inst, anchors, centers, idx, kind: str, alpha) -> np.ndarray:
+    """pia_step for C rows at once: per-sample models anchored at anchors
+    (C, n), prox terms centered at centers (C, n), batches idx (C, m) and
+    stepsizes alpha (C,).  The accelerated loop anchors at y and centers at
+    z; otherwise pass the same array for both."""
+    C, m = idx.shape
     if kind == models.FULL_PROX:
-        centers = np.broadcast_to(x_k, (m, x_k.size))
-        return single_sample_prox(inst, centers, idx, alpha).mean(axis=0)
-    raise ValueError(f"unknown per-sample model kind: {kind!r}")
+        parts = single_sample_prox(inst, np.repeat(centers, m, axis=0),
+                                   idx.ravel(), np.repeat(alpha, m))
+        return np.add.reduce(parts.reshape(C, m, -1), axis=1) / m
+    vals, grads = problems.stacked_losses(inst, anchors, idx)
+    if kind == models.LINEAR:
+        return centers - alpha[:, np.newaxis] * (np.add.reduce(grads, axis=1) / m)
+    gsq = np.einsum("cij,cij->ci", grads, grads)
+    gap = vals if centers is anchors else vals + _matvec(grads, centers - anchors)
+    if np.any((gsq == 0) & (gap > 1e-12 * (1.0 + np.abs(vals)))):
+        raise DegenerateSampleError("zero per-sample gradient above its infimum")
+    ratio = np.where(gsq > 0, gap / np.where(gsq > 0, gsq, 1.0), 0.0)
+    t = np.minimum(alpha[:, np.newaxis], np.maximum(ratio, 0.0))
+    return centers - np.add.reduce(grads * t[..., np.newaxis], axis=1) / m
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from batchprox import analysis
+from batchprox import analysis, prox
 from batchprox.harness import (
     CellResult,
     ConfigError,
@@ -118,6 +118,44 @@ class TestSweep:
         r1 = execute_sweep(cfg1, progress=quiet)
         r2 = execute_sweep(cfg2, progress=quiet)
         assert r1[0].final_gap != r2[0].final_gap
+
+    def test_row_independent_of_alpha_grid(self, tmp_path):
+        data = dict(TINY_CONFIG, m_grid=[1, 4], alpha0_grid=[0.1, 1.0, 30.0],
+                    sample_budget=400,
+                    methods=[{"method": "pma"}, {"method": "pia"},
+                             {"method": "prox", "accelerated": True}])
+        whole = tmp_path / "whole.csv"
+        write_csv(execute_sweep(config_mod.config_from_dict(data), progress=quiet),
+                  whole)
+        lines = whole.read_text().splitlines()[1:]
+        for a in data["alpha0_grid"]:
+            one = tmp_path / f"one{a}.csv"
+            write_csv(execute_sweep(config_mod.config_from_dict(
+                dict(data, alpha0_grid=[a])), progress=quiet), one)
+            mine = one.read_text().splitlines()[1:]
+            assert len(mine) == 6
+            assert all(line in lines for line in mine)
+
+    def test_solver_failure_is_an_innerfail_row(self, monkeypatch):
+        def fail(*args):
+            raise prox.InnerSolveError("forced")
+
+        monkeypatch.setattr(prox, "truncated_steps", fail)
+        rows = execute_sweep(config_mod.config_from_dict(TINY_CONFIG),
+                             progress=quiet)
+        assert [r.status for r in rows] == ["innerfail"]
+
+    def test_unexpected_error_aborts_naming_the_group(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(prox, "truncated_steps", broken)
+        with pytest.raises(TypeError, match="broken kernel") as info:
+            execute_sweep(config_mod.config_from_dict(TINY_CONFIG), progress=quiet)
+        note = " ".join(getattr(info.value, "__notes__", []))
+        for part in ("problem=linreg", "cond=1", "seed=0", "method=pma",
+                     "accelerated=False", "m=2"):
+            assert part in note
 
     def test_stable_seed_is_stable(self):
         assert stable_seed("a", 1, 2.0) == stable_seed("a", 1, 2.0)

@@ -38,10 +38,20 @@ class TestSchedules:
             optimizers.smoothness_adaptive(1.0, 1.0, power=0.3)
 
     def test_theta_schedule_properties(self):
-        th = optimizers.ThetaSchedule(check_horizon=10_000)
+        th = optimizers.ThetaSchedule()
         assert th.theta(0) == 1.0
         vals = np.array([th.theta(k) for k in range(100)])
         assert np.all(np.diff(vals) < 0)
+
+    def test_theta_recursion_identity(self):
+        # (1 - theta_k)/theta_k^2 = k(k+2)/4 and 1/theta_{k-1}^2 = (k+1)^2/4,
+        # so the recursion bound is k(k+2) <= (k+1)^2, i.e. 0 <= 1.
+        th = optimizers.ThetaSchedule()
+        ks = np.arange(1, 10_001)
+        assert np.all(ks * (ks + 2) == (ks + 1) ** 2 - 1)
+        for k in (1, 2, 10, 1000, 10**6):
+            t, prev = th.theta(k), th.theta(k - 1)
+            assert (1.0 - t) / t**2 <= 1.0 / prev**2 * (1.0 + 1e-15)
 
     def test_regularizer(self):
         r = optimizers.squared_l2(2.0)
@@ -318,6 +328,72 @@ class TestRunAccelerated:
         )
         assert rec.status in ("budget", "converged")
         assert rec.gaps[-1] < rec.gaps[0]
+
+
+ENGINE_INSTANCES = {
+    "linreg": dict(N=40, n=5, sigma=0.5),
+    "absreg": dict(N=40, n=5, sigma=0.5),
+    "logistic": dict(N=40, n=5, p=0.1),
+    "halfspace": dict(N=40, n=5),
+}
+
+
+def _assert_same_record(a, b):
+    assert (a.status, a.k_converged) == (b.status, b.k_converged)
+    np.testing.assert_array_equal(a.ks, b.ks)
+    np.testing.assert_array_equal(a.gaps, b.gaps)
+    np.testing.assert_array_equal(a.x_final, b.x_final)
+
+
+def _group_and_alone(inst, method, alphas, m, accelerated):
+    gap0 = problems.objective_value(inst, np.zeros(inst.n)) \
+        - problems.reference_optimum(inst).f_star
+    kw = dict(m=m, n_steps=30, epsilon=0.05 * gap0, accelerated=accelerated,
+              record=optimizers.RecordOptions(stride=4))
+    strategy = models.strategy_from_id(method)
+    schedules = [optimizers.poly_decay(a) for a in alphas]
+    group = optimizers._run_lockstep(
+        inst, strategy, schedules,
+        rngs=[np.random.default_rng(40 + i) for i in range(len(alphas))], **kw)
+    alone = [optimizers._run_lockstep(inst, strategy, [s],
+                                      rngs=[np.random.default_rng(40 + i)], **kw)[0]
+             for i, s in enumerate(schedules)]
+    return group, alone
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", sorted(ENGINE_INSTANCES))
+    @pytest.mark.parametrize("method", ["sgm", "pma", "pam", "prox", "pia"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_group_equals_cells_run_alone(self, kind, method, accelerated, m):
+        inst = problems.generate_problem(kind, seed=5, **ENGINE_INSTANCES[kind])
+        group, alone = _group_and_alone(inst, method, [0.05, 1.0, 40.0], m,
+                                        accelerated)
+        for a, b in zip(group, alone):
+            _assert_same_record(a, b)
+
+    @pytest.mark.parametrize("method, m, kernel", [
+        ("pma", 4, "truncated_steps"), ("prox", 4, "linreg_prox_stacked")])
+    def test_failing_cell_leaves_the_others_alone(self, monkeypatch, method, m,
+                                                  kernel):
+        # The alpha0 = 2 cell fails every attempt of its fifth step.
+        real = getattr(prox, kernel)
+        doomed = 2.0 * 5 ** -0.5
+
+        def flaky(*args):
+            if np.any(args[-1] == doomed):
+                raise prox.InnerSolveError("forced")
+            return real(*args)
+
+        monkeypatch.setattr(prox, kernel, flaky)
+        inst = noisy_linreg(30)
+        group, alone = _group_and_alone(inst, method, [0.5, 2.0, 8.0], m, False)
+        for a, b in zip(group, alone):
+            _assert_same_record(a, b)
+        assert group[1].status == optimizers.STATUS_INNERFAIL
+        assert group[1].ks[-1] == 4
+        assert all(r.status != optimizers.STATUS_INNERFAIL for r in group[::2])
 
 
 class TestTimeToEpsilon:

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +186,24 @@ class TestObjective:
         )
 
 
+class TestStacked:
+    def test_rows_match_single_evaluations_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for inst in small_instances(7):
+            X = 2.0 * rng.standard_normal((4, inst.n))
+            idx = rng.integers(0, inst.N, size=(4, 5))
+            vals, grads = problems.stacked_losses(inst, X, idx)
+            objs = problems.objective_values(inst, X)
+            for c in range(4):
+                v, g, _ = problems.batch_losses(inst, X[c], idx[c])
+                np.testing.assert_array_equal(vals[c], v)
+                np.testing.assert_array_equal(grads[c].T, g)
+                assert objs[c] == problems.objective_value(inst, X[c])
+                one_v, one_g = problems.stacked_losses(inst, X[c:c + 1], idx[c:c + 1])
+                np.testing.assert_array_equal(one_v[0], vals[c])
+                np.testing.assert_array_equal(one_g[0], grads[c])
+
+
 class TestSampling:
     def test_single_index(self):
         inst = problems.generate_problem("linreg", N=10, n=2, seed=0)
@@ -262,8 +283,22 @@ class TestReferenceOptimum:
     def test_flipped_logistic_stationary(self):
         inst = problems.generate_problem("logistic", N=100, n=4, p=0.1, seed=29)
         ref = problems.reference_optimum(inst)
-        assert ref.converged and ref.tolerance <= 1e-8
+        assert ref.tolerance <= 1e-8
         assert ref.f_star > 0.0
+
+    def test_failed_absreg_lp_raises(self, monkeypatch):
+        inst = problems.generate_problem("absreg", N=30, n=3, sigma=0.5, seed=19)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: SimpleNamespace(
+            success=False, message="forced failure"))
+        with pytest.raises(problems.ReferenceSolveError, match="forced failure"):
+            problems.reference_optimum(inst)
+
+    def test_unconverged_logistic_solve_raises(self, monkeypatch):
+        inst = problems.generate_problem("logistic", N=100, n=4, p=0.1, seed=29)
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **k: SimpleNamespace(
+            x=np.asarray(x0, dtype=float)))
+        with pytest.raises(problems.ReferenceSolveError, match="gradient norm"):
+            problems.reference_optimum(inst)
 
     def test_cached(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.3, seed=1)
