@@ -240,13 +240,15 @@ def _cell_time(row):
 
 
 def _experiment_key(row):
+    # Rows without the flag are base-loop rows.
     return (row["problem"], row["noise"], row["cond"], row["m"],
-            row["alpha0"], row["seed"])
+            row["alpha0"], row["seed"], bool(row.get("accelerated", False)))
 
 
 def performance_profile(rows, methods, max_failures: int = 3):
     """Dolan-More profiles over experiments (one execution of every method
-    at a fixed problem/noise/cond/m/alpha0/seed cell).
+    at a fixed problem/noise/cond/m/alpha0/seed cell, base and accelerated
+    loops apart).
 
     Experiments where more than ``max_failures`` methods fail, or where no
     method converges, are discarded; failures enter as infinite ratios.

@@ -84,7 +84,7 @@ def _row(prob, ms, cond, m, alpha0, seed, rec) -> CellResult:
         method=ms.method, accelerated=ms.accelerated, m=int(m),
         alpha0=float(alpha0), seed=int(seed),
         k_to_eps=(None if k_conv is None else max(k_conv, 1)),
-        samples_to_eps=None if k_conv is None else max(k_conv * m, m),
+        samples_to_eps=None if k_conv is None else optimizers.samples_used(k_conv, m),
         final_gap=float(rec.gaps[-1]), status=rec.status,
     )
 

@@ -281,9 +281,9 @@ def run_accelerated(
         x_{k+1} = (1 - theta_k) x_k + theta_k z_{k+1}
 
     With a smoothness-adaptive schedule the stepsize is
-    alpha_k = 1/(L theta_k + eta0 sqrt(k+1)) (the tightest admissible
-    choice).  A squared-l2 regularizer folds analytically into the prox
-    term.
+    alpha_k = 1/(L theta_k + eta(k+1)), eta(j) = eta0 j^power the schedule's
+    eta (the tightest admissible choice).  A squared-l2 regularizer folds
+    analytically into the prox term.
 
     Iterate averaging composes with this wrapper but does not enjoy the
     accelerated guarantee.
@@ -397,9 +397,9 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
 
 def _stepsize(schedule, k, theta_k):
     """alpha_k of a cell; the accelerated loop (theta_k given) takes the
-    smoothness-adaptive stepsize 1/(L theta_k + eta0 sqrt(k))."""
+    smoothness-adaptive stepsize 1/(L theta_k + eta(k))."""
     if theta_k is not None and schedule.kind == SMOOTHNESS_ADAPTIVE:
-        return 1.0 / (schedule.L * theta_k + schedule.eta0 * math.sqrt(k))
+        return 1.0 / (schedule.L * theta_k + schedule.eta(k))
     return schedule.alpha(k)
 
 
@@ -480,29 +480,22 @@ def _kernel(inst, strategy, m_eff, tol, h):
     """The step of a strategy on a stack of cells: kernel(A, Zc, alpha, idx)
     takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
     and batches idx (C, m), and returns the new points before projection or
-    raises a solver error.  Closed forms run on the whole stack; the box-QP
-    duals and the logistic Newton solve run per cell."""
+    raises a solver error.  Closed forms and the box-QP duals (pam, absreg
+    and halfspace prox) run on the whole stack; the logistic Newton solve
+    runs per cell (in prox.full_prox_steps)."""
     scheme, kind = strategy.scheme, strategy.kind
     if scheme == models.ITERATE_AVERAGE:
         return lambda A, Zc, alpha, idx: prox.pia_steps(inst, A, Zc, idx, kind, alpha)
     if scheme == models.AVERAGE_OF_TRUNCATED and m_eff > 1:
         def pam(A, Zc, alpha, idx):
-            return np.array([
-                prox.pam_step(Zc[i], models.build_batch_model(inst, A[i], idx[i], strategy),
-                              float(alpha[i]), tol=tol).x_next
-                for i in range(alpha.size)])
+            # Per-sample infima are 0: the box dual of the truncated pieces.
+            vals, grads = problems.stacked_losses(inst, A, idx)
+            if Zc is not A:  # the pieces' values at the prox center
+                vals = vals + prox.matvec(grads, Zc - A)
+            return prox.box_dual_steps(Zc, grads, vals, alpha, 0.0, 1.0 / m_eff, tol)[0]
         return pam
     if scheme == models.MODEL_OF_AVERAGE and kind == models.FULL_PROX:
-        if m_eff == 1:
-            return lambda A, Zc, alpha, idx: prox.single_sample_prox(inst, Zc, idx[:, 0], alpha)
-        if inst.kind == problems.LINREG:
-            return lambda A, Zc, alpha, idx: prox.linreg_prox_stacked(
-                Zc, inst.A[idx], inst.b[idx], alpha)
-
-        def full_prox(A, Zc, alpha, idx):
-            return np.array([prox.full_prox_step(inst, idx[i], Zc[i], float(alpha[i]), tol).x_next
-                             for i in range(alpha.size)])
-        return full_prox
+        return lambda A, Zc, alpha, idx: prox.full_prox_steps(inst, Zc, idx, alpha, tol)
     linear = scheme == models.MODEL_OF_AVERAGE and kind == models.LINEAR
 
     def model_of_average(A, Zc, alpha, idx):
@@ -569,9 +562,13 @@ def time_to_epsilon(record: RunRecord, epsilon: float):
     hit = np.nonzero(record.gaps <= epsilon)[0]
     if hit.size == 0:
         return None
-    s = int(record.samples[hit[0]])
-    m_eff = int(record.config.get("m", 1))
-    return max(s, m_eff)
+    return samples_used(int(record.ks[hit[0]]), int(record.config.get("m", 1)))
+
+
+def samples_used(k: int, m: int) -> int:
+    """Samples consumed by k steps of batch size m, counting one batch for
+    a run that starts converged (k = 0)."""
+    return max(k, 1) * m
 
 
 def smoothness_constant(inst: problems.ProblemInstance) -> float:

@@ -8,12 +8,17 @@ exact per-loss solver (linear system, box QP, or damped Newton for a logistic
 batch).  Single-sample proxes reduce to one-dimensional roots along the sample
 direction; the logistic one is found by safeguarded Newton.
 
-Dual of the average-of-truncated subproblem: with per-sample gradients
-G = [g_1 ... g_m] and shifted values v_i = F(x;s_i) - inf F(.;s_i),
+One box dual serves pam and the absreg and halfspace batch prox: with
+per-sample rows G = [g_1 ... g_m]' and affine values v_i at the prox center,
 
-    maximize  -(alpha/2) lam' G'G lam + lam' v   s.t.  0 <= lam <= 1/m,
+    maximize  -(alpha/2) lam' G G' lam + lam' v   s.t.  lo <= lam <= hi,
 
-and the primal update is x+ = center - alpha * G lam.
+and the primal update is x+ = center - alpha * G' lam (pam and halfspace:
+v_i = F(x;s_i) - inf F(.;s_i) and the box [0, 1/m]; absreg: the residuals
+and [-1/(2m), 1/(2m)]).  ``box_dual_steps`` solves it for a stack of cells
+by projected Newton (``solve_box_qps``); a zero column of G makes that
+coordinate's term linear, and it is fixed exactly at the endpoint given by
+the sign of v.  The polyhedron projection is the same QP over [0, inf).
 """
 
 from __future__ import annotations
@@ -57,19 +62,16 @@ class BoxQP:
         return float(-0.5 * self.alpha * lam @ self.Q @ lam + lam @ self.v)
 
     def kkt_residual(self, lam: np.ndarray) -> float:
-        """Componentwise stationarity residual of the box-constrained maximum."""
-        g = self.v - self.alpha * (self.Q @ lam)
-        at_lo = lam <= self.lo
-        at_hi = lam >= self.hi
-        res = np.abs(g)
-        res[at_lo] = np.maximum(g[at_lo], 0.0)
-        res[at_hi] = np.maximum(-g[at_hi], 0.0)
-        return float(res.max()) if res.size else 0.0
+        """Componentwise stationarity residual of the box-constrained maximum
+        (the test the solver stops on)."""
+        lam, lo, hi = lam[np.newaxis], self.lo[np.newaxis], self.hi[np.newaxis]
+        g = _ascent(self.alpha * self.Q[np.newaxis], self.v[np.newaxis], lam)
+        return float(_kkt(g, lam, lo, hi)[0]) if lam.size else 0.0
 
 
 @dataclass
 class BoxQPInfo:
-    sweeps: int
+    sweeps: int  # projected-Newton iterations
     residual: float
     converged: bool
 
@@ -82,54 +84,149 @@ class ProxResult:
     inner_iterations: int = 0
 
 
-def solve_box_qp(qp: BoxQP, tol: float = 1e-9, max_sweeps: int = 20_000):
-    """Cyclic coordinate ascent with exact clipped 1-d maximization.
-
-    Falls back to projected gradient with diminishing steps when a diagonal
-    entry of Q vanishes (the 1-d subproblems are then linear).  Returns
-    (lam, BoxQPInfo); non-convergence is flagged, not raised.
-    """
+def solve_box_qp(qp: BoxQP, tol: float = 1e-9, max_sweeps: int = 500):
+    """solve_box_qps for one QP.  Returns (lam, BoxQPInfo); non-convergence
+    is flagged, not raised."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = qp.v.size
-    lam = np.clip(np.zeros(m), qp.lo, qp.hi)
-    if m == 0:
-        return lam, BoxQPInfo(0, 0.0, True)
-    diag = np.diag(qp.Q).copy()
-    if np.any(diag <= 0.0):
-        return _box_qp_projected_gradient(qp, lam, tol, max_sweeps)
-
-    q = qp.Q @ lam  # maintained as Q lam
-    a = qp.alpha
-    for sweep in range(1, max_sweeps + 1):
-        for i in range(m):
-            li = lam[i]
-            target = (qp.v[i] - a * (q[i] - diag[i] * li)) / (a * diag[i])
-            new = min(max(target, qp.lo[i]), qp.hi[i])
-            if new != li:
-                q += qp.Q[:, i] * (new - li)
-                lam[i] = new
-        res = qp.kkt_residual(lam)
-        if res <= tol:
-            return lam, BoxQPInfo(sweep, res, True)
-    return lam, BoxQPInfo(max_sweeps, qp.kkt_residual(lam), False)
+    lam, iters, res = solve_box_qps(qp.Q[np.newaxis], qp.v[np.newaxis], np.array([qp.alpha]),
+                                    qp.lo[np.newaxis], qp.hi[np.newaxis], tol, max_sweeps)
+    return lam[0], BoxQPInfo(int(iters[0]), float(res[0]), bool(res[0] <= tol))
 
 
-def _box_qp_projected_gradient(qp: BoxQP, lam, tol, max_iters):
-    # Base step from the curvature scale; diminishing 1/sqrt(t) decay.
-    row_scale = float(np.abs(qp.Q).sum(axis=1).max())
-    s0 = 1.0 / (qp.alpha * row_scale + 1.0)
-    best = lam.copy()
-    best_res = qp.kkt_residual(lam)
-    for t in range(1, max_iters + 1):
-        g = qp.v - qp.alpha * (qp.Q @ lam)
-        lam = np.clip(lam + (s0 / math.sqrt(t)) * g, qp.lo, qp.hi)
-        res = qp.kkt_residual(lam)
-        if res < best_res:
-            best, best_res = lam.copy(), res
-        if res <= tol:
-            return lam, BoxQPInfo(t, res, True)
-    return best, BoxQPInfo(max_iters, best_res, False)
+_ARMIJO = 1e-4       # sufficient-increase fraction that accepts a full step
+_NEWTON_REG = 1e-12  # relative diagonal shift of the free Newton block
+
+
+def solve_box_qps(Q, v, alpha, lo, hi, tol: float = 1e-9, max_iter: int = 500):
+    """Projected Newton (Bertsekas 1982) for a stack of C box QPs
+
+        maximize  -(alpha_c/2) lam' Q_c lam + v_c' lam   s.t.  lo_c <= lam <= hi_c
+
+    with Q (C, m, m) positive semidefinite, v, lo, hi (C, m) and alpha (C,).
+    Returns (lam, iterations, KKT residual); a cell converged iff its
+    residual is at most tol (inf: nonfinite data, an unbounded dual, or no
+    increase along the search arc).  Cells retire on their own and every
+    product is per cell, so a cell's result does not depend on the others.
+
+    A zero diagonal of Q is a zero row and column: that term is linear, and
+    its coordinate is fixed at the endpoint given by the sign of v.  The rest
+    start at their coordinatewise maxima.  An iteration takes the
+    epsilon-active set (coordinates whose own Newton step g_i / (alpha Q_ii)
+    leaves the box) and solves the Newton system of the free block, its
+    diagonal shifted by _NEWTON_REG so that a singular block stays solvable
+    (active coordinates take the diagonal step).  The projected full step is
+    taken when it passes the KKT test or increases the objective by at least
+    _ARMIJO times the first-order increase.  Otherwise free coordinates at a
+    bound that the step pushes out are made active, the system is solved
+    again (a direction in which a singular free block is linear then runs
+    until a coordinate reaches its bound), and the step maximizes the
+    objective along the projection arc.
+    """
+    C, m = v.shape
+    iters, res = np.zeros(C, dtype=int), np.zeros(C)
+    lam_out = np.zeros((C, m))
+    aQ = alpha[:, np.newaxis, np.newaxis] * Q
+    scale = np.diagonal(aQ, axis1=1, axis2=2).copy()  # curvature of each coordinate
+    fixed = (scale <= 0.0) | (lo == hi)
+    scale[fixed] = 1.0
+    lam = np.minimum(np.maximum(v / scale, lo), hi)
+    lam = np.where(fixed & (v > 0), hi, np.where(fixed & (v < 0), lo, lam))
+    unbounded = np.isinf(lam).any(axis=1)
+    lam[unbounded] = 0.0
+    # Newton matrices: `shifted` on free x free entries, `lone` elsewhere.
+    shifted, lone = aQ.copy(), np.zeros_like(aQ)
+    shifted.reshape(C, -1)[:, ::m + 1] = scale * (1.0 + _NEWTON_REG)
+    lone.reshape(C, -1)[:, ::m + 1] = scale
+    g = _ascent(aQ, v, lam)
+    r = np.where(unbounded, np.nan, _kkt(g, lam, lo, hi)) if m else res.copy()
+    cells, const = np.arange(C), (aQ, shifted, lone, v, lo, hi, scale, fixed)
+    for it in range(max_iter + 1):
+        stop = ~(r > tol)  # converged, or failed (nan)
+        if it == max_iter:
+            stop[:] = True
+        if stop.any():
+            done = cells[stop]
+            lam_out[done], iters[done] = lam[stop], it
+            res[done] = np.where(np.isnan(r[stop]), np.inf, r[stop])
+            if stop.all():
+                break
+            keep = ~stop
+            cells, lam, g, r = cells[keep], lam[keep], g[keep], r[keep]
+            const = tuple(a[keep] for a in const)
+        aQ, shifted, lone, v, lo, hi, scale, fixed = const
+        free = ~(((lam - lo) * scale < -g) | ((hi - lam) * scale < g) | fixed)
+        d = _newton(shifted, lone, g, free)
+        trial = np.minimum(np.maximum(lam + d, lo), hi)
+        g_t = _ascent(aQ, v, trial)
+        r_t = _kkt(g_t, trial, lo, hi)
+        ok = r_t <= tol
+        if not ok.all():
+            # For a quadratic the increase is exactly (g + g_t)'step / 2.
+            step = trial - lam
+            lin = rowdot(g, step)
+            ok |= (lin > 0.0) & (rowdot(g + g_t, step) >= 2.0 * _ARMIJO * lin)
+        if not ok.all():
+            b = ~ok
+            lb, db = lam[b], d[b]
+            blocked = free[b] & (((lb <= lo[b]) & (db < 0.0)) | ((lb >= hi[b]) & (db > 0.0)))
+            if blocked.any():
+                d[b] = db = _newton(shifted[b], lone[b], g[b], free[b] & ~blocked)
+            t = _arc_max(aQ[b], v[b], lo[b], hi[b], lb, g[b], db)
+            trial[b] = np.minimum(np.maximum(lb + t[:, np.newaxis] * db, lo[b]), hi[b])
+            g_t[b] = _ascent(aQ[b], v[b], trial[b])
+            # No increase along the arc would repeat forever: the cell fails.
+            r_t[b] = np.where((t > 0.0) & np.isfinite(t),
+                              _kkt(g_t[b], trial[b], lo[b], hi[b]), np.nan)
+        lam, g, r = trial, g_t, r_t
+    return lam_out, iters, res
+
+
+def _newton(shifted, lone, g, free):
+    """Newton steps of the free blocks; the other coordinates take their
+    diagonal steps."""
+    M = np.where(free[:, :, np.newaxis] & free[:, np.newaxis, :], shifted, lone)
+    return np.linalg.solve(M, g[..., np.newaxis])[..., 0]
+
+
+def _arc_max(aQ, v, lo, hi, lam, g, d):
+    """The t >= 0 that maximizes the objective along the projection arc
+    P[lam + t d] (a projected search, exact for a QP): the arc is linear
+    between the breakpoints at which coordinates reach their bounds, so the
+    objective is a quadratic on each piece.  inf for an unbounded arc."""
+    C = lam.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        brk = np.where(d != 0.0, np.where(d > 0.0, hi - lam, lo - lam) / d, np.inf)
+    starts = np.concatenate([np.zeros((C, 1)), np.sort(brk, axis=1)], axis=1)
+    reach = np.isfinite(starts)
+    t0 = np.where(reach, starts, 0.0)
+    length = np.concatenate([starts[:, 1:], np.full((C, 1), np.inf)], axis=1) - t0
+    P = np.minimum(np.maximum(lam[:, np.newaxis] + t0[..., np.newaxis] * d[:, np.newaxis],
+                              lo[:, np.newaxis]), hi[:, np.newaxis])  # each piece's start
+    D = np.where(brk[:, np.newaxis] > t0[..., np.newaxis], d[:, np.newaxis], 0.0)  # its direction
+    gP = v[:, np.newaxis] - np.matmul(P, aQ)  # aQ is symmetric
+    gain = 0.5 * ((g[:, np.newaxis] + gP) * (P - lam[:, np.newaxis])).sum(axis=2)
+    slope = (gP * D).sum(axis=2)
+    curv = (D * np.matmul(D, aQ)).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(slope > 0.0, np.minimum(np.where(curv > 0.0, slope / curv, np.inf), length),
+                     0.0)
+    # On a piece, the increase is s (slope - s curv / 2), with s curv <= slope.
+    value = np.where(reach, gain + s * (slope - 0.5 * np.where(curv > 0.0, s * curv, 0.0)),
+                     -np.inf)
+    j = value.argmax(axis=1)
+    return t0[np.arange(C), j] + s[np.arange(C), j]
+
+
+def _ascent(aQ, v, lam):
+    """Gradients v - (alpha Q) lam of a stack of box-QP objectives."""
+    return v - matvec(aQ, lam)
+
+
+def _kkt(g, lam, lo, hi):
+    """Per-cell KKT residuals: |g| inside the box, the outward-pointing
+    part at a bound (nothing for a coordinate pinned by lo = hi)."""
+    return np.maximum(np.where(lam > lo, -g, 0.0), np.where(lam < hi, g, 0.0)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +283,39 @@ def pam_step(x_k, model: models.BatchModel, alpha, tol: float = 1e-9) -> ProxRes
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("pam_step needs a finite positive stepsize")
     x_k = np.asarray(x_k, dtype=float)
-    G = model.grads
-    m = model.m
-    if m == 1:
-        # Single truncated piece: the dual collapses to the Polyak step.
-        g = G[:, 0]
-        val = model.values[0] + float(g @ (x_k - model.anchor))
-        x_next = truncated_step(x_k, val, g, model.infs[0], alpha)
-        gsq = float(g @ g)
-        lam = np.array([min(max(val - model.infs[0], 0.0) / (alpha * gsq), 1.0)
-                        if gsq > 0 else 0.0])
-        return ProxResult(x_next, lam=lam, duality_gap=0.0, inner_iterations=0)
+    G = model.grads.T
     # Affine piece values at the prox center, relative to the per-sample floor.
-    shift = G.T @ (x_k - model.anchor)
-    c = model.values - model.infs + shift
-    qp = BoxQP(Q=G.T @ G, v=c, alpha=alpha, lo=np.zeros(m), hi=np.full(m, 1.0 / m))
-    lam, info = solve_box_qp(qp, tol=tol)
-    x_next = x_k - alpha * (G @ lam)
+    v = model.values - model.infs + G @ (x_k - model.anchor)
+    return _first(box_dual_steps(x_k[np.newaxis], G[np.newaxis], v[np.newaxis],
+                                 np.array([alpha], dtype=float), 0.0, 1.0 / model.m, tol))
 
-    d = x_next - x_k
-    primal = float(np.maximum(c + G.T @ d, 0.0).mean()) + float(d @ d) / (2 * alpha)
-    gap = primal - qp.objective(lam)
-    if not info.converged:
-        raise InnerSolveError(
-            f"box QP did not converge (residual {info.residual:.3e})"
-        )
-    return ProxResult(x_next, lam=lam, duality_gap=gap,
-                      inner_iterations=info.sweeps)
+
+def box_dual_steps(centers, G, v, alpha, lo: float, hi: float, tol: float = 1e-9):
+    """Prox steps x+ = argmin sum_i h(v_i + <g_i, x - center>) +
+    ||x - center||^2 / (2 alpha) of C cells, h the support function of
+    [lo, hi] (max(u, 0)/m for pam and halfspace, |u|/(2m) for absreg), with
+    rows g_i in G (C, m, n), v (C, m) and alpha (C,).  Its dual is the box
+    QP over [lo, hi]^m with Q = G G' (solve_box_qps); x+ = center - alpha G'lam.
+    Returns (x+, lam, duality gap, iterations); raises InnerSolveError if any
+    cell's solve fails."""
+    Gt = G.transpose(0, 2, 1)
+    lam, iters, res = solve_box_qps(np.matmul(G, Gt), v, alpha, np.full(v.shape, lo),
+                                    np.full(v.shape, hi), tol)
+    if not (res <= tol).all():
+        raise InnerSolveError(f"box QP did not converge (residual {res.max():.3e})")
+    d = alpha[:, np.newaxis] * matvec(Gt, -lam)
+    u = v + matvec(G, d)
+    # primal - dual, with alpha lam'G G'lam = ||d||^2 / alpha
+    support = np.add.reduce(hi * np.maximum(u, 0.0) + lo * np.minimum(u, 0.0), axis=1)
+    gap = support - rowdot(v, lam) + rowdot(d, d) / alpha
+    return centers + d, lam, gap, iters
+
+
+def _first(out) -> ProxResult:
+    """ProxResult of the first cell of a box_dual_steps result."""
+    x, lam, gap, iters = out
+    return ProxResult(x[0], lam=lam[0], duality_gap=float(gap[0]),
+                      inner_iterations=int(iters[0]))
 
 
 def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
@@ -238,22 +341,22 @@ def linreg_prox_stacked(X, A, B, alpha) -> np.ndarray:
     m, n = A.shape[1:]
     At = A.transpose(0, 2, 1)
     c = 1.0 / alpha
-    rhs = c[:, np.newaxis] * X + _matvec(At, B) / m
+    rhs = c[:, np.newaxis] * X + matvec(At, B) / m
     if m < n:
         K = (m * c)[:, np.newaxis, np.newaxis] * np.eye(m) + np.matmul(A, At)
-        u = np.linalg.solve(K, _matvec(A, rhs)[..., np.newaxis])[..., 0]
-        x = (rhs - _matvec(At, u)) / c[:, np.newaxis]
+        u = np.linalg.solve(K, matvec(A, rhs)[..., np.newaxis])[..., 0]
+        x = (rhs - matvec(At, u)) / c[:, np.newaxis]
     else:
         M = c[:, np.newaxis, np.newaxis] * np.eye(n) + np.matmul(At, A) / m
         x = np.linalg.solve(M, rhs[..., np.newaxis])[..., 0]
-    resid = c[:, np.newaxis] * (x - X) + _matvec(At, _matvec(A, x) - B) / m
+    resid = c[:, np.newaxis] * (x - X) + matvec(At, matvec(A, x) - B) / m
     bound = 1e-10 * (1.0 + np.sqrt(rowdot(X, X))) * np.maximum(c, 1.0)
     if np.any(np.sqrt(rowdot(resid, resid)) > bound):
         raise InnerSolveError("linear prox stationarity residual too large")
     return x
 
 
-def _matvec(M, V):
+def matvec(M, V):
     """Per-row matrix-vector products of (C, p, q) and (C, q) stacks."""
     return np.matmul(M, V[..., np.newaxis])[..., 0]
 
@@ -266,21 +369,9 @@ def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
     x_k = np.asarray(x_k, dtype=float)
     A_b = np.atleast_2d(np.asarray(A_b, dtype=float))
     b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
-    m = A_b.shape[0]
-    c = 0.5 / m
-    r = A_b @ x_k - b_b
-    qp = BoxQP(Q=A_b @ A_b.T, v=r, alpha=alpha, lo=np.full(m, -c), hi=np.full(m, c))
-    lam, info = solve_box_qp(qp, tol=tol)
-    x_next = x_k - alpha * (A_b.T @ lam)
-    d = x_next - x_k
-    primal = float(np.abs(A_b @ x_next - b_b).sum()) * c + float(d @ d) / (2 * alpha)
-    gap = primal - qp.objective(lam)
-    if not info.converged:
-        raise InnerSolveError(
-            f"box QP did not converge (residual {info.residual:.3e})"
-        )
-    return ProxResult(x_next, lam=lam, duality_gap=gap,
-                      inner_iterations=info.sweeps)
+    c = 0.5 / A_b.shape[0]
+    return _first(box_dual_steps(x_k[np.newaxis], A_b[np.newaxis], (A_b @ x_k - b_b)[np.newaxis],
+                                 np.array([alpha], dtype=float), -c, c, tol))
 
 
 def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
@@ -337,7 +428,7 @@ def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
 
 # ---------------------------------------------------------------------------
 # Dispatch on a batch model (one prox step for one point; the optimizer
-# engine calls the stacked kernels above and full_prox_step directly)
+# engine calls the stacked kernels directly)
 
 
 def solve_model_prox(model: models.BatchModel, center, alpha,
@@ -369,39 +460,37 @@ def solve_model_prox(model: models.BatchModel, center, alpha,
 
 def full_prox_step(inst, idx, center, alpha, tol: float = 1e-9) -> ProxResult:
     """Exact prox step on the batch-averaged loss of samples ``idx``."""
-    if idx.size == 1:
-        x = single_sample_prox(inst, center[np.newaxis, :], idx, alpha)
-        return ProxResult(x[0])
+    return ProxResult(full_prox_steps(inst, center[np.newaxis], idx[np.newaxis],
+                                      np.array([alpha], dtype=float), tol)[0])
+
+
+def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
+    """full_prox_step for C cells: centers (C, n), batches idx (C, m) and
+    stepsizes alpha (C,).  One sample is a 1-d root, linreg a linear system,
+    absreg and halfspace a box dual (halfspace distances are globally
+    max{affine, 0}, so theirs is the pam dual with signed affine values);
+    the logistic Newton solve runs per cell."""
+    m = idx.shape[1]
+    if m == 1:
+        return single_sample_prox(inst, centers, idx[:, 0], alpha)
+    if not np.isfinite(alpha).all():
+        raise ValueError("a batch full prox needs finite stepsizes")
+    rows, b = inst.A[idx], inst.b[idx]
     if inst.kind == problems.LINREG:
-        return ProxResult(prox_step_linreg(center, inst.A[idx], inst.b[idx], alpha))
-    if inst.kind == problems.ABSREG:
-        return prox_step_absreg(center, inst.A[idx], inst.b[idx], alpha, tol=tol)
+        return linreg_prox_stacked(centers, rows, b, alpha)
     if inst.kind == problems.LOGISTIC:
-        return prox_step_logistic(center, inst.A[idx], inst.b[idx], alpha, tol=tol)
+        return np.array([prox_step_logistic(centers[i], rows[i], b[i], float(alpha[i]), tol).x_next
+                         for i in range(alpha.size)])
+    r = matvec(rows, centers) - b
+    if inst.kind == problems.ABSREG:
+        return box_dual_steps(centers, rows, r, alpha, -0.5 / m, 0.5 / m, tol)[0]
     if inst.kind == problems.HALFSPACE:
-        return _halfspace_batch_prox(inst, center, idx, alpha, tol)
+        nrm = inst.row_norms[idx]
+        return box_dual_steps(centers, rows / nrm[..., np.newaxis], r / nrm, alpha,
+                              0.0, 1.0 / m, tol)[0]
     raise ValueError(
         f"no batch full-prox solver for {inst.kind!r}; use m=1 or another model"
     )
-
-
-def _halfspace_batch_prox(inst, center, idx, alpha, tol) -> ProxResult:
-    # Halfspace distances are globally max{affine, 0}, so the exact prox of
-    # the batch average is the PAM dual with signed affine values.
-    rows = inst.A[idx]
-    nrm = inst.row_norms[idx]
-    G = (rows / nrm[:, np.newaxis]).T
-    c = (rows @ center - inst.b[idx]) / nrm
-    m = idx.size
-    qp = BoxQP(Q=G.T @ G, v=c, alpha=alpha, lo=np.zeros(m), hi=np.full(m, 1.0 / m))
-    lam, info = solve_box_qp(qp, tol=tol)
-    x_next = center - alpha * (G @ lam)
-    d = x_next - center
-    primal = float(np.maximum(c + G.T @ d, 0.0).mean()) + float(d @ d) / (2 * alpha)
-    if not info.converged:
-        raise InnerSolveError("halfspace prox QP did not converge")
-    return ProxResult(x_next, lam=lam, duality_gap=primal - qp.objective(lam),
-                      inner_iterations=info.sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +647,7 @@ def pia_steps(inst, anchors, centers, idx, kind: str, alpha) -> np.ndarray:
     if kind == models.LINEAR:
         return centers - alpha[:, np.newaxis] * (np.add.reduce(grads, axis=1) / m)
     gsq = np.einsum("cij,cij->ci", grads, grads)
-    gap = vals if centers is anchors else vals + _matvec(grads, centers - anchors)
+    gap = vals if centers is anchors else vals + matvec(grads, centers - anchors)
     if np.any((gsq == 0) & (gap > 1e-12 * (1.0 + np.abs(vals)))):
         raise DegenerateSampleError("zero per-sample gradient above its infimum")
     ratio = np.where(gsq > 0, gap / np.where(gsq > 0, gsq, 1.0), 0.0)
@@ -570,7 +659,7 @@ def pia_steps(inst, anchors, centers, idx, kind: str, alpha) -> np.ndarray:
 # Polyhedron projection (used to measure distances to halfspace intersections)
 
 
-def project_polyhedron(A, b, x, tol: float = 1e-10, max_sweeps: int = 50_000):
+def project_polyhedron(A, b, x, tol: float = 1e-10, max_sweeps: int = 500):
     """Euclidean projection onto {y : Ay <= b} via the nonnegative dual QP."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

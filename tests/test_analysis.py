@@ -163,6 +163,18 @@ class TestProfiles:
         assert curves["b"].at(2.0) == pytest.approx(1.0)
         assert curves["a"].at(1.5) == pytest.approx(0.5)
 
+    def test_base_and_accelerated_rows_do_not_collide(self):
+        # Same cell, both loops: two experiments, one won by each method.
+        rows = self._rows({("a", 0): 10, ("b", 0): 20})
+        acc = self._rows({("a", 0): 40, ("b", 0): 10})
+        for r in acc:
+            r["accelerated"] = True
+        curves = {c.method: c for c in
+                  analysis.performance_profile(rows + acc, ["a", "b"])}
+        assert curves["a"].at(1.0) == pytest.approx(0.5)
+        assert curves["b"].at(1.0) == pytest.approx(0.5)
+        assert curves["a"].at(4.0) == pytest.approx(1.0)
+
     def test_single_method_curve_is_one(self):
         rows = self._rows({("a", 0): 10, ("a", 1): 99})
         (curve,) = analysis.performance_profile(rows, ["a"])

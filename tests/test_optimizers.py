@@ -280,6 +280,43 @@ class TestRunAccelerated:
             gaps.append(0.5 * x * x)
         np.testing.assert_allclose(rec.gaps[1:], gaps, rtol=1e-12)
 
+    def test_pam_replays_pam_step_at_shifted_centers(self):
+        # The stacked pam kernel shifts the pieces' values from the anchor y
+        # to the prox center z; replay it with pam_step on models at y.
+        inst = problems.generate_problem("absreg", N=30, n=4, sigma=0.5, seed=3)
+        sched = optimizers.poly_decay(0.7, 0.5)
+        rec = optimizers.run_accelerated(
+            inst, models.pam(), sched, m=4, n_steps=4, epsilon=1e-300,
+            rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        x = z = np.zeros(inst.n)
+        for k in range(1, 5):
+            th = 2.0 / (k + 1)
+            y = (1 - th) * x + th * z
+            model = models.build_batch_model(
+                inst, y, problems.sample_batch(inst, 4, rng), models.pam())
+            z = prox.pam_step(z, model, sched.alpha(k)).x_next
+            x = (1 - th) * x + th * z
+        np.testing.assert_allclose(rec.x_final, x, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("power", [0.0, 0.5])
+    def test_smooth_schedule_honours_power(self, power):
+        # alpha_k = 1/(L theta_k + eta(k+1)), eta(j) = eta0 j^power.
+        inst = noisy_linreg(12)
+        L, eta0 = optimizers.smoothness_constant(inst), 3.0
+        rec = optimizers.run_accelerated(
+            inst, models.sgm(), optimizers.smoothness_adaptive(L, eta0, power),
+            m=inst.N, n_steps=4, epsilon=1e-300, rng=np.random.default_rng(0),
+            full_batch=True)
+        x = z = np.zeros(inst.n)
+        for k in range(4):
+            th = 2.0 / (k + 2)
+            alpha = 1.0 / (L * th + eta0 * (k + 1) ** power)
+            y = (1 - th) * x + th * z
+            z = z - alpha * inst.A.T @ (inst.A @ y - inst.b) / inst.N
+            x = (1 - th) * x + th * z
+        np.testing.assert_allclose(rec.x_final, x, rtol=1e-12, atol=1e-14)
+
     def test_suggested_eta0(self):
         assert optimizers.suggested_eta0(2.0, 4, 5.0) == pytest.approx(0.2)
         assert optimizers.suggested_eta0(2.0, 4, 5.0, accelerated=True) == \
@@ -374,15 +411,17 @@ class TestLockstep:
             _assert_same_record(a, b)
 
     @pytest.mark.parametrize("method, m, kernel", [
-        ("pma", 4, "truncated_steps"), ("prox", 4, "linreg_prox_stacked")])
+        ("pma", 4, "truncated_steps"), ("prox", 4, "linreg_prox_stacked"),
+        ("pam", 4, "box_dual_steps")])
     def test_failing_cell_leaves_the_others_alone(self, monkeypatch, method, m,
                                                   kernel):
         # The alpha0 = 2 cell fails every attempt of its fifth step.
         real = getattr(prox, kernel)
         doomed = 2.0 * 5 ** -0.5
+        alpha_arg = 3 if kernel == "box_dual_steps" else -1
 
         def flaky(*args):
-            if np.any(args[-1] == doomed):
+            if np.any(args[alpha_arg] == doomed):
                 raise prox.InnerSolveError("forced")
             return real(*args)
 

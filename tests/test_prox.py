@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from helpers import grid_minimize, primal_fn
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchprox import geometry, models, problems, prox
 
@@ -111,14 +113,31 @@ class TestBoxQP:
             assert qp.kkt_residual(lam) <= 1e-10
 
     def test_zero_diagonal_fallback(self):
-        # One all-zero row/column: the PG fallback must still solve it.
+        # One all-zero row/column: its term is linear, so it sits exactly at
+        # the endpoint given by the sign of v.
         Q = np.zeros((2, 2))
         Q[0, 0] = 2.0
         qp = prox.BoxQP(Q, np.array([1.0, 0.5]), 1.0, np.zeros(2), np.ones(2))
         lam, info = prox.solve_box_qp(qp, tol=1e-6, max_sweeps=200_000)
         assert info.converged
-        assert lam[0] == pytest.approx(0.5, abs=1e-5)
-        assert lam[1] == pytest.approx(1.0, abs=1e-5)
+        np.testing.assert_array_equal(lam, [0.5, 1.0])
+
+    def test_unbounded_dual_is_flagged(self):
+        # A zero column with v > 0 and no upper bound: the dual is unbounded.
+        qp = prox.BoxQP(np.diag([1.0, 0.0]), np.array([1.0, 2.0]), 1.0,
+                        np.zeros(2), np.full(2, np.inf))
+        lam, info = prox.solve_box_qp(qp)
+        assert not info.converged
+        assert np.all(np.isfinite(lam))
+
+    def test_pinned_coordinate(self):
+        # lo = hi pins a coordinate whatever its gradient.
+        qp = prox.BoxQP(np.eye(2), np.array([-3.0, 0.25]), 1.0,
+                        np.array([0.5, 0.0]), np.array([0.5, 1.0]))
+        lam, info = prox.solve_box_qp(qp, tol=1e-12)
+        assert info.converged
+        np.testing.assert_allclose(lam, [0.5, 0.25], atol=1e-15)
+        assert qp.kkt_residual(lam) == 0.0
 
     def test_infinite_upper_bound(self):
         qp = prox.BoxQP(np.eye(2), np.array([3.0, -1.0]), 1.0, np.zeros(2),
@@ -126,6 +145,118 @@ class TestBoxQP:
         lam, info = prox.solve_box_qp(qp, tol=1e-12)
         np.testing.assert_allclose(lam, [3.0, 0.0], atol=1e-12)
 
+
+def _coordinate_ascent(qp, tol=1e-11, max_sweeps=20_000):
+    """Reference: cyclic coordinate ascent with exact clipped 1-d maxima (a
+    zero diagonal takes the endpoint of the sign of v).  Every step keeps
+    the iterate feasible and does not lower the objective."""
+    m = qp.v.size
+    lam = np.clip(np.zeros(m), qp.lo, qp.hi)
+    a, Q, v = qp.alpha, qp.Q, qp.v
+    q = Q @ lam
+    for _ in range(max_sweeps):
+        for i in range(m):
+            if Q[i, i] > 0:
+                new = (v[i] - a * (q[i] - Q[i, i] * lam[i])) / (a * Q[i, i])
+            else:
+                new = math.copysign(math.inf, v[i]) if v[i] else lam[i]
+            new = min(max(new, qp.lo[i]), qp.hi[i])
+            if new != lam[i]:
+                q += Q[:, i] * (new - lam[i])
+                lam[i] = new
+        if qp.kkt_residual(lam) <= tol:
+            return lam, True
+    return lam, False
+
+
+@st.composite
+def box_qps(draw):
+    """Box QPs Q = G G' with m in [1, 64], n in [1, 40] (m > n included),
+    rows of G rescaled, duplicated or zeroed, alpha in [1e-3, 1e3], and the
+    boxes [0, 1/m], [-c, c] and [0, inf) (the last with a bounded dual:
+    v = G x - b for a polyhedron G y <= b that holds a point)."""
+    m = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((m, n)) * np.exp(rng.uniform(-1.0, 1.0, m))[:, np.newaxis]
+    if draw(st.booleans()):
+        k = int(rng.integers(1, m + 1))
+        G[rng.integers(0, m, k)] = G[rng.integers(0, m, k)]
+    if draw(st.booleans()):
+        G[rng.random(m) < 0.25] = 0.0
+    alpha = 10.0 ** draw(st.floats(-3.0, 3.0))
+    box = draw(st.sampled_from(["simplex", "symmetric", "halfline"]))
+    if box == "simplex":
+        lo, hi, v = np.zeros(m), np.full(m, 1.0 / m), rng.uniform(-0.5, 2.0, m)
+    elif box == "symmetric":
+        c = float(rng.uniform(0.1, 2.0))
+        lo, hi, v = np.full(m, -c), np.full(m, c), rng.standard_normal(m)
+    else:
+        y = rng.standard_normal(n)
+        b = G @ y + rng.uniform(0.0, 1.0, m)
+        lo, hi, v = np.zeros(m), np.full(m, np.inf), G @ (y + rng.standard_normal(n)) - b
+    return prox.BoxQP(G @ G.T, v, alpha, lo, hi)
+
+
+class TestProjectedNewton:
+    @given(box_qps())
+    @settings(max_examples=60, deadline=None)
+    def test_kkt_and_reference_objective(self, qp):
+        lam, info = prox.solve_box_qp(qp, tol=1e-9)
+        assert info.converged
+        assert qp.kkt_residual(lam) <= 1e-9
+        assert np.all((qp.lo <= lam) & (lam <= qp.hi))
+        ref, ref_converged = _coordinate_ascent(qp)
+        f, f_ref = qp.objective(lam), qp.objective(ref)
+        scale = max(1.0, abs(f_ref))
+        # The reference is feasible, so the maximum is at least its value.
+        assert f >= f_ref - 1e-9 * scale
+        if ref_converged:
+            assert abs(f - f_ref) <= 1e-9 * scale
+
+    @given(box_qps(), box_qps(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_rows_equal_lone_solves(self, qp, other, where):
+        # Stack the QP with one of a different difficulty (same m) and one
+        # with a different alpha; each row must equal its lone solve.
+        m = qp.v.size
+        if other.v.size != m:
+            other = prox.BoxQP(qp.Q[::-1, ::-1], qp.v[::-1], qp.alpha, qp.lo, qp.hi)
+        scaled = prox.BoxQP(qp.Q, qp.v, 7.0 * qp.alpha, qp.lo, qp.hi)
+        qps = [other, scaled]
+        qps.insert(where, qp)
+        lam, iters, res = prox.solve_box_qps(
+            np.stack([q.Q for q in qps]), np.stack([q.v for q in qps]),
+            np.array([q.alpha for q in qps]), np.stack([q.lo for q in qps]),
+            np.stack([q.hi for q in qps]), 1e-9)
+        for c, q in enumerate(qps):
+            alone, info = prox.solve_box_qp(q, tol=1e-9)
+            np.testing.assert_array_equal(lam[c], alone)
+            assert iters[c] == info.sweeps
+            assert res[c] == info.residual
+
+    def test_box_dual_steps_stack_and_failure(self):
+        rng = np.random.default_rng(21)
+        C, m, n = 4, 6, 3
+        G = rng.standard_normal((C, m, n))
+        G[1, 2] = G[1, 4]  # a duplicated sample
+        G[2, 0] = 0.0      # a zero gradient
+        centers = rng.standard_normal((C, n))
+        v = rng.uniform(-0.5, 2.0, (C, m))
+        alpha = np.array([0.1, 1.0, 10.0, 100.0])
+        x, lam, gap, iters = prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        for c in range(C):
+            xc, lc, gc, ic = prox.box_dual_steps(centers[c:c + 1], G[c:c + 1], v[c:c + 1],
+                                                 alpha[c:c + 1], 0.0, 1.0 / m)
+            np.testing.assert_array_equal(x[c], xc[0])
+            np.testing.assert_array_equal(lam[c], lc[0])
+            assert gap[c] == gc[0] and iters[c] == ic[0]
+            np.testing.assert_allclose(
+                x[c], centers[c] - alpha[c] * (G[c].T @ lam[c]), rtol=1e-14, atol=1e-14)
+        assert np.all(np.abs(gap) <= 1e-8)
+        v[3, 1] = np.nan  # one cell that cannot be solved fails the stack
+        with pytest.raises(prox.InnerSolveError):
+            prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
 
 class TestPamStep:
     def test_m1_equals_truncated(self):
