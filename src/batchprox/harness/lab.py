@@ -8,7 +8,8 @@ rank of the observed subspace follows E[r_k | r_{k-1}] = (1-m/n) r_{k-1} + m.
 ``twopoint``: the one-dimensional two-atom family on which no method can
 beat a (1 - delta)^k decay of squared distance; running the pure Polyak
 step (truncated model, infinite stepsize) shows an algorithm tracking that
-envelope.
+envelope.  Trials whose atom has the same sign v draw the same instance, so
+they step together as one lockstep stack, each trial on its own stream.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def orthcol_lab(n: int, m: int, rounds: int, trials: int, R: float = 1.0,
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
+    _check_counts(rounds, trials)
     rng = np.random.default_rng(seed + 1)
     coord_var = R**2 / n
 
@@ -103,29 +105,38 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
                  R: float = 1.0, seed: int = 0) -> TwoPointReport:
     """Run pure Polyak stepping on the two-point family with
     delta = (1+gamma)^2 lambda1 and compare the squared-distance decay with
-    the unimprovable envelope."""
+    the unimprovable envelope.
+
+    Trial t draws its instance from seed + 7t and its batches from its own
+    generator.  The instance depends only on its atom sign v, so the trials
+    of one sign run as the cells of one lockstep stack; a cell's record does
+    not depend on the stack, so each trial's distances are those of a lone
+    run.
+    """
     delta = (1.0 + gamma) ** 2 * lambda1
     if not 0.0 < delta < 1.0:
         raise ValueError("need (1+gamma)^2 * lambda1 in (0, 1)")
-    sq = np.zeros((trials, rounds + 1))
-    schedule = optimizers.poly_decay(math.inf, beta=0.0)
+    _check_counts(rounds, trials)
+    stacks: dict[int, tuple] = {}  # sign -> (instance, its trials)
     for t in range(trials):
         inst = problems.generate_problem(
             "twopoint", delta=delta, gamma=gamma, radius=R, seed=seed + 7 * t
         )
-        rng = np.random.default_rng(
-            np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0]
-        )
-        rec = optimizers.run_base(
-            inst, models.pma(), schedule, m=1, n_steps=rounds,
-            epsilon=1e-300, rng=rng,
-            record=optimizers.RecordOptions(stride=1, record_average=False,
-                                            record_distance=True),
-        )
-        d = rec.dists
-        if d.size < rounds + 1:  # converged early; distance stays put after
-            d = np.concatenate([d, np.full(rounds + 1 - d.size, d[-1])])
-        sq[t] = d[: rounds + 1] ** 2
+        stacks.setdefault(inst.sign, (inst, []))[1].append(t)
+    sq = np.zeros((trials, rounds + 1))
+    schedule = optimizers.poly_decay(math.inf, beta=0.0)
+    record = optimizers.RecordOptions(stride=1, record_average=False,
+                                      record_distance=True)
+    for inst, ts in stacks.values():
+        rngs = [np.random.default_rng(
+            np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0]) for t in ts]
+        recs = optimizers._run_lockstep(inst, models.pma(), [schedule] * len(ts), 1,
+                                        rounds, 1e-300, rngs, record=record)
+        for t, rec in zip(ts, recs):
+            d = rec.dists
+            if d.size < rounds + 1:  # converged early; distance stays put after
+                d = np.concatenate([d, np.full(rounds + 1 - d.size, d[-1])])
+            sq[t] = d[: rounds + 1] ** 2
 
     mean_sq = sq.mean(axis=0)
     ks = np.arange(rounds + 1)
@@ -138,6 +149,11 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
         empirical_log_factor=slope,
         envelope_log_factor=math.log(1.0 - delta),
     )
+
+
+def _check_counts(rounds: int, trials: int) -> None:
+    if rounds < 1 or trials < 1:
+        raise ValueError("need rounds >= 1 and trials >= 1")
 
 
 def _fit_log_slope(ks, values) -> float:

@@ -10,7 +10,8 @@ its own generator, once per attempt, exactly as a lone run does (the same
 stream, the same redraws after a solver failure), and every stacked product
 is per cell, so a cell's record does not depend on C or on the other cells.
 ``run_base``, ``run_pia`` and ``run_accelerated`` are one-cell calls; sweeps
-step the alpha0 cells of a (method, m) group together.
+step the alpha0 cells of a (method, m) group together, and the two-point lab
+steps the trials that share an instance together.
 
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
@@ -183,8 +184,7 @@ class _Recorder:
             self.avg_gaps.append(self._row(
                 cells, problems.objective_values(self.inst, Xa) - self.f_star))
         if opts.record_distance:
-            self.dists.append(self._row(cells, np.array(
-                [problems.distance_to_optimum(self.inst, X[c]) for c in cells])))
+            self.dists.append(self._row(cells, problems.distances_to_optimum(self.inst, Xc)))
         if opts.snapshot_stride and k % opts.snapshot_stride == 0:
             for c in cells:
                 self.snapshots[c].append((k, X[c].copy()))

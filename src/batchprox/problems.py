@@ -322,10 +322,6 @@ def objective_value(inst: ProblemInstance, x: np.ndarray) -> float:
     """Population objective: the dataset average, or the exact two-atom
     expectation for the two-point family."""
     x = np.asarray(x, dtype=float)
-    if inst.kind == TWOPOINT:
-        g = inst.gamma
-        r = abs(float(x[0]) - inst.sign * inst.radius)
-        return inst.delta * r ** (1.0 + g) / (1.0 + g)
     return float(objective_values(inst, x[np.newaxis])[0])
 
 
@@ -333,7 +329,12 @@ def objective_values(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """objective_value of each row of X (C, n), from the residuals A x - b
     of each row (per-row products, so a row's value does not depend on C)."""
     if inst.kind == TWOPOINT:
-        return np.array([objective_value(inst, x) for x in X])
+        # Python's float power per row: NumPy's vectorized power can differ
+        # from it in the last bit (also at exponent 2), and a row's value
+        # should be the one a lone point gets.
+        e = 1.0 + inst.gamma
+        r = np.abs(X[:, 0] - inst.sign * inst.radius)
+        return inst.delta * np.array([v ** e for v in r.tolist()]) / e
     ax = np.matmul(inst.A, X[..., np.newaxis])[..., 0]
     if inst.kind == LINREG:
         r = ax - inst.b
@@ -355,13 +356,22 @@ def objective_values(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
 
 def sample_batch(inst: ProblemInstance, m: int, rng: np.random.Generator) -> np.ndarray:
     """m indices drawn iid from the instance's sampling law (uniform with
-    replacement for dataset problems)."""
+    replacement for dataset problems).
+
+    A categorical law is drawn by inverse CDF: m uniforms placed in the
+    normalized cumulative sums.  That is the computation ``Generator.choice``
+    makes with ``p`` and replacement, so the indices and the generator state
+    afterwards are those of ``rng.choice(inst.N, size=m, p=probs)``, without
+    its validation of p, which is most of its cost.
+    """
     if m < 1:
         raise ValueError("batch size must be at least 1")
     probs = inst.sample_probabilities
     if probs is None:
         return rng.integers(0, inst.N, size=m)
-    return rng.choice(inst.N, size=m, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(m), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +470,23 @@ def distance_to_optimum(inst: ProblemInstance, x: np.ndarray) -> float:
     exact projection).
     """
     x = np.asarray(x, dtype=float)
+    return float(distances_to_optimum(inst, x[np.newaxis])[0])
+
+
+def distances_to_optimum(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """distance_to_optimum of each row of X (C, n).  To a point it is
+    sqrt(d.d) by one dot per row, the computation of ``np.linalg.norm`` on
+    the row alone, so a row's value does not depend on C; the halfspace
+    intersection takes one exact projection per row."""
+    from .prox import project_polyhedron, rowdot
     if inst.kind == HALFSPACE:
-        from .prox import project_polyhedron
-        proj = project_polyhedron(inst.A, inst.b, x)
-        return float(np.linalg.norm(x - proj))
+        return np.array([np.linalg.norm(x - project_polyhedron(inst.A, inst.b, x))
+                         for x in X])
     info = reference_optimum(inst)
     if info.x_star is None:
         raise ValueError(f"optimal set of {inst.kind} instance is not a point")
-    return float(np.linalg.norm(x - info.x_star))
+    D = X - info.x_star
+    return np.sqrt(rowdot(D, D))
 
 
 # ---------------------------------------------------------------------------

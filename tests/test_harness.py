@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from batchprox import analysis, prox
+from batchprox import analysis, models, optimizers, problems, prox
 from batchprox.harness import (
     CellResult,
     ConfigError,
@@ -250,6 +251,36 @@ class TestLab:
         rep = lab.twopoint_lab(0.05, 1.0, rounds=15, trials=800, seed=3)
         assert rep.empirical_log_factor >= rep.envelope_log_factor - 0.01
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_twopoint_equals_per_trial_runs(self, gamma):
+        lambda1, rounds, trials, seed = 0.05, 12, 40, 9
+        rep = lab.twopoint_lab(lambda1, gamma, rounds, trials, seed=seed)
+        delta = (1.0 + gamma) ** 2 * lambda1
+        signs, sq = set(), np.zeros((trials, rounds + 1))
+        for t in range(trials):  # one lone run per trial
+            inst = problems.generate_problem("twopoint", delta=delta, gamma=gamma,
+                                             seed=seed + 7 * t)
+            signs.add(inst.sign)
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0])
+            rec = optimizers.run_base(
+                inst, models.pma(), optimizers.poly_decay(math.inf, beta=0.0), m=1,
+                n_steps=rounds, epsilon=1e-300, rng=rng,
+                record=optimizers.RecordOptions(stride=1, record_average=False,
+                                                record_distance=True))
+            d = np.concatenate([rec.dists, np.full(rounds + 1 - rec.dists.size,
+                                                   rec.dists[-1])])
+            sq[t] = d ** 2
+        assert signs == {-1, 1}
+        np.testing.assert_array_equal(rep.mean_sq_dist, sq.mean(axis=0))
+
+    @pytest.mark.parametrize("rounds, trials", [(0, 5), (5, 0), (-1, 5)])
+    def test_labs_reject_empty_runs(self, rounds, trials):
+        with pytest.raises(ValueError):
+            lab.orthcol_lab(8, 2, rounds=rounds, trials=trials)
+        with pytest.raises(ValueError):
+            lab.twopoint_lab(0.05, 0.0, rounds=rounds, trials=trials)
+
 
 class TestCli:
     def test_run_and_sweep_and_postprocess(self, tmp_path, capsys):
@@ -303,6 +334,9 @@ class TestCli:
         assert cli.main(["lbtest", "--kind", "twopoint", "--rounds", "10",
                          "--trials", "50", "--lambda1", "0.05", "--out",
                          str(tmp_path)]) == 0
+        for kind in ("twopoint", "orthcol"):
+            assert cli.main(["lbtest", "--kind", kind, "--trials", "0",
+                             "--out", str(tmp_path)]) != 0
 
     def test_unwritable_out_dir_is_runtime_failure(self, tmp_path, capsys):
         blocker = tmp_path / "file"

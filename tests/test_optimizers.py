@@ -434,6 +434,27 @@ class TestLockstep:
         assert group[1].ks[-1] == 4
         assert all(r.status != optimizers.STATUS_INNERFAIL for r in group[::2])
 
+    @pytest.mark.parametrize("inst", [
+        noisy_linreg(31, n=7),
+        problems.generate_problem("twopoint", delta=0.3, gamma=0.5, seed=4)],
+        ids=["linreg", "twopoint"])
+    def test_recorded_distances_are_distance_to_optimum(self, inst):
+        # Cells that stop at different steps leave rows of different sets
+        # of running cells; each recorded distance is the lone computation.
+        gap0 = float(problems.objective_value(inst, np.zeros(inst.n)))
+        recs = optimizers._run_lockstep(
+            inst, models.pma(), [optimizers.poly_decay(a) for a in (0.05, 1.0, 50.0)],
+            1, 24, 0.2 * gap0, [np.random.default_rng(70 + i) for i in range(3)],
+            record=optimizers.RecordOptions(stride=2, record_distance=True,
+                                            snapshot_stride=2))
+        assert len({r.ks.size for r in recs}) > 1
+        x_star = problems.reference_optimum(inst).x_star
+        for rec in recs:
+            assert [k for k, _ in rec.snapshots] == list(rec.ks)
+            for d, (_, x) in zip(rec.dists, rec.snapshots):
+                assert d == problems.distance_to_optimum(inst, x)
+                assert d == np.linalg.norm(x - x_star)
+
 
 class TestTimeToEpsilon:
     def _rec(self, ks, gaps, m=2):

@@ -185,6 +185,15 @@ class TestObjective:
             0.25 * r**2 / 2.0
         )
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_twopoint_rows_are_the_scalar_formula(self, gamma):
+        inst = problems.generate_problem("twopoint", delta=0.3, radius=1.7,
+                                         gamma=gamma, seed=5)
+        X = 3.0 * np.random.default_rng(6).standard_normal((500, 1))
+        expected = [inst.delta * abs(float(x[0]) - inst.sign * inst.radius)
+                    ** (1.0 + gamma) / (1.0 + gamma) for x in X]
+        np.testing.assert_array_equal(problems.objective_values(inst, X), expected)
+
 
 class TestStacked:
     def test_rows_match_single_evaluations_bit_for_bit(self):
@@ -235,6 +244,18 @@ class TestSampling:
         idx = problems.sample_batch(inst, 50_000, np.random.default_rng(2))
         freq0 = float(np.mean(idx == 0))
         assert abs(freq0 - 0.7) < 3 * np.sqrt(0.3 * 0.7 / 50_000)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.floats(1e-6, 1.0 - 1e-6))
+    @settings(max_examples=60, deadline=None)
+    def test_categorical_draw_is_generator_choice(self, seed, m, delta):
+        inst = problems.generate_problem("twopoint", delta=delta, seed=0)
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx = problems.sample_batch(inst, m, mine)
+        expected = ref.choice(inst.N, size=m, p=inst.sample_probabilities)
+        np.testing.assert_array_equal(idx, expected)
+        assert idx.dtype == expected.dtype
+        assert mine.random() == ref.random()  # the same state afterwards
 
 
 class TestReferenceOptimum:
@@ -342,6 +363,19 @@ class TestDistanceToOptimum:
                                          seed=2)
         d = problems.distance_to_optimum(inst, np.array([0.0]))
         assert d == pytest.approx(3.0)
+
+    def test_rows_match_lone_distances(self):
+        rng = np.random.default_rng(8)
+        for inst in small_instances(3):
+            if inst.kind == problems.LOGISTIC:
+                continue
+            X = 3.0 * rng.standard_normal((4, inst.n))
+            dists = problems.distances_to_optimum(inst, X)
+            for c in range(4):
+                assert dists[c] == problems.distance_to_optimum(inst, X[c])
+                if inst.kind != problems.HALFSPACE:
+                    x_star = problems.reference_optimum(inst).x_star
+                    assert dists[c] == np.linalg.norm(X[c] - x_star)
 
     def test_halfspace_uses_projection(self):
         inst = problems.generate_problem("halfspace", N=25, n=3, seed=3)
