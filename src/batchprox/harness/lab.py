@@ -10,6 +10,9 @@ beat a (1 - delta)^k decay of squared distance; running the pure Polyak
 step (truncated model, infinite stepsize) shows an algorithm tracking that
 envelope.  Trials whose atom has the same sign v draw the same instance, so
 they step together as one lockstep stack, each trial on its own stream.
+
+Both labs reject bad arguments with a ``ConfigError`` (a ValueError) before
+any work.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import models, optimizers, problems
+from .config import ConfigError
 
 __all__ = ["OrthColReport", "TwoPointReport", "orthcol_lab", "twopoint_lab"]
 
@@ -53,8 +57,8 @@ def orthcol_lab(n: int, m: int, rounds: int, trials: int, R: float = 1.0,
     the generator's tests.
     """
     if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    _check_counts(rounds, trials)
+        raise ConfigError("need 1 <= m <= n")
+    _check_run_args(rounds, trials, R)
     rng = np.random.default_rng(seed + 1)
     coord_var = R**2 / n
 
@@ -114,9 +118,11 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     run.
     """
     delta = (1.0 + gamma) ** 2 * lambda1
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigError("need gamma in [0, 1]")
     if not 0.0 < delta < 1.0:
-        raise ValueError("need (1+gamma)^2 * lambda1 in (0, 1)")
-    _check_counts(rounds, trials)
+        raise ConfigError("need (1+gamma)^2 * lambda1 in (0, 1)")
+    _check_run_args(rounds, trials, R)
     stacks: dict[int, tuple] = {}  # sign -> (instance, its trials)
     for t in range(trials):
         inst = problems.generate_problem(
@@ -151,9 +157,11 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     )
 
 
-def _check_counts(rounds: int, trials: int) -> None:
+def _check_run_args(rounds: int, trials: int, R: float) -> None:
     if rounds < 1 or trials < 1:
-        raise ValueError("need rounds >= 1 and trials >= 1")
+        raise ConfigError("need rounds >= 1 and trials >= 1")
+    if not R > 0:
+        raise ConfigError("need R > 0")
 
 
 def _fit_log_slope(ks, values) -> float:

@@ -5,10 +5,11 @@ One lockstep engine runs all three loops.  It advances C cells that share an
 instance, a strategy, a batch size and a starting point and differ in their
 schedule and generator: the stacked iterates X, Z (C, n), a per-cell
 stepsize vector and a running set.  Converged, diverged and inner-failed
-cells stop while the others go on.  Each running cell draws its batch from
-its own generator, once per attempt, exactly as a lone run does (the same
-stream, the same redraws after a solver failure), and every stacked product
-is per cell, so a cell's record does not depend on C or on the other cells.
+cells stop while the others go on.  Each cell draws its batches from its own
+generator in blocks of consecutive batches on the same stream a lone run
+reads one batch at a time; an attempt takes the cell's next batch and a
+redraw after a solver failure the one after it.  Every stacked product is per
+cell, so a cell's record does not depend on C or on the other cells.
 ``run_base``, ``run_pia`` and ``run_accelerated`` are one-cell calls; sweeps
 step the alpha0 cells of a (method, m) group together, and the two-point lab
 steps the trials that share an instance together.
@@ -38,6 +39,9 @@ STATUS_INNERFAIL = "innerfail"
 
 _DIVERGENCE_FACTOR = 1e8
 _INNER_RETRIES = 2
+# Indices per cell in one block draw: a cell draws min(n_steps, B // m)
+# batches at a time, so the blocks of C cells hold at most C * B indices.
+_BLOCK_INDICES = 4096
 
 
 @dataclass(frozen=True)
@@ -235,6 +239,10 @@ def run_base(
     projection.  Iterate averaging (``models.pia``) solves the m
     single-sample subproblems from x_k and averages them; it does not redraw
     a batch whose solve fails.
+
+    Batches are drawn from rng in blocks of consecutive batches on the same
+    stream, so the run reads the batches that one draw per step would give;
+    rng may be left advanced past the last batch used.
     """
     return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
                          record=record, x0=x0, h=h, full_batch=full_batch,
@@ -286,7 +294,7 @@ def run_accelerated(
     analytically into the prox term.
 
     Iterate averaging composes with this wrapper but does not enjoy the
-    accelerated guarantee.
+    accelerated guarantee.  Batches are drawn from rng as in ``run_base``.
     """
     return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
                          accelerated=True, theta=theta, reg=reg, record=record,
@@ -302,10 +310,10 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     and rngs[c]); returns one RunRecord per cell.
 
     The cells advance together, one step of every running cell per
-    iteration, and a cell stops on its own status.  Each cell draws from
-    its own generator exactly as a lone run does, and every stacked product
-    is per cell, so a cell's record does not depend on C or on the other
-    cells.
+    iteration, and a cell stops on its own status.  Each cell draws its
+    batches from its own generator in blocks on the same stream as a lone
+    run, and every stacked product is per cell, so a cell's record does not
+    depend on C or on the other cells.
     """
     if n_steps < 1 or epsilon <= 0:
         raise ValueError("need n_steps >= 1 and epsilon > 0")
@@ -339,7 +347,7 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
         if pia:
             config["pia_kind"] = strategy.kind
     configs = [dict(config, schedule=s) for s in schedules]
-    step = _stepper(inst, strategy, m, full, rngs,
+    step = _stepper(inst, strategy, m, n_steps, full, rngs,
                     _kernel(inst, strategy, m_eff, inner_tol, hgen),
                     retries=0 if pia and not accelerated else _INNER_RETRIES,
                     project=hgen.kind == geometry.EUCLIDEAN,
@@ -352,18 +360,21 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     rec = _Recorder(inst, opts, C, f_star)
     cells = np.arange(C)  # the cells still running
     gap0 = rec.record(0, cells, X, X_avg)
-    limit = (_DIVERGENCE_FACTOR * np.maximum(gap0, 1e-12)).tolist()
+    limit = _DIVERGENCE_FACTOR * np.maximum(gap0, 1e-12)
     status = [STATUS_BUDGET] * C
     k_conv = [None] * C
     cells = _settle(cells, 0, gap0, epsilon, limit, status, k_conv)
 
+    stepsizes = _stepsizes(schedules, accelerated)
     stride = max(opts.stride, 1)
     for k in range(1, n_steps + 1):
         if cells.size == 0:
             break
         th = theta.theta(k - 1) if accelerated else None
-        alpha = np.array([_stepsize(schedules[c], k, th) for c in cells])
+        alpha = stepsizes(k, th)
         run = slice(None) if cells.size == C else cells  # rows of the running cells
+        if cells.size != C:
+            alpha = alpha[cells]
         if accelerated:
             anchors = (1.0 - th) * X[run] + th * Z[run]
             centers = Z[run]
@@ -395,49 +406,98 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     return rec.finish(m_eff, status, k_conv, X, X_avg, gap0, configs)
 
 
-def _stepsize(schedule, k, theta_k):
-    """alpha_k of a cell; the accelerated loop (theta_k given) takes the
-    smoothness-adaptive stepsize 1/(L theta_k + eta(k))."""
-    if theta_k is not None and schedule.kind == SMOOTHNESS_ADAPTIVE:
-        return 1.0 / (schedule.L * theta_k + schedule.eta(k))
-    return schedule.alpha(k)
+def _stepsizes(schedules, accelerated):
+    """alphas(k, theta_k) -> the (C,) stepsizes of the cells at step k, equal
+    bit for bit to each schedule's alpha(k); the accelerated loop takes the
+    smoothness-adaptive stepsize 1/(L theta_k + eta(k)).  k^(-beta) is
+    Python's float power, once per distinct beta, because NumPy's vectorized
+    power may differ from it in the last bit."""
+    C = len(schedules)
+
+    def rows(keep):
+        sel = [c for c, s in enumerate(schedules) if keep(s)]
+        return slice(None) if len(sel) == C else np.array(sel, dtype=int)
+
+    alpha0 = np.array([s.alpha0 for s in schedules])
+    decays = [(beta, rows(lambda s, b=beta: s.kind == POLY_DECAY and s.beta == b))
+              for beta in {s.beta for s in schedules if s.kind == POLY_DECAY} - {0.0}]
+    smooth = [s for s in schedules if s.kind == SMOOTHNESS_ADAPTIVE]
+    sm = rows(lambda s: s.kind == SMOOTHNESS_ADAPTIVE)
+    L, eta0 = np.array([s.L for s in smooth]), np.array([s.eta0 for s in smooth])
+    root = np.array([s.power == 0.5 for s in smooth])
+
+    def alphas(k, theta_k):
+        out = alpha0.copy()  # constant poly schedules (beta = 0) keep alpha0
+        for beta, r in decays:
+            out[r] = alpha0[r] * k ** (-beta)
+        if smooth:
+            eta = eta0 * np.where(root, math.sqrt(k), 1.0)
+            out[sm] = 1.0 / ((L * theta_k if accelerated else L) + eta)
+        return out
+    return alphas
 
 
 def _settle(cells, k, gaps, epsilon, limit, status, k_conv):
     """Stop the cells whose recorded gap converged or diverged; returns the
     cells still running."""
-    running = []
-    for c, gap in zip(cells.tolist(), gaps.tolist()):
-        if gap <= epsilon:
-            status[c], k_conv[c] = STATUS_CONVERGED, k
-        elif not math.isfinite(gap) or gap > limit[c]:
-            status[c] = STATUS_DIVERGED
-        else:
-            running.append(c)
-    return cells if len(running) == cells.size else np.array(running, dtype=int)
+    converged = gaps <= epsilon
+    diverged = ~converged & (~np.isfinite(gaps) | (gaps > limit[cells]))
+    stop = converged | diverged
+    if not stop.any():
+        return cells
+    for c in cells[converged].tolist():
+        status[c], k_conv[c] = STATUS_CONVERGED, k
+    for c in cells[diverged].tolist():
+        status[c] = STATUS_DIVERGED
+    return cells[~stop]
 
 
 _SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
 
 
-def _stepper(inst, strategy, m, full, rngs, kernel, retries, project, debug):
+def _stepper(inst, strategy, m, n_steps, full, rngs, kernel, retries, project,
+             debug):
     """step(cells, anchors, centers, alpha) -> (new points, ok) for the
-    running cells: draw each cell's batch, apply the stacked kernel, project,
-    and redraw up to ``retries`` times for the cells whose solve failed.  ok
-    is False for a cell whose every attempt failed (its row is then
-    meaningless)."""
+    running cells: take each cell's next batch, apply the stacked kernel,
+    project, and redraw up to ``retries`` times for the cells whose solve
+    failed.  ok is False for a cell whose every attempt failed (its row is
+    then meaningless).
+
+    A cell's batches come from a (rows, m) block drawn from its generator in
+    one call and refilled when used up; the rows are the batches that one
+    draw per attempt would give, so the block size does not change a run."""
     project = project and inst.domain.kind != geometry.ALL_SPACE
+    C = len(rngs)
+    if full:
+        everything = np.tile(np.arange(inst.N), (C, 1))
+    else:
+        rows = max(1, min(n_steps, _BLOCK_INDICES // m))
+        blocks = np.empty((C, rows, m), dtype=np.int64)
+        pos = np.full(C, rows)  # each cell's next unread row; rows means spent
+    # Probes of their own, so that a debug run reads the batches of a plain one.
+    probe_rng = np.random.default_rng(0) if debug else None
+
+    def batches(cells):
+        if full:
+            return everything[:cells.size]
+        at = pos[cells]
+        spent = at == rows
+        if spent.any():
+            for c in cells[spent].tolist():
+                blocks[c] = problems.sample_batches(inst, rows, m, rngs[c])
+            at[spent] = 0
+        pos[cells] = at + 1
+        return blocks[cells, at]
 
     def attempt(cells, A, Zc, alpha):
-        idx = np.array([np.arange(inst.N) if full else problems.sample_batch(inst, m, rngs[c])
-                        for c in cells])
+        idx = batches(cells)
         out, good = _apply(kernel, A, Zc, alpha, idx)
         if project:
             out = np.array([geometry.project_domain(inst.domain, x) for x in out])
         if debug:
             for i in np.flatnonzero(good):
                 model = models.build_batch_model(inst, A[i], idx[i], strategy)
-                _debug_step_checks(model, Zc[i], out[i], alpha[i], rngs[cells[i]])
+                _debug_step_checks(model, Zc[i], out[i], alpha[i], probe_rng)
         return out, good
 
     def step(cells, anchors, centers, alpha):

@@ -97,6 +97,7 @@ class ProblemInstance:
     row_norms: np.ndarray | None = None
     flips_applied: int = 0
     _reference: OptimumInfo | None = field(default=None, repr=False)
+    _cdf: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def sample_probabilities(self) -> np.ndarray | None:
@@ -356,22 +357,37 @@ def objective_values(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
 
 def sample_batch(inst: ProblemInstance, m: int, rng: np.random.Generator) -> np.ndarray:
     """m indices drawn iid from the instance's sampling law (uniform with
-    replacement for dataset problems).
+    replacement for dataset problems): one row of ``sample_batches``.  The
+    optimizers draw their batches in blocks with ``sample_batches``, on the
+    same stream that consecutive calls of this function read."""
+    return sample_batches(inst, 1, m, rng)[0]
 
-    A categorical law is drawn by inverse CDF: m uniforms placed in the
-    normalized cumulative sums.  That is the computation ``Generator.choice``
-    makes with ``p`` and replacement, so the indices and the generator state
-    afterwards are those of ``rng.choice(inst.N, size=m, p=probs)``, without
-    its validation of p, which is most of its cost.
+
+def sample_batches(inst: ProblemInstance, rows: int, m: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """A (rows, m) block of batches drawn in one call.  Its rows are those of
+    ``rows`` consecutive ``sample_batch(inst, m, rng)`` calls, and rng is left
+    in the same state: NumPy's bounded integers and its uniforms take their
+    words from the bit generator's own buffer in order, whatever the shape.
+
+    A categorical law is drawn by inverse CDF: uniforms placed in the
+    normalized cumulative sums, computed once per instance.  That is the
+    computation ``Generator.choice`` makes with ``p`` and replacement, so a
+    row and the generator state afterwards are those of
+    ``rng.choice(inst.N, size=m, p=probs)``, without its validation of p,
+    which is most of its cost.
     """
     if m < 1:
         raise ValueError("batch size must be at least 1")
-    probs = inst.sample_probabilities
-    if probs is None:
-        return rng.integers(0, inst.N, size=m)
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(m), side="right")
+    cdf = inst._cdf
+    if cdf is None:
+        probs = inst.sample_probabilities
+        if probs is None:
+            return rng.integers(0, inst.N, size=(rows, m))
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        inst._cdf = cdf
+    return cdf.searchsorted(rng.random((rows, m)), side="right")
 
 
 # ---------------------------------------------------------------------------

@@ -334,9 +334,17 @@ class TestCli:
         assert cli.main(["lbtest", "--kind", "twopoint", "--rounds", "10",
                          "--trials", "50", "--lambda1", "0.05", "--out",
                          str(tmp_path)]) == 0
-        for kind in ("twopoint", "orthcol"):
-            assert cli.main(["lbtest", "--kind", kind, "--trials", "0",
-                             "--out", str(tmp_path)]) != 0
+        for bad in (["--trials", "0"], ["--rounds", "0"], ["--radius", "0"]):
+            for kind in ("twopoint", "orthcol"):
+                assert cli.main(["lbtest", "--kind", kind, *bad,
+                                 "--out", str(tmp_path)]) == 1
+        for bad in (["--kind", "orthcol", "--m", "0"],
+                    ["--kind", "orthcol", "--m", "40", "--n", "32"],
+                    ["--kind", "twopoint", "--lambda1", "0"],
+                    ["--kind", "twopoint", "--lambda1", "1.5"],
+                    ["--kind", "twopoint", "--lambda1", "0.3", "--gamma", "1"],
+                    ["--kind", "twopoint", "--gamma", "-0.5"]):
+            assert cli.main(["lbtest", *bad, "--out", str(tmp_path)]) == 1
 
     def test_unwritable_out_dir_is_runtime_failure(self, tmp_path, capsys):
         blocker = tmp_path / "file"

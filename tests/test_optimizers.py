@@ -147,6 +147,20 @@ class TestRunBase:
                                   debug_checks=True)
         assert rec.status in ("budget", "converged")
 
+    @pytest.mark.parametrize("block", [optimizers._BLOCK_INDICES, 1])
+    def test_debug_checks_do_not_perturb_the_run(self, monkeypatch, block):
+        # block = 1 refills every step, so probes drawn from the cell's own
+        # generator would shift its batches.
+        monkeypatch.setattr(optimizers, "_BLOCK_INDICES", block)
+        inst = noisy_linreg(11)
+        plain, checked = (optimizers.run_base(
+            inst, models.pam(), optimizers.poly_decay(1.0), m=3, n_steps=100,
+            epsilon=1e-12, rng=np.random.default_rng(5), debug_checks=debug)
+            for debug in (False, True))
+        _assert_same_record(plain, checked)
+        np.testing.assert_array_equal(plain.avg_gaps, checked.avg_gaps)
+        np.testing.assert_array_equal(plain.x_avg_final, checked.x_avg_final)
+
     def test_small_consistent_system_solved_in_three_prox_steps(self):
         # m = n full-rank batch on a consistent system: the full proximal
         # step with a large stepsize nails the solution almost immediately.
@@ -382,20 +396,47 @@ def _assert_same_record(a, b):
     np.testing.assert_array_equal(a.x_final, b.x_final)
 
 
-def _group_and_alone(inst, method, alphas, m, accelerated):
+def _lockstep_kwargs(inst, m, accelerated):
     gap0 = problems.objective_value(inst, np.zeros(inst.n)) \
         - problems.reference_optimum(inst).f_star
-    kw = dict(m=m, n_steps=30, epsilon=0.05 * gap0, accelerated=accelerated,
-              record=optimizers.RecordOptions(stride=4))
+    return dict(m=m, n_steps=30, epsilon=0.05 * gap0, accelerated=accelerated,
+                record=optimizers.RecordOptions(stride=4))
+
+
+def _group(inst, method, alphas, m, accelerated):
+    return optimizers._run_lockstep(
+        inst, models.strategy_from_id(method),
+        [optimizers.poly_decay(a) for a in alphas],
+        rngs=[np.random.default_rng(40 + i) for i in range(len(alphas))],
+        **_lockstep_kwargs(inst, m, accelerated))
+
+
+def _group_and_alone(inst, method, alphas, m, accelerated):
     strategy = models.strategy_from_id(method)
-    schedules = [optimizers.poly_decay(a) for a in alphas]
-    group = optimizers._run_lockstep(
-        inst, strategy, schedules,
-        rngs=[np.random.default_rng(40 + i) for i in range(len(alphas))], **kw)
-    alone = [optimizers._run_lockstep(inst, strategy, [s],
-                                      rngs=[np.random.default_rng(40 + i)], **kw)[0]
-             for i, s in enumerate(schedules)]
-    return group, alone
+    alone = [optimizers._run_lockstep(inst, strategy, [optimizers.poly_decay(a)],
+                                      rngs=[np.random.default_rng(40 + i)],
+                                      **_lockstep_kwargs(inst, m, accelerated))[0]
+             for i, a in enumerate(alphas)]
+    return _group(inst, method, alphas, m, accelerated), alone
+
+
+def _fail_fifth_step_of_alpha0_2(monkeypatch, kernel):
+    """Make the alpha0 = 2 cell fail every attempt of its fifth step."""
+    real = getattr(prox, kernel)
+    doomed = 2.0 * 5 ** -0.5
+    alpha_arg = 3 if kernel == "box_dual_steps" else -1
+
+    def flaky(*args):
+        if np.any(args[alpha_arg] == doomed):
+            raise prox.InnerSolveError("forced")
+        return real(*args)
+
+    monkeypatch.setattr(prox, kernel, flaky)
+
+
+FORCED_FAILURES = pytest.mark.parametrize("method, m, kernel", [
+    ("pma", 4, "truncated_steps"), ("prox", 4, "linreg_prox_stacked"),
+    ("pam", 4, "box_dual_steps")])
 
 
 class TestLockstep:
@@ -410,22 +451,10 @@ class TestLockstep:
         for a, b in zip(group, alone):
             _assert_same_record(a, b)
 
-    @pytest.mark.parametrize("method, m, kernel", [
-        ("pma", 4, "truncated_steps"), ("prox", 4, "linreg_prox_stacked"),
-        ("pam", 4, "box_dual_steps")])
+    @FORCED_FAILURES
     def test_failing_cell_leaves_the_others_alone(self, monkeypatch, method, m,
                                                   kernel):
-        # The alpha0 = 2 cell fails every attempt of its fifth step.
-        real = getattr(prox, kernel)
-        doomed = 2.0 * 5 ** -0.5
-        alpha_arg = 3 if kernel == "box_dual_steps" else -1
-
-        def flaky(*args):
-            if np.any(args[alpha_arg] == doomed):
-                raise prox.InnerSolveError("forced")
-            return real(*args)
-
-        monkeypatch.setattr(prox, kernel, flaky)
+        _fail_fifth_step_of_alpha0_2(monkeypatch, kernel)
         inst = noisy_linreg(30)
         group, alone = _group_and_alone(inst, method, [0.5, 2.0, 8.0], m, False)
         for a, b in zip(group, alone):
@@ -433,6 +462,63 @@ class TestLockstep:
         assert group[1].status == optimizers.STATUS_INNERFAIL
         assert group[1].ks[-1] == 4
         assert all(r.status != optimizers.STATUS_INNERFAIL for r in group[::2])
+
+    @pytest.mark.parametrize("kind", sorted(ENGINE_INSTANCES))
+    @pytest.mark.parametrize("method", ["sgm", "pma", "pam", "prox", "pia"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch, kind, method,
+                                              accelerated, m):
+        inst = problems.generate_problem(kind, seed=5, **ENGINE_INSTANCES[kind])
+        blocks = _group(inst, method, [0.05, 1.0, 40.0], m, accelerated)
+        monkeypatch.setattr(optimizers, "_BLOCK_INDICES", 1)  # one batch per draw
+        per_step = _group(inst, method, [0.05, 1.0, 40.0], m, accelerated)
+        for a, b in zip(blocks, per_step):
+            _assert_same_record(a, b)
+
+    @FORCED_FAILURES
+    def test_redraws_cross_block_boundaries(self, monkeypatch, method, m, kernel):
+        # With five batches per block, the fifth step's first attempt takes
+        # the last batch of the doomed cell's first block and its redraws
+        # take the first two of the next.
+        _fail_fifth_step_of_alpha0_2(monkeypatch, kernel)
+        inst = noisy_linreg(30)
+        runs = []
+        for block in (optimizers._BLOCK_INDICES, 5 * m, 1):
+            monkeypatch.setattr(optimizers, "_BLOCK_INDICES", block)
+            runs.append(_group(inst, method, [0.5, 2.0, 8.0], m, False))
+        assert runs[0][1].status == optimizers.STATUS_INNERFAIL
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                _assert_same_record(a, b)
+
+    def test_settle_statuses(self):
+        cells = np.array([0, 2, 3, 5, 6, 7])
+        gaps = np.array([0.05, np.nan, np.inf, 5.0, 1.0, -np.inf])
+        limit = np.array([1.0, 9.0, np.inf, np.inf, 9.0, 4.0, np.nan, 1.0])
+        status, k_conv = ["budget"] * 8, [None] * 8
+        running = optimizers._settle(cells, 7, gaps, 0.1, limit, status, k_conv)
+        assert running.tolist() == [6]  # a NaN limit stops nothing finite
+        assert status == ["converged", "budget", "diverged", "diverged",
+                          "budget", "diverged", "budget", "converged"]
+        assert k_conv == [7, None, None, None, None, None, None, 7]
+
+    def test_array_stepsizes_are_the_schedules(self):
+        schedules = [optimizers.poly_decay(a, b) for a, b in (
+            (0.7, 0.0), (math.inf, 0.0), (3.0, 0.3), (0.05, 0.5), (40.0, 1.0),
+            (1.3, 0.5))]
+        schedules += [optimizers.smoothness_adaptive(L, eta0, power) for L, eta0, power in (
+            (2.0, 0.0, 0.0), (0.0, 0.3, 0.5), (1.7, 0.9, 0.0), (3.1, 0.25, 0.5))]
+        theta = optimizers.ThetaSchedule()
+        ks = list(range(1, 1001)) + list(range(1001, 10 ** 5, 97)) + [10 ** 5]
+        for accelerated in (False, True):
+            alphas = optimizers._stepsizes(schedules, accelerated)
+            for k in ks:
+                th = theta.theta(k - 1) if accelerated else None
+                expected = [1.0 / (s.L * th + s.eta(k))
+                            if accelerated and s.kind == optimizers.SMOOTHNESS_ADAPTIVE
+                            else s.alpha(k) for s in schedules]
+                assert alphas(k, th).tolist() == expected
 
     @pytest.mark.parametrize("inst", [
         noisy_linreg(31, n=7),

@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,6 +214,14 @@ class TestStacked:
                 np.testing.assert_array_equal(one_g[0], grads[c])
 
 
+@functools.cache
+def _sampling_instance(law):
+    """A uniform law over N rows (law = N) or the two-point law."""
+    if law == "twopoint":
+        return problems.generate_problem("twopoint", delta=0.3, seed=0)
+    return problems.generate_problem("linreg", N=law, n=1, seed=0)
+
+
 class TestSampling:
     def test_single_index(self):
         inst = problems.generate_problem("linreg", N=10, n=2, seed=0)
@@ -256,6 +265,22 @@ class TestSampling:
         np.testing.assert_array_equal(idx, expected)
         assert idx.dtype == expected.dtype
         assert mine.random() == ref.random()  # the same state afterwards
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 7, 200, 1000, 123457, "twopoint"]),
+           st.integers(1, 64), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_block_is_consecutive_batches(self, seed, law, m, rows):
+        # A (rows, m) block is the stream of rows one-batch draws: the
+        # engine's block draws rely on this.
+        inst = _sampling_instance(law)
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = problems.sample_batches(inst, rows, m, mine)
+        expected = np.array([problems.sample_batch(inst, m, ref) for _ in range(rows)])
+        assert block.shape == (rows, m)
+        assert block.dtype == expected.dtype
+        np.testing.assert_array_equal(block, expected)
+        assert mine.random() == ref.random()  # the same state afterwards
+        assert mine.integers(0, 1000) == ref.integers(0, 1000)
 
 
 class TestReferenceOptimum:
