@@ -38,27 +38,27 @@ def estimate_sigma0(inst, probes, draws: int | None = None,
         if inst.kind == problems.TWOPOINT:
             per_probe[j] = _twopoint_grad_variance(inst, x)
             continue
-        _, grads, _ = problems.batch_losses(inst, x, np.arange(inst.N))
-        gbar = grads.mean(axis=1)
+        _, grads = problems.batch_losses(inst, x, np.arange(inst.N))
+        gbar = grads.mean(axis=0)
         if draws is None:
-            per_probe[j] = float(((grads - gbar[:, None]) ** 2).sum(axis=0).mean())
+            per_probe[j] = float(((grads - gbar) ** 2).sum(axis=1).mean())
         else:
             if draws < 2:
                 raise ValueError("need at least 2 draws")
             if rng is None:
                 raise ValueError("Monte Carlo estimation needs an rng")
             idx = problems.sample_batch(inst, draws, rng)
-            _, gs, _ = problems.batch_losses(inst, x, idx)
-            per_probe[j] = float(((gs - gbar[:, None]) ** 2).sum(axis=0).mean())
+            _, gs = problems.batch_losses(inst, x, idx)
+            per_probe[j] = float(((gs - gbar) ** 2).sum(axis=1).mean())
     j = int(np.argmax(per_probe))
     return Sigma0Estimate(float(per_probe[j]), probes[j].copy(), per_probe)
 
 
 def _twopoint_grad_variance(inst, x):
-    vals, grads, _ = problems.batch_losses(inst, x, np.arange(2))
+    _, grads = problems.batch_losses(inst, x, np.arange(2))
     w = inst.sample_probabilities
-    gbar = grads @ w
-    return float((((grads - gbar[:, None]) ** 2).sum(axis=0) * w).sum())
+    gbar = w @ grads
+    return float((((grads - gbar) ** 2).sum(axis=1) * w).sum())
 
 
 def estimate_noise_to_signal(inst, probes):
@@ -71,13 +71,13 @@ def estimate_noise_to_signal(inst, probes):
     best = -np.inf
     skipped = []
     for j, x in enumerate(probes):
-        _, grads, _ = problems.batch_losses(inst, x, np.arange(inst.N))
-        gbar = grads.mean(axis=1)
+        _, grads = problems.batch_losses(inst, x, np.arange(inst.N))
+        gbar = grads.mean(axis=0)
         signal = float(gbar @ gbar)
         if signal <= 1e-300:
             skipped.append(j)
             continue
-        var = float(((grads - gbar[:, None]) ** 2).sum(axis=0).mean())
+        var = float(((grads - gbar) ** 2).sum(axis=1).mean())
         best = max(best, var / signal)
     if not np.isfinite(best):
         raise ValueError("all probes have vanishing mean gradient")
@@ -174,9 +174,9 @@ def growth_bound_holds(est: GrowthEstimate, tol_scale: float = 1e-12) -> bool:
 
 def _per_sample_values(inst, x):
     if inst.kind == problems.TWOPOINT:
-        vals, _, _ = problems.batch_losses(inst, x, np.arange(2))
+        vals, _ = problems.batch_losses(inst, x, np.arange(2))
     else:
-        vals, _, _ = problems.batch_losses(inst, x, np.arange(inst.N))
+        vals, _ = problems.batch_losses(inst, x, np.arange(inst.N))
     return vals
 
 
@@ -189,9 +189,9 @@ def _growth_expectation(inst, x, vals_star, alpha, m, draws, rng):
         else:
             idx = np.arange(inst.N)
             w = np.full(inst.N, 1.0 / inst.N)
-        vals, grads, _ = problems.batch_losses(inst, x, idx)
+        vals, grads = problems.batch_losses(inst, x, idx)
         diff = vals - vals_star[idx]
-        gsq = np.einsum("ji,ji->i", grads, grads)
+        gsq = np.einsum("ij,ij->i", grads, grads)
         terms = _growth_terms(diff, gsq, alpha)
         return float(terms @ w), 0.0, bool(np.any(diff < -1e-12))
     if draws is None or rng is None:
@@ -200,9 +200,9 @@ def _growth_expectation(inst, x, vals_star, alpha, m, draws, rng):
     neg = False
     for t in range(draws):
         idx = problems.sample_batch(inst, m, rng)
-        vals, grads, _ = problems.batch_losses(inst, x, idx)
+        vals, grads = problems.batch_losses(inst, x, idx)
         diff = float(vals.mean() - vals_star[idx].mean())
-        g = grads.mean(axis=1)
+        g = grads.mean(axis=0)
         terms[t] = _growth_terms(np.array([diff]), np.array([float(g @ g)]), alpha)[0]
         neg = neg or diff < -1e-12
     return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(draws)), neg

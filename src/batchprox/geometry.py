@@ -1,10 +1,11 @@
-"""Distance-generating functions, Bregman divergences, and mirror steps.
+"""Distance-generating functions, mirror steps and domain projections.
 
 Two geometries are provided: the Euclidean half-squared-norm potential on
 (subsets of) R^n, and the negative-entropy potential on the probability
 simplex.  Both are 1-strongly convex with respect to their reference norm
-(l2 and l1 respectively), so the associated Bregman divergence dominates
-half the squared reference distance.
+(l2 and l1 respectively).  The linear model's prox step in either geometry
+is the exact mirror step; every other step is Euclidean, followed by a
+projection onto the domain.
 """
 
 from __future__ import annotations
@@ -38,24 +39,11 @@ class DistanceGenerator:
         if self.dim < 1:
             raise ValueError("dimension must be a positive integer")
 
-    def value(self, x: np.ndarray) -> float:
-        x = _check_dim(x, self.dim)
-        if self.kind == EUCLIDEAN:
-            return 0.5 * float(x @ x)
-        xc = np.maximum(x, _ENTROPY_FLOOR)
-        return float(xc @ np.log(xc))
-
     def grad(self, x: np.ndarray) -> np.ndarray:
         x = _check_dim(x, self.dim)
         if self.kind == EUCLIDEAN:
             return x.copy()
         return np.log(np.maximum(x, _ENTROPY_FLOOR)) + 1.0
-
-    def norm(self, v: np.ndarray) -> float:
-        """Reference norm: l2 for Euclidean, l1 for entropy."""
-        if self.kind == EUCLIDEAN:
-            return float(np.linalg.norm(v))
-        return float(np.abs(v).sum())
 
 
 def euclidean(dim: int) -> DistanceGenerator:
@@ -81,13 +69,6 @@ class Domain:
             if self.center is None or self.radius <= 0:
                 raise ValueError("ball domain needs a center and radius > 0")
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        if self.kind == ALL_SPACE:
-            return True
-        if self.kind == BALL:
-            return float(np.linalg.norm(x - self.center)) <= self.radius + tol
-        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
-
 
 def all_space() -> Domain:
     return Domain(ALL_SPACE)
@@ -111,22 +92,6 @@ def check_compatible(h: DistanceGenerator, dom: Domain) -> None:
         )
 
 
-def bregman_divergence(h: DistanceGenerator, x: np.ndarray, y: np.ndarray) -> float:
-    """D_h(x, y) = h(x) - h(y) - <grad h(y), x - y>, nonnegative by convexity."""
-    x = _check_dim(x, h.dim)
-    y = _check_dim(y, h.dim)
-    if h.kind == EUCLIDEAN:
-        d = x - y
-        return 0.5 * float(d @ d)
-    if np.any(y <= 0):
-        raise ValueError("entropy Bregman divergence undefined for y on the boundary")
-    yc = np.maximum(y, _ENTROPY_FLOOR)
-    # Generalized KL form; algebraically equal to h(x)-h(y)-<grad h(y),x-y>
-    # but avoids 0*log(0).
-    terms = np.where(x > 0, x * np.log(np.maximum(x, _ENTROPY_FLOOR) / yc), 0.0)
-    return float(terms.sum() - x.sum() + y.sum())
-
-
 def mirror_linear_step(
     h: DistanceGenerator,
     dom: Domain,
@@ -134,7 +99,8 @@ def mirror_linear_step(
     g: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """argmin over the domain of <g, x> + D_h(x, z) / alpha.
+    """argmin over the domain of <g, x> + D_h(x, z) / alpha, D_h the Bregman
+    divergence h(x) - h(z) - <grad h(z), x - z>.
 
     Euclidean geometry gives the projected gradient step; the entropy
     geometry gives the multiplicative-weights update.

@@ -24,7 +24,7 @@ import numpy as np
 from .. import analysis, models, optimizers, problems
 from . import config as config_mod
 from . import lab, results, svg
-from .sweep import execute_sweep, stable_seed
+from .sweep import _initial_gap, _instance_seed, execute_sweep
 
 
 def _parse_bool(text: str) -> bool:
@@ -113,16 +113,11 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     prob = cfg.problems[0]
     cond = cfg.cond_grid[0]
-    inst = prob.instantiate(cond, stable_seed("instance", args.seed, prob.kind,
-                                              prob.N, prob.n, prob.sigma,
-                                              prob.p, prob.gamma, prob.delta,
-                                              prob.radius, cond, 0))
+    # The instance of the sweep's first (problem, cond, seed 0) group.
+    inst = prob.instantiate(cond, _instance_seed(args.seed, prob, cond, 0))
     strategy = models.strategy_from_id(args.method)
     schedule = optimizers.poly_decay(args.alpha0, args.beta)
-    eps = cfg.epsilon * max(
-        problems.objective_value(inst, np.zeros(inst.n))
-        - problems.reference_optimum(inst).f_star, 1e-300,
-    )
+    eps = cfg.epsilon * _initial_gap(inst)
     rng = np.random.default_rng(args.seed)
     runner = optimizers.run_accelerated if args.accelerated else optimizers.run_base
     rec = runner(inst, strategy, schedule, m=args.m, n_steps=args.steps,

@@ -3,7 +3,8 @@
 A batch model anchors at the current iterate and satisfies three
 conditions: it is convex (C.i), it lower-bounds the batch-averaged loss
 while matching it exactly at the anchor (C.ii), and the truncated/proximal
-variants additionally stay above the averaged per-sample infimum (C.iii).
+variants additionally stay above the loss floor (C.iii), which is 0 because
+every per-sample infimum is 0.
 
 Strategies:
 
@@ -88,10 +89,10 @@ def strategy_from_id(method_id: str, pia_kind: str = TRUNCATED) -> BatchStrategy
 class BatchModel:
     """Model of the batch-averaged loss anchored at ``anchor``.
 
-    ``values``/``grads``/``infs`` hold the per-sample data at the anchor;
-    ``lower_bound`` is the averaged per-sample infimum.  The model keeps a
-    reference to the instance and batch so the full-prox variant can
-    evaluate the true averaged loss.
+    ``values``/``grads`` hold the per-sample data at the anchor;
+    ``lower_bound`` is the floor of the truncated models, 0 because every
+    per-sample infimum is 0.  The model keeps a reference to the instance
+    and batch so the full-prox variant can evaluate the true averaged loss.
     """
 
     strategy: BatchStrategy
@@ -99,11 +100,10 @@ class BatchModel:
     anchor_value: float
     gbar: np.ndarray           # averaged subgradient at the anchor
     values: np.ndarray         # per-sample losses at the anchor (m,)
-    grads: np.ndarray          # per-sample subgradients (n, m)
-    infs: np.ndarray           # per-sample infima (m,)
-    lower_bound: float
+    grads: np.ndarray          # per-sample subgradients (m, n)
     inst: problems.ProblemInstance
     batch: np.ndarray
+    lower_bound: float = 0.0
 
     @property
     def m(self) -> int:
@@ -120,17 +120,15 @@ def build_batch_model(
     if batch.size == 0:
         raise ValueError("empty batch")
     x = np.asarray(x, dtype=float)
-    values, grads, infs = problems.batch_losses(inst, x, batch)
+    values, grads = problems.batch_losses(inst, x, batch)
     inv_m = 1.0 / batch.size
     return BatchModel(
         strategy=strategy,
         anchor=x.copy(),
         anchor_value=float(np.add.reduce(values)) * inv_m,
-        gbar=np.add.reduce(grads, axis=1) * inv_m,
+        gbar=np.add.reduce(grads, axis=0) * inv_m,
         values=values,
         grads=grads,
-        infs=infs,
-        lower_bound=float(np.add.reduce(infs)) * inv_m,
         inst=inst,
         batch=batch,
     )
@@ -154,8 +152,8 @@ def _evaluate_many(model: BatchModel, Y: np.ndarray) -> np.ndarray:
     D = Y - model.anchor  # (P, n)
     if strat.scheme == AVERAGE_OF_TRUNCATED:
         # (P, m) affine pieces, truncated per sample
-        aff = model.values + D @ model.grads
-        return np.maximum(aff, model.infs).mean(axis=1)
+        aff = model.values + D @ model.grads.T
+        return np.maximum(aff, model.lower_bound).mean(axis=1)
     if strat.kind == LINEAR:
         return model.anchor_value + D @ model.gbar
     if strat.kind == TRUNCATED:

@@ -9,10 +9,12 @@ cells stop while the others go on.  Each cell draws its batches from its own
 generator in blocks of consecutive batches on the same stream a lone run
 reads one batch at a time; an attempt takes the cell's next batch and a
 redraw after a solver failure the one after it.  Every stacked product is per
-cell, so a cell's record does not depend on C or on the other cells.
-``run_base``, ``run_pia`` and ``run_accelerated`` are one-cell calls; sweeps
-step the alpha0 cells of a (method, m) group together, and the two-point lab
-steps the trials that share an instance together.
+cell, so a cell's record does not depend on C or on the other cells.  The
+step of a strategy is ``prox.stacked_step``, which ``prox.solve_model_prox``
+also calls for one model.  ``run_base``, ``run_pia`` and ``run_accelerated``
+are one-cell calls; sweeps step the alpha0 cells of a (method, m) group
+together, and the two-point lab steps the trials that share an instance
+together.
 
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
@@ -96,39 +98,11 @@ def smoothness_adaptive(L: float, eta0: float, power: float = 0.5) -> StepSchedu
     return StepSchedule(SMOOTHNESS_ADAPTIVE, L=L, eta0=eta0, power=power)
 
 
-@dataclass(frozen=True)
-class ThetaSchedule:
-    """Momentum schedule theta_k = 2/(k+2): theta_0 = 1, non-increasing, and
+def theta(k: int) -> float:
+    """Momentum theta_k = 2/(k+2): theta_0 = 1, decreasing, and
     (1-theta_k)/theta_k^2 <= 1/theta_{k-1}^2 for every k >= 1, since
     (1-theta_k)/theta_k^2 = k(k+2)/4 <= (k+1)^2/4 = 1/theta_{k-1}^2."""
-
-    def theta(self, k: int) -> float:
-        return 2.0 / (k + 2.0)
-
-
-@dataclass(frozen=True)
-class Regularizer:
-    """Composite term r(x): zero or (mu/2)||x||^2."""
-
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-
-    def value(self, x) -> float:
-        if self.mu == 0.0:
-            return 0.0
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.mu * float(x @ x)
-
-
-def zero_regularizer() -> Regularizer:
-    return Regularizer(0.0)
-
-
-def squared_l2(mu: float) -> Regularizer:
-    return Regularizer(mu)
+    return 2.0 / (k + 2.0)
 
 
 @dataclass
@@ -275,8 +249,6 @@ def run_accelerated(
     n_steps: int,
     epsilon: float,
     rng: np.random.Generator,
-    theta: ThetaSchedule | None = None,
-    reg: Regularizer | None = None,
     record: RecordOptions | None = None,
     x0=None,
     full_batch: bool = False,
@@ -285,26 +257,24 @@ def run_accelerated(
     """Three-term accelerated iteration:
 
         y_k     = (1 - theta_k) x_k + theta_k z_k
-        z_{k+1} = argmin model_at_y + r + ||. - z_k||^2 / (2 alpha_k)
+        z_{k+1} = argmin model_at_y + ||. - z_k||^2 / (2 alpha_k)
         x_{k+1} = (1 - theta_k) x_k + theta_k z_{k+1}
 
-    With a smoothness-adaptive schedule the stepsize is
-    alpha_k = 1/(L theta_k + eta(k+1)), eta(j) = eta0 j^power the schedule's
-    eta (the tightest admissible choice).  A squared-l2 regularizer folds
-    analytically into the prox term.
+    with theta_k = theta(k) = 2/(k+2).  With a smoothness-adaptive schedule
+    the stepsize is alpha_k = 1/(L theta_k + eta(k+1)), eta(j) = eta0 j^power
+    the schedule's eta (the tightest admissible choice).
 
     Iterate averaging composes with this wrapper but does not enjoy the
     accelerated guarantee.  Batches are drawn from rng as in ``run_base``.
     """
     return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
-                         accelerated=True, theta=theta, reg=reg, record=record,
-                         x0=x0, full_batch=full_batch, inner_tol=inner_tol)[0]
+                         accelerated=True, record=record, x0=x0,
+                         full_batch=full_batch, inner_tol=inner_tol)[0]
 
 
 def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
-                  accelerated=False, theta=None, reg=None, record=None, x0=None,
-                  h=None, full_batch=False, inner_tol=1e-9,
-                  debug_checks=False) -> list:
+                  accelerated=False, record=None, x0=None, h=None,
+                  full_batch=False, inner_tol=1e-9, debug_checks=False) -> list:
     """Run C cells that share the instance, strategy, m and starting point
     and differ in their schedule and generator (cell c uses schedules[c]
     and rngs[c]); returns one RunRecord per cell.
@@ -328,12 +298,10 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     pia = strategy.scheme == models.ITERATE_AVERAGE
     hgen = h if h is not None else geometry.euclidean(inst.n)
     if accelerated:
-        theta = theta if theta is not None else _STANDARD_THETA
-        reg = reg if reg is not None else zero_regularizer()
         if any(s.kind == POLY_DECAY and math.isinf(s.alpha0) for s in schedules):
             raise ValueError("the accelerated loop requires finite stepsizes")
         config = {"method": strategy.method_id, "accelerated": True, "m": m_eff,
-                  "epsilon": epsilon, "full_batch": full, "mu": reg.mu}
+                  "epsilon": epsilon, "full_batch": full}
     else:
         geometry.check_compatible(hgen, inst.domain)
         if hgen.kind != geometry.EUCLIDEAN and not (
@@ -348,7 +316,7 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
             config["pia_kind"] = strategy.kind
     configs = [dict(config, schedule=s) for s in schedules]
     step = _stepper(inst, strategy, m, n_steps, full, rngs,
-                    _kernel(inst, strategy, m_eff, inner_tol, hgen),
+                    prox.stacked_step(inst, strategy, m_eff, inner_tol, hgen),
                     retries=0 if pia and not accelerated else _INNER_RETRIES,
                     project=hgen.kind == geometry.EUCLIDEAN,
                     debug=debug_checks and not (accelerated or pia))
@@ -370,7 +338,7 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     for k in range(1, n_steps + 1):
         if cells.size == 0:
             break
-        th = theta.theta(k - 1) if accelerated else None
+        th = theta(k - 1) if accelerated else None
         alpha = stepsizes(k, th)
         run = slice(None) if cells.size == C else cells  # rows of the running cells
         if cells.size != C:
@@ -378,11 +346,6 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
         if accelerated:
             anchors = (1.0 - th) * X[run] + th * Z[run]
             centers = Z[run]
-            if reg.mu > 0.0:
-                # Fold (mu/2)||x||^2 + ||x-z||^2/(2 alpha) into a single
-                # quadratic: stepsize alpha/(1+alpha*mu), center z/(1+alpha*mu).
-                scale = 1.0 + alpha * reg.mu
-                alpha, centers = alpha / scale, centers / scale[:, np.newaxis]
         else:
             anchors = centers = X[run]
         new, ok = step(cells, anchors, centers, alpha)
@@ -399,8 +362,6 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
         if X_avg is not None:
             X_avg[run] += (X[run] - X_avg[run]) / k  # mean of x_1 .. x_k
         if k % stride == 0 or k == n_steps:
-            # Recorded gaps are for f alone; a nonzero regularizer only
-            # shapes the z-subproblem.
             gaps = rec.record(k, cells, X, X_avg)
             cells = _settle(cells, k, gaps, epsilon, limit, status, k_conv)
     return rec.finish(m_eff, status, k_conv, X, X_avg, gap0, configs)
@@ -458,10 +419,10 @@ _SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
 def _stepper(inst, strategy, m, n_steps, full, rngs, kernel, retries, project,
              debug):
     """step(cells, anchors, centers, alpha) -> (new points, ok) for the
-    running cells: take each cell's next batch, apply the stacked kernel,
-    project, and redraw up to ``retries`` times for the cells whose solve
-    failed.  ok is False for a cell whose every attempt failed (its row is
-    then meaningless).
+    running cells: take each cell's next batch, apply the stacked kernel
+    (a ``prox.stacked_step``), project, and redraw up to ``retries`` times
+    for the cells whose solve failed.  ok is False for a cell whose every
+    attempt failed (its row is then meaningless).
 
     A cell's batches come from a (rows, m) block drawn from its generator in
     one call and refilled when used up; the rows are the batches that one
@@ -536,46 +497,6 @@ def _apply(kernel, A, Zc, alpha, idx):
     return out, good
 
 
-def _kernel(inst, strategy, m_eff, tol, h):
-    """The step of a strategy on a stack of cells: kernel(A, Zc, alpha, idx)
-    takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
-    and batches idx (C, m), and returns the new points before projection or
-    raises a solver error.  Closed forms and the box-QP duals (pam, absreg
-    and halfspace prox) run on the whole stack; the logistic Newton solve
-    runs per cell (in prox.full_prox_steps)."""
-    scheme, kind = strategy.scheme, strategy.kind
-    if scheme == models.ITERATE_AVERAGE:
-        return lambda A, Zc, alpha, idx: prox.pia_steps(inst, A, Zc, idx, kind, alpha)
-    if scheme == models.AVERAGE_OF_TRUNCATED and m_eff > 1:
-        def pam(A, Zc, alpha, idx):
-            # Per-sample infima are 0: the box dual of the truncated pieces.
-            vals, grads = problems.stacked_losses(inst, A, idx)
-            if Zc is not A:  # the pieces' values at the prox center
-                vals = vals + prox.matvec(grads, Zc - A)
-            return prox.box_dual_steps(Zc, grads, vals, alpha, 0.0, 1.0 / m_eff, tol)[0]
-        return pam
-    if scheme == models.MODEL_OF_AVERAGE and kind == models.FULL_PROX:
-        return lambda A, Zc, alpha, idx: prox.full_prox_steps(inst, Zc, idx, alpha, tol)
-    linear = scheme == models.MODEL_OF_AVERAGE and kind == models.LINEAR
-
-    def model_of_average(A, Zc, alpha, idx):
-        # The linear or truncated model of the batch average (pam at m = 1
-        # is the same truncated step).
-        vals, grads = problems.stacked_losses(inst, A, idx)
-        inv_m = 1.0 / idx.shape[1]
-        gbar = np.add.reduce(grads, axis=1) * inv_m
-        if linear and h.kind != geometry.EUCLIDEAN:
-            return np.array([geometry.mirror_linear_step(h, inst.domain, Zc[i], gbar[i], alpha[i])
-                             for i in range(alpha.size)])
-        if linear:
-            return Zc - alpha[:, np.newaxis] * gbar
-        fbar = np.add.reduce(vals, axis=1) * inv_m
-        if Zc is not A:  # the model's value at the prox center
-            fbar = fbar + prox.rowdot(gbar, Zc - A)
-        return prox.truncated_steps(Zc, fbar, gbar, alpha)
-    return model_of_average
-
-
 def _debug_step_checks(model, center, x_plus, alpha, rng, n_probes: int = 3,
                        tol: float = 1e-8):
     """Optimality of the prox solve via the minimizer inequality: for any y,
@@ -608,9 +529,6 @@ def _check_infinite_alpha(strategy, schedule):
             )
         if schedule.beta != 0.0:
             raise ValueError("infinite stepsize requires beta = 0")
-
-
-_STANDARD_THETA = ThetaSchedule()
 
 
 def time_to_epsilon(record: RunRecord, epsilon: float):

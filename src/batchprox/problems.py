@@ -250,11 +250,10 @@ def _rescale_condition(A: np.ndarray, cond: float) -> np.ndarray:
 
 
 def batch_losses(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray):
-    """Per-sample values, subgradients, and infima for a batch of indices.
-
-    Returns (values (m,), grads (n, m), infs (m,)).  Subgradients use the
-    sign-0 convention at kinks.  All per-sample infima are 0 by
-    construction.
+    """Per-sample values and subgradients of one point on a batch of
+    indices: (values (m,), grads (m, n)), the one-point case of
+    ``stacked_losses`` with the indices checked.  Subgradients use the
+    sign-0 convention at kinks.  Every per-sample infimum is 0.
     """
     idx = np.asarray(idx, dtype=int)
     if idx.size == 0:
@@ -263,7 +262,7 @@ def batch_losses(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray):
         raise IndexError("sample index out of range")
     x = np.asarray(x, dtype=float)
     vals, grads = stacked_losses(inst, x[np.newaxis], idx[np.newaxis])
-    return vals[0], grads[0].T, np.zeros(idx.size)
+    return vals[0], grads[0]
 
 
 def stacked_losses(inst: ProblemInstance, X: np.ndarray, idx: np.ndarray):
@@ -309,13 +308,13 @@ def stacked_losses(inst: ProblemInstance, X: np.ndarray, idx: np.ndarray):
 
 
 def loss_eval(inst: ProblemInstance, x: np.ndarray, i: int):
-    """(value, subgradient, per-sample infimum) of sample i at x."""
-    vals, grads, infs = batch_losses(inst, x, np.array([i]))
-    return float(vals[0]), grads[:, 0].copy(), float(infs[0])
+    """(value, subgradient) of sample i at x."""
+    vals, grads = batch_losses(inst, x, np.array([i]))
+    return float(vals[0]), grads[0].copy()
 
 
 def batch_objective(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray) -> float:
-    vals, _, _ = batch_losses(inst, x, idx)
+    vals, _ = batch_losses(inst, x, idx)
     return float(vals.mean())
 
 

@@ -14,11 +14,11 @@ per-sample rows G = [g_1 ... g_m]' and affine values v_i at the prox center,
     maximize  -(alpha/2) lam' G G' lam + lam' v   s.t.  lo <= lam <= hi,
 
 and the primal update is x+ = center - alpha * G' lam (pam and halfspace:
-v_i = F(x;s_i) - inf F(.;s_i) and the box [0, 1/m]; absreg: the residuals
-and [-1/(2m), 1/(2m)]).  ``box_dual_steps`` solves it for a stack of cells
-by projected Newton (``solve_box_qps``); a zero column of G makes that
-coordinate's term linear, and it is fixed exactly at the endpoint given by
-the sign of v.  The polyhedron projection is the same QP over [0, inf).
+v_i = F(x;s_i), every per-sample infimum being 0, and the box [0, 1/m];
+absreg: the residuals and [-1/(2m), 1/(2m)]).  ``box_dual_steps`` solves it
+for a stack of cells by projected Newton (``solve_box_qps``); a zero column
+of G makes that coordinate's term linear, and it is fixed exactly at the
+endpoint given by the sign of v.  The polyhedron projection is the same QP over [0, inf).
 """
 
 from __future__ import annotations
@@ -233,11 +233,6 @@ def _kkt(g, lam, lo, hi):
 # Model steps
 
 
-def linear_step(h, dom, x_k, gbar, alpha):
-    """Linear-model prox step; delegates to the mirror machinery."""
-    return geometry.mirror_linear_step(h, dom, x_k, gbar, alpha)
-
-
 def truncated_step(x_k, fbar, gbar, lam_lb, alpha):
     """Clipped Polyak step x - min{alpha, (fbar - lam_lb)/||g||^2} g.
 
@@ -283,9 +278,8 @@ def pam_step(x_k, model: models.BatchModel, alpha, tol: float = 1e-9) -> ProxRes
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("pam_step needs a finite positive stepsize")
     x_k = np.asarray(x_k, dtype=float)
-    G = model.grads.T
-    # Affine piece values at the prox center, relative to the per-sample floor.
-    v = model.values - model.infs + G @ (x_k - model.anchor)
+    G = model.grads
+    v = model.values + G @ (x_k - model.anchor)  # the pieces' values at x_k
     return _first(box_dual_steps(x_k[np.newaxis], G[np.newaxis], v[np.newaxis],
                                  np.array([alpha], dtype=float), 0.0, 1.0 / model.m, tol))
 
@@ -427,49 +421,73 @@ def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# Dispatch on a batch model (one prox step for one point; the optimizer
-# engine calls the stacked kernels directly)
+# The step of a strategy: one factory for the optimizer engine's stacks and
+# for one model
+
+
+def stacked_step(inst, strategy, m: int, tol: float, h):
+    """The step of a strategy on a stack of cells: step(A, Zc, alpha, idx)
+    takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
+    and batches idx (C, m), and returns the new points before projection or
+    raises a solver error.  Pass the same array for A and Zc when the prox
+    term is centered at the anchor.  Closed forms and the box-QP duals (pam,
+    absreg and halfspace prox) run on the whole stack; the logistic Newton
+    solve runs per cell (in full_prox_steps)."""
+    scheme, kind = strategy.scheme, strategy.kind
+    if scheme == models.ITERATE_AVERAGE:
+        return lambda A, Zc, alpha, idx: pia_steps(inst, A, Zc, idx, kind, alpha)
+    if scheme == models.AVERAGE_OF_TRUNCATED and m > 1:
+        def pam(A, Zc, alpha, idx):
+            # Per-sample infima are 0: the box dual of the truncated pieces.
+            vals, grads = problems.stacked_losses(inst, A, idx)
+            if Zc is not A:  # the pieces' values at the prox center
+                vals = vals + matvec(grads, Zc - A)
+            return box_dual_steps(Zc, grads, vals, alpha, 0.0, 1.0 / m, tol)[0]
+        return pam
+    if scheme == models.MODEL_OF_AVERAGE and kind == models.FULL_PROX:
+        return lambda A, Zc, alpha, idx: full_prox_steps(inst, Zc, idx, alpha, tol)
+    linear = scheme == models.MODEL_OF_AVERAGE and kind == models.LINEAR
+
+    def model_of_average(A, Zc, alpha, idx):
+        # The linear or truncated model of the batch average (pam at m = 1
+        # is the same truncated step).
+        vals, grads = problems.stacked_losses(inst, A, idx)
+        inv_m = 1.0 / idx.shape[1]
+        gbar = np.add.reduce(grads, axis=1) * inv_m
+        if linear and h.kind != geometry.EUCLIDEAN:
+            return np.array([geometry.mirror_linear_step(h, inst.domain, Zc[i], gbar[i], alpha[i])
+                             for i in range(alpha.size)])
+        if linear:
+            return Zc - alpha[:, np.newaxis] * gbar
+        fbar = np.add.reduce(vals, axis=1) * inv_m
+        if Zc is not A:  # the model's value at the prox center
+            fbar = fbar + rowdot(gbar, Zc - A)
+        return truncated_steps(Zc, fbar, gbar, alpha)
+    return model_of_average
 
 
 def solve_model_prox(model: models.BatchModel, center, alpha,
                      tol: float = 1e-9) -> ProxResult:
-    """Minimize model + ||x - center||^2/(2 alpha) over all of R^n.
+    """Minimize model + ||x - center||^2/(2 alpha) over all of R^n: the
+    engine's ``stacked_step`` for one cell, on the model's anchor and batch.
 
     ``center`` may differ from the model anchor (the accelerated iteration
-    centers the prox term at the auxiliary sequence); affine values are
-    shifted to the center accordingly.
+    centers the prox term at the auxiliary sequence).
     """
-    center = np.asarray(center, dtype=float)
-    strat = model.strategy
-    if strat.scheme == models.ITERATE_AVERAGE:
-        raise ValueError("iterate averaging is handled by the optimizer loop")
-    if strat.scheme == models.AVERAGE_OF_TRUNCATED:
-        return pam_step(center, model, alpha, tol=tol)
-    if strat.kind == models.LINEAR:
-        if not (alpha > 0 and math.isfinite(alpha)):
-            raise ValueError("linear model needs a finite positive stepsize")
-        return ProxResult(center - alpha * model.gbar)
-    if strat.kind == models.TRUNCATED:
-        val_c = model.anchor_value + float(model.gbar @ (center - model.anchor))
-        return ProxResult(truncated_step(center, val_c, model.gbar,
-                                         model.lower_bound, alpha))
-    if strat.kind == models.FULL_PROX:
-        return full_prox_step(model.inst, model.batch, center, alpha, tol)
-    raise ValueError(f"unsupported strategy for prox dispatch: {strat}")
-
-
-def full_prox_step(inst, idx, center, alpha, tol: float = 1e-9) -> ProxResult:
-    """Exact prox step on the batch-averaged loss of samples ``idx``."""
-    return ProxResult(full_prox_steps(inst, center[np.newaxis], idx[np.newaxis],
-                                      np.array([alpha], dtype=float), tol)[0])
+    anchor = model.anchor[np.newaxis]
+    center = np.asarray(center, dtype=float)[np.newaxis]
+    step = stacked_step(model.inst, model.strategy, model.m, tol,
+                        geometry.euclidean(model.anchor.size))
+    return ProxResult(step(anchor, anchor if np.array_equal(center, anchor) else center,
+                           np.array([alpha], dtype=float), model.batch[np.newaxis])[0])
 
 
 def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
-    """full_prox_step for C cells: centers (C, n), batches idx (C, m) and
-    stepsizes alpha (C,).  One sample is a 1-d root, linreg a linear system,
-    absreg and halfspace a box dual (halfspace distances are globally
-    max{affine, 0}, so theirs is the pam dual with signed affine values);
-    the logistic Newton solve runs per cell."""
+    """Exact prox steps on the batch-averaged losses of C cells: centers
+    (C, n), batches idx (C, m) and stepsizes alpha (C,).  One sample is a 1-d
+    root, linreg a linear system, absreg and halfspace a box dual (halfspace
+    distances are globally max{affine, 0}, so theirs is the pam dual with
+    signed affine values); the logistic Newton solve runs per cell."""
     m = idx.shape[1]
     if m == 1:
         return single_sample_prox(inst, centers, idx[:, 0], alpha)

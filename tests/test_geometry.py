@@ -16,64 +16,6 @@ def random_simplex_point(dim, rng):
     return w / w.sum()
 
 
-class TestBregman:
-    def test_identity_is_zero(self):
-        h = geometry.euclidean(2)
-        assert geometry.bregman_divergence(h, np.array([1.0, 2.0]),
-                                           np.array([1.0, 2.0])) == 0.0
-
-    def test_euclidean_half_squared_distance(self):
-        h = geometry.euclidean(2)
-        d = geometry.bregman_divergence(h, np.array([1.0, 0.0]), np.zeros(2))
-        assert d == pytest.approx(0.5, abs=0)
-
-    def test_entropy_matches_high_precision_kl(self):
-        # Oracle: direct sum x_i log(x_i / y_i) in extended precision.
-        from decimal import Decimal, getcontext
-
-        getcontext().prec = 50
-        x = np.array([0.5, 0.5])
-        y = np.array([0.25, 0.75])
-        expected = sum(
-            Decimal(xi) * (Decimal(xi).ln() - Decimal(yi).ln())
-            for xi, yi in zip(x, y)
-        )
-        h = geometry.entropy_simplex(2)
-        assert geometry.bregman_divergence(h, x, y) == pytest.approx(
-            float(expected), abs=1e-14
-        )
-
-    def test_entropy_boundary_rejected(self):
-        h = geometry.entropy_simplex(2)
-        with pytest.raises(ValueError):
-            geometry.bregman_divergence(h, np.array([0.5, 0.5]),
-                                        np.array([0.0, 1.0]))
-
-    def test_dimension_mismatch(self):
-        h = geometry.euclidean(3)
-        with pytest.raises(ValueError):
-            geometry.bregman_divergence(h, np.zeros(3), np.zeros(2))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_strong_convexity_euclidean(self, seed):
-        rng = np.random.default_rng(seed)
-        h = geometry.euclidean(5)
-        x, y = rng.standard_normal(5), rng.standard_normal(5)
-        d = geometry.bregman_divergence(h, x, y)
-        assert d >= 0.5 * np.linalg.norm(x - y) ** 2 - 1e-12
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_strong_convexity_entropy_l1(self, seed):
-        rng = np.random.default_rng(seed)
-        h = geometry.entropy_simplex(6)
-        x = random_simplex_point(6, rng)
-        y = random_simplex_point(6, rng)
-        d = geometry.bregman_divergence(h, x, y)
-        assert d >= 0.5 * np.abs(x - y).sum() ** 2 - 1e-12
-
-
 class TestMirrorStep:
     def test_zero_gradient_fixed_point(self):
         h = geometry.euclidean(3)
@@ -97,6 +39,18 @@ class TestMirrorStep:
         out = geometry.mirror_linear_step(h, dom, np.zeros(2),
                                           np.array([-2.0, 0.0]), 1.0)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-15)
+
+    def test_ball_step_equals_projection(self):
+        h = geometry.euclidean(3)
+        dom = geometry.ball(np.zeros(3), 0.5)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            z = geometry.project_domain(dom, rng.standard_normal(3))
+            g = rng.standard_normal(3)
+            out = geometry.mirror_linear_step(h, dom, z, g, 0.7)
+            np.testing.assert_allclose(
+                out, geometry.project_domain(dom, z - 0.7 * g), atol=1e-15
+            )
 
     def test_entropy_step_against_grid_oracle(self):
         # Oracle: dense grid minimization of <g,x> + KL(x, z) on the simplex.

@@ -20,6 +20,7 @@ from batchprox.harness import (
     results,
     stable_seed,
     svg,
+    sweep,
     write_csv,
 )
 from batchprox.harness import results as results_mod
@@ -312,6 +313,20 @@ class TestCli:
                          "--units", "iterations", "--out", str(outdir)]) == 0
         assert (outdir / "speedup.csv").exists()
         assert (outdir / "speedup.svg").exists()
+
+    def test_run_uses_the_sweep_instance(self, capsys):
+        assert cli.main(["run", "--preset", "desk-linreg", "--steps", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        gaps = [line.split(",")[2] for line in lines if line[:1].isdigit()]
+        cfg = preset("desk-linreg")
+        prob, cond = cfg.problems[0], cfg.cond_grid[0]
+        inst = prob.instantiate(cond, sweep._instance_seed(0, prob, cond, 0))
+        rec = optimizers.run_base(
+            inst, models.pma(), optimizers.poly_decay(1.0, 0.5), m=8, n_steps=20,
+            epsilon=cfg.epsilon * sweep._initial_gap(inst),
+            rng=np.random.default_rng(0),
+            record=optimizers.RecordOptions(stride=1, record_average=False))
+        assert gaps == [f"{g:.10e}" for g in rec.gaps]
 
     def test_exit_codes(self, tmp_path, capsys):
         assert cli.main(["sweep"]) == 1  # no config

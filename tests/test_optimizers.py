@@ -38,26 +38,18 @@ class TestSchedules:
             optimizers.smoothness_adaptive(1.0, 1.0, power=0.3)
 
     def test_theta_schedule_properties(self):
-        th = optimizers.ThetaSchedule()
-        assert th.theta(0) == 1.0
-        vals = np.array([th.theta(k) for k in range(100)])
+        assert optimizers.theta(0) == 1.0
+        vals = np.array([optimizers.theta(k) for k in range(100)])
         assert np.all(np.diff(vals) < 0)
 
     def test_theta_recursion_identity(self):
         # (1 - theta_k)/theta_k^2 = k(k+2)/4 and 1/theta_{k-1}^2 = (k+1)^2/4,
         # so the recursion bound is k(k+2) <= (k+1)^2, i.e. 0 <= 1.
-        th = optimizers.ThetaSchedule()
         ks = np.arange(1, 10_001)
         assert np.all(ks * (ks + 2) == (ks + 1) ** 2 - 1)
         for k in (1, 2, 10, 1000, 10**6):
-            t, prev = th.theta(k), th.theta(k - 1)
+            t, prev = optimizers.theta(k), optimizers.theta(k - 1)
             assert (1.0 - t) / t**2 <= 1.0 / prev**2 * (1.0 + 1e-15)
-
-    def test_regularizer(self):
-        r = optimizers.squared_l2(2.0)
-        assert r.value(np.array([1.0, 2.0])) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            optimizers.squared_l2(-1.0)
 
 
 class TestRunBase:
@@ -348,29 +340,6 @@ class TestRunAccelerated:
         acc = optimizers.run_accelerated(inst, models.sgm(), sched, **kw)
         assert acc.gaps[-1] < base.gaps[-1] / 10
 
-    def test_regularized_z_update_optimality(self):
-        # The z-update minimizes model + r + ||.-z||^2/(2 alpha): verify the
-        # folded solve against a grid for the squared-l2 regularizer.
-        inst = noisy_linreg(18, N=20, n=2)
-        rng = np.random.default_rng(19)
-        y = rng.standard_normal(2)
-        z = rng.standard_normal(2)
-        mu, alpha = 0.7, 0.9
-        model = models.build_batch_model(inst, y, np.array([3, 8]),
-                                         models.pma())
-        scale = 1.0 + alpha * mu
-        res = prox.solve_model_prox(model, z / scale, alpha / scale)
-        from helpers import grid_minimize
-
-        def fun(pts):
-            mv = np.asarray(models.evaluate_model(model, pts))
-            d = pts - z
-            return (mv + 0.5 * mu * (pts**2).sum(axis=1)
-                    + (d * d).sum(axis=1) / (2 * alpha))
-
-        best = grid_minimize(fun, res.x_next, 0.05)
-        assert np.abs(res.x_next - best).max() <= 2e-3
-
     def test_pia_composes_with_acceleration(self):
         inst = noisy_linreg(20)
         rec = optimizers.run_accelerated(
@@ -509,12 +478,11 @@ class TestLockstep:
             (1.3, 0.5))]
         schedules += [optimizers.smoothness_adaptive(L, eta0, power) for L, eta0, power in (
             (2.0, 0.0, 0.0), (0.0, 0.3, 0.5), (1.7, 0.9, 0.0), (3.1, 0.25, 0.5))]
-        theta = optimizers.ThetaSchedule()
         ks = list(range(1, 1001)) + list(range(1001, 10 ** 5, 97)) + [10 ** 5]
         for accelerated in (False, True):
             alphas = optimizers._stepsizes(schedules, accelerated)
             for k in ks:
-                th = theta.theta(k - 1) if accelerated else None
+                th = optimizers.theta(k - 1) if accelerated else None
                 expected = [1.0 / (s.L * th + s.eta(k))
                             if accelerated and s.kind == optimizers.SMOOTHNESS_ADAPTIVE
                             else s.alpha(k) for s in schedules]
@@ -540,6 +508,30 @@ class TestLockstep:
             for d, (_, x) in zip(rec.dists, rec.snapshots):
                 assert d == problems.distance_to_optimum(inst, x)
                 assert d == np.linalg.norm(x - x_star)
+
+
+class TestOneCellApi:
+    @pytest.mark.parametrize("kind", sorted(ENGINE_INSTANCES))
+    @pytest.mark.parametrize("method", ["sgm", "pma", "pam", "prox", "pia"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_engine_step_is_solve_model_prox(self, kind, method, m):
+        # One engine step from x0 = 0 and the one-cell API on the same batch
+        # take the same path, so they agree bit for bit (pam at m = 1
+        # included: both take the truncated step).
+        inst = problems.generate_problem(kind, seed=5, **ENGINE_INSTANCES[kind])
+        strat = models.strategy_from_id(method)
+        x0 = np.zeros(inst.n)
+        for s, a in ((0, 0.3), (1, 2.0)):
+            rec = optimizers.run_base(inst, strat, optimizers.poly_decay(a, 0.0), m=m,
+                                      n_steps=1, epsilon=1e-300,
+                                      rng=np.random.default_rng(s))
+            idx = problems.sample_batch(inst, m, np.random.default_rng(s))
+            if method == "pia":
+                expected = prox.pia_step(inst, x0, idx, strat.kind, a)
+            else:
+                model = models.build_batch_model(inst, x0, idx, strat)
+                expected = prox.solve_model_prox(model, x0, a).x_next
+            np.testing.assert_array_equal(rec.x_final, expected)
 
 
 class TestTimeToEpsilon:

@@ -75,19 +75,17 @@ class TestGeneration:
 class TestLossEval:
     def test_linreg_at_optimum(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.0, seed=5)
-        v, g, inf = problems.loss_eval(inst, inst.x_planted, 4)
+        v, g = problems.loss_eval(inst, inst.x_planted, 4)
         assert v == pytest.approx(0.0, abs=1e-24)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
-        assert inf == 0.0
 
     def test_absreg_hand_value(self):
         # Half-weighted convention: F = |a x - b| / 2.
         inst = problems.make_custom_linreg(np.array([[2.0]]), np.array([0.0]))
         inst.kind = problems.ABSREG
-        v, g, inf = problems.loss_eval(inst, np.array([3.0]), 0)
+        v, g = problems.loss_eval(inst, np.array([3.0]), 0)
         assert v == pytest.approx(3.0)
         np.testing.assert_allclose(g, [1.0])
-        assert inf == 0.0
 
     def test_value_by_finite_differences(self):
         # Oracle: central differences of the value function away from kinks.
@@ -98,12 +96,12 @@ class TestLossEval:
             for _ in range(5):
                 x = rng.standard_normal(inst.n)
                 i = int(rng.integers(inst.N))
-                v, g, _ = problems.loss_eval(inst, x, i)
+                v, g = problems.loss_eval(inst, x, i)
                 d = rng.standard_normal(inst.n)
                 d /= np.linalg.norm(d)
                 h = 1e-6
-                vp, _, _ = problems.loss_eval(inst, x + h * d, i)
-                vm, _, _ = problems.loss_eval(inst, x - h * d, i)
+                vp, _ = problems.loss_eval(inst, x + h * d, i)
+                vm, _ = problems.loss_eval(inst, x - h * d, i)
                 fd = (vp - vm) / (2 * h)
                 # Skip near-kink evaluations where the derivative jumps.
                 if abs(vp - 2 * v + vm) > 1e-7:
@@ -112,8 +110,8 @@ class TestLossEval:
 
     def test_halfspace_inside_is_zero(self):
         inst = problems.generate_problem("halfspace", N=20, n=4, seed=6)
-        v, g, inf = problems.loss_eval(inst, inst.x_planted, 3)
-        assert v == 0.0 and inf == 0.0
+        v, g = problems.loss_eval(inst, inst.x_planted, 3)
+        assert v == 0.0
         np.testing.assert_array_equal(g, np.zeros(4))
 
     def test_index_out_of_range(self):
@@ -130,9 +128,9 @@ class TestLossEval:
             y = rng.standard_normal(inst.n)
             t = float(rng.random())
             i = int(rng.integers(inst.N))
-            vx, _, _ = problems.loss_eval(inst, x, i)
-            vy, _, _ = problems.loss_eval(inst, y, i)
-            vm, _, _ = problems.loss_eval(inst, t * x + (1 - t) * y, i)
+            vx, _ = problems.loss_eval(inst, x, i)
+            vy, _ = problems.loss_eval(inst, y, i)
+            vm, _ = problems.loss_eval(inst, t * x + (1 - t) * y, i)
             assert vm <= t * vx + (1 - t) * vy + 1e-10
 
     @given(st.integers(0, 1000))
@@ -143,8 +141,8 @@ class TestLossEval:
             x = rng.standard_normal(inst.n)
             y = rng.standard_normal(inst.n)
             i = int(rng.integers(inst.N))
-            vx, gx, _ = problems.loss_eval(inst, x, i)
-            vy, _, _ = problems.loss_eval(inst, y, i)
+            vx, gx = problems.loss_eval(inst, x, i)
+            vy, _ = problems.loss_eval(inst, y, i)
             assert vy >= vx + float(gx @ (y - x)) - 1e-10
 
     def test_interpolation_definition(self):
@@ -156,9 +154,9 @@ class TestLossEval:
             ("halfspace", dict()),
         ):
             inst = problems.generate_problem(kind, N=40, n=5, seed=8, **kwargs)
-            vals, _, infs = problems.batch_losses(inst, inst.x_planted,
-                                                  np.arange(inst.N))
-            np.testing.assert_allclose(vals, infs, atol=1e-20)
+            vals, _ = problems.batch_losses(inst, inst.x_planted,
+                                            np.arange(inst.N))
+            np.testing.assert_allclose(vals, 0.0, atol=1e-20)
 
 
 class TestObjective:
@@ -205,9 +203,9 @@ class TestStacked:
             vals, grads = problems.stacked_losses(inst, X, idx)
             objs = problems.objective_values(inst, X)
             for c in range(4):
-                v, g, _ = problems.batch_losses(inst, X[c], idx[c])
+                v, g = problems.batch_losses(inst, X[c], idx[c])
                 np.testing.assert_array_equal(vals[c], v)
-                np.testing.assert_array_equal(grads[c].T, g)
+                np.testing.assert_array_equal(grads[c], g)
                 assert objs[c] == problems.objective_value(inst, X[c])
                 one_v, one_g = problems.stacked_losses(inst, X[c:c + 1], idx[c:c + 1])
                 np.testing.assert_array_equal(one_v[0], vals[c])

@@ -6,33 +6,7 @@ from helpers import grid_minimize, primal_fn
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchprox import geometry, models, problems, prox
-
-
-class TestLinearStep:
-    def test_zero_gradient(self):
-        h = geometry.euclidean(2)
-        x = np.array([1.0, 2.0])
-        out = prox.linear_step(h, geometry.all_space(), x, np.zeros(2), 1.0)
-        np.testing.assert_array_equal(out, x)
-
-    def test_plain_step(self):
-        h = geometry.euclidean(2)
-        out = prox.linear_step(h, geometry.all_space(), np.zeros(2),
-                               np.ones(2), 1.0)
-        np.testing.assert_array_equal(out, [-1.0, -1.0])
-
-    def test_ball_clip_equals_projection(self):
-        h = geometry.euclidean(3)
-        dom = geometry.ball(np.zeros(3), 0.5)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            z = geometry.project_domain(dom, rng.standard_normal(3))
-            g = rng.standard_normal(3)
-            out = prox.linear_step(h, dom, z, g, 0.7)
-            np.testing.assert_allclose(
-                out, geometry.project_domain(dom, z - 0.7 * g), atol=1e-15
-            )
+from batchprox import models, problems, prox
 
 
 class TestTruncatedStep:
@@ -291,7 +265,6 @@ class TestPamStep:
         model = models.build_batch_model(inst, x, np.array([0, 1]), models.pam())
         model.grads = np.eye(2)  # orthogonal unit gradients
         model.values = np.array([1.0, 1.0])
-        model.infs = np.zeros(2)
         res = prox.pam_step(x, model, 1.0, tol=1e-12)
         best = grid_minimize(primal_fn(model, x, 1.0), res.x_next, 0.05)
         assert np.abs(res.x_next - best).max() <= 2e-3
