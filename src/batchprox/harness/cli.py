@@ -24,7 +24,7 @@ import numpy as np
 from .. import analysis, models, optimizers, problems
 from . import config as config_mod
 from . import lab, results, svg
-from .sweep import _initial_gap, _instance_seed, execute_sweep
+from .sweep import _cell_seed, _initial_gap, _instance_seed, execute_sweep
 
 
 def _parse_bool(text: str) -> bool:
@@ -113,16 +113,20 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     prob = cfg.problems[0]
     cond = cfg.cond_grid[0]
-    # The instance of the sweep's first (problem, cond, seed 0) group.
+    # The sweep's seed-0 cell of the first (problem, cond) with this method,
+    # m and alpha0: its instance, batch stream, target and record stride, so
+    # at sample_budget // m steps the run ends as that sweep row does.
     inst = prob.instantiate(cond, _instance_seed(args.seed, prob, cond, 0))
+    spec = config_mod.MethodSpec(args.method, args.accelerated, "poly", args.beta)
+    rng = np.random.default_rng(
+        _cell_seed(args.seed, prob, cond, 0, spec, args.m, args.alpha0))
     strategy = models.strategy_from_id(args.method)
     schedule = optimizers.poly_decay(args.alpha0, args.beta)
     eps = cfg.epsilon * _initial_gap(inst)
-    rng = np.random.default_rng(args.seed)
     runner = optimizers.run_accelerated if args.accelerated else optimizers.run_base
     rec = runner(inst, strategy, schedule, m=args.m, n_steps=args.steps,
                  epsilon=eps, rng=rng,
-                 record=optimizers.RecordOptions(stride=max(1, args.steps // 50),
+                 record=optimizers.RecordOptions(stride=cfg.record_stride,
                                                  record_average=False))
     print(f"# {prob.kind} N={prob.N} n={prob.n} method={args.method} "
           f"m={args.m} alpha0={args.alpha0:g} accelerated={args.accelerated}")

@@ -102,6 +102,13 @@ class SweepConfig:
                            (self.m_grid, "m_grid"), (self.cond_grid, "cond_grid")):
             if not grid:
                 raise ConfigError(f"{name} is empty")
+            _reject_duplicates(grid, f"{name} entry")
+        # Specs with the same row keys would write colliding sweep rows and
+        # share cell streams.
+        _reject_duplicates([(ps.label(), ps.noise_label()) for ps in self.problems],
+                           "problem spec (kind, noise)")
+        _reject_duplicates([(ms.method, ms.accelerated) for ms in self.methods],
+                           "method spec (method, accelerated)")
         if any(a <= 0 for a in self.alpha0_grid):
             raise ConfigError("alpha0_grid entries must be positive")
         if any(m < 1 for m in self.m_grid):
@@ -130,6 +137,12 @@ class SweepConfig:
             if ps.kind not in problems.KINDS:
                 raise ConfigError(f"unknown problem kind: {ps.kind!r}")
         return self
+
+
+def _reject_duplicates(keys: list, what: str):
+    dup = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+    if dup is not None:
+        raise ConfigError(f"duplicate {what}: {dup}")
 
 
 _PROBLEM_KEYS = {"kind", "N", "n", "sigma", "p", "gamma", "delta", "radius"}

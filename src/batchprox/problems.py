@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 from scipy.special import expit
 
 from . import geometry
@@ -397,9 +396,12 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
     """f* (and x* when unique/known), cached on the instance.
 
     Interpolation instances return 0 directly.  Noisy linear regression is
-    solved by least squares; noisy absolute regression by an LP; noisy
-    logistic regression by a quasi-Newton solve run to tight gradient
-    tolerance.  Raises ReferenceSolveError when the LP fails or the
+    solved by least squares; noisy absolute regression by its n-row dual LP
+    (max b'y s.t. A'y = 0, |y_i| <= 1/(2N)), with x* read from the equality
+    multipliers, f* = f(x*) and the certified duality gap f* - b'y reported
+    as the tolerance; noisy logistic regression by a quasi-Newton solve run
+    to tight gradient tolerance.  Raises ReferenceSolveError when the LP
+    fails or leaves a duality gap above 1e-10 * max(1, f*), or when the
     quasi-Newton solve stops with a gradient norm above 1e-8, so that no gap
     is ever measured against an inexact f*.
     """
@@ -437,25 +439,35 @@ def _compute_reference(inst: ProblemInstance) -> OptimumInfo:
     raise AssertionError(inst.kind)  # pragma: no cover
 
 
+_ABSREG_REFERENCE_GAP = 1e-10
+
+
 def _absreg_reference(inst: ProblemInstance) -> OptimumInfo:
-    # min (1/2N) sum t_i  s.t.  t >= Ax - b, t >= b - Ax
-    N, n = inst.N, inst.n
-    c = np.concatenate([np.zeros(n), np.full(N, 0.5 / N)])
-    A_ub = np.block([[inst.A, -np.eye(N)], [-inst.A, -np.eye(N)]])
-    b_ub = np.concatenate([inst.b, -inst.b])
-    res = scipy.optimize.linprog(
-        c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (n + N), method="highs"
-    )
+    # The LAD dual has n equality rows where the primal has 2N inequality
+    # rows.  f* is the objective at the x* read from the multipliers of
+    # A'y = 0, so every gap is measured against the value of a real point.
+    import scipy.optimize
+
+    r = 0.5 / inst.N
+    res = scipy.optimize.linprog(-inst.b, A_eq=inst.A.T, b_eq=np.zeros(inst.n),
+                                 bounds=(-r, r), method="highs")
     if not res.success:
         raise ReferenceSolveError(f"absreg reference LP failed: {res.message}")
-    x = res.x[:n]
-    return OptimumInfo(objective_value(inst, x), x, "high_accuracy_solve", 1e-10)
+    x = -res.eqlin.marginals
+    f_star = objective_value(inst, x)
+    gap = f_star + res.fun  # f(x*) minus the dual value b'y
+    if not gap <= _ABSREG_REFERENCE_GAP * max(1.0, f_star):
+        raise ReferenceSolveError(
+            f"absreg reference LP stopped at duality gap {gap:.3e}")
+    return OptimumInfo(f_star, x, "high_accuracy_solve", max(gap, 0.0))
 
 
 _LOGISTIC_REFERENCE_GTOL = 1e-8
 
 
 def _logistic_reference(inst: ProblemInstance) -> OptimumInfo:
+    import scipy.optimize
+
     A, b, N = inst.A, inst.b, inst.N
 
     def fun(x):

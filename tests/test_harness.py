@@ -80,6 +80,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_mod.config_from_dict(data)
 
+    @pytest.mark.parametrize("key,grid", [("alpha0_grid", [1.0, 0.5, 1.0]),
+                                          ("m_grid", [2, 2]),
+                                          ("cond_grid", [1.0, 1])])
+    def test_duplicate_grid_entries_rejected(self, key, grid):
+        with pytest.raises(ConfigError, match=f"duplicate {key} entry"):
+            config_mod.config_from_dict(dict(TINY_CONFIG, **{key: grid}))
+
+    def test_colliding_problem_specs_rejected(self):
+        # Same (kind, noise label) rows: N does not enter either label.
+        data = dict(TINY_CONFIG, problems=[
+            {"kind": "absreg", "N": 30, "n": 3, "sigma": 0.5},
+            {"kind": "absreg", "N": 60, "n": 3, "sigma": 0.5}])
+        with pytest.raises(ConfigError, match="duplicate problem spec"):
+            config_mod.config_from_dict(data)
+        data["problems"][1]["sigma"] = 0.25
+        assert len(config_mod.config_from_dict(data).problems) == 2
+
+    def test_colliding_method_specs_rejected(self):
+        data = dict(TINY_CONFIG, methods=[
+            {"method": "pma"},
+            {"method": "pma", "schedule": {"kind": "smooth"}}])
+        with pytest.raises(ConfigError, match="duplicate method spec"):
+            config_mod.config_from_dict(data)
+        data["methods"][1]["accelerated"] = True
+        assert len(config_mod.config_from_dict(data).methods) == 2
+
     def test_load_from_file_and_text(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(TINY_CONFIG))
@@ -321,12 +347,32 @@ class TestCli:
         cfg = preset("desk-linreg")
         prob, cond = cfg.problems[0], cfg.cond_grid[0]
         inst = prob.instantiate(cond, sweep._instance_seed(0, prob, cond, 0))
+        cell = sweep._cell_seed(0, prob, cond, 0, config_mod.MethodSpec("pma"),
+                                8, 1.0)
         rec = optimizers.run_base(
             inst, models.pma(), optimizers.poly_decay(1.0, 0.5), m=8, n_steps=20,
             epsilon=cfg.epsilon * sweep._initial_gap(inst),
-            rng=np.random.default_rng(0),
-            record=optimizers.RecordOptions(stride=1, record_average=False))
+            rng=np.random.default_rng(cell),
+            record=optimizers.RecordOptions(stride=cfg.record_stride,
+                                            record_average=False))
         assert gaps == [f"{g:.10e}" for g in rec.gaps]
+
+    def test_run_replays_a_sweep_row(self, capsys):
+        data = dict(TINY_CONFIG, sample_budget=600, m_grid=[1, 4],
+                    alpha0_grid=[0.1, 3.0],
+                    methods=[{"method": "pma"}, {"method": "sgm"},
+                             {"method": "prox", "accelerated": True}])
+        rows = execute_sweep(config_mod.config_from_dict(data), progress=quiet)
+        assert {r.status for r in rows} == {"converged", "budget"}
+        for r in rows:
+            assert cli.main(["run", "--config", json.dumps(data),
+                             "--method", r.method, "--m", str(r.m),
+                             "--alpha0", repr(r.alpha0),
+                             "--accelerated", str(r.accelerated),
+                             "--steps", str(data["sample_budget"] // r.m)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-2].split(",")[2] == f"{r.final_gap:.10e}"
+            assert lines[-1].startswith(f"# status={r.status} ")
 
     def test_exit_codes(self, tmp_path, capsys):
         assert cli.main(["sweep"]) == 1  # no config
@@ -369,6 +415,13 @@ class TestCli:
         # out path nested under a regular file -> makedirs fails -> exit 2
         assert cli.main(["sweep", "--config", str(cfg), "--out",
                          str(blocker / "sub")]) == 2
+
+    def test_sweep_rejects_colliding_specs(self, tmp_path, capsys):
+        data = dict(TINY_CONFIG, methods=[{"method": "sgm"}, {"method": "sgm"}])
+        assert cli.main(["sweep", "--config", json.dumps(data), "--out",
+                         str(tmp_path)]) == 1
+        assert "duplicate method spec" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_unknown_preset_and_empty_problems(self, capsys):
         assert cli.main(["sweep", "--preset", "not-a-preset", "--out",

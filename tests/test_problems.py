@@ -1,4 +1,7 @@
 import functools
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,7 +284,57 @@ class TestSampling:
         assert mine.integers(0, 1000) == ref.integers(0, 1000)
 
 
+def primal_lad_lp(inst):
+    """Oracle: the dense primal LP min (1/2N) sum t_i s.t. t >= Ax - b,
+    t >= b - Ax, over (x, t); returns f at the x it finds."""
+    N, n = inst.N, inst.n
+    c = np.concatenate([np.zeros(n), np.full(N, 0.5 / N)])
+    A_ub = np.block([[inst.A, -np.eye(N)], [-inst.A, -np.eye(N)]])
+    b_ub = np.concatenate([inst.b, -inst.b])
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (n + N), method="highs")
+    assert res.success, res.message
+    return problems.objective_value(inst, res.x[:n])
+
+
 class TestReferenceOptimum:
+    @pytest.mark.parametrize("sigma", [0.25, 0.5])
+    @pytest.mark.parametrize("N,n", [(4, 3), (30, 5), (60, 10), (200, 20),
+                                     (1000, 40)])
+    def test_absreg_dual_lp_matches_primal_oracle(self, N, n, sigma):
+        inst = problems.generate_problem("absreg", N=N, n=n, sigma=sigma,
+                                         seed=N + int(100 * sigma))
+        ref = problems.reference_optimum(inst)
+        assert ref.f_star == pytest.approx(primal_lad_lp(inst), rel=1e-12,
+                                           abs=1e-12)
+        assert ref.f_star == problems.objective_value(inst, ref.x_star)
+        assert 0.0 <= ref.tolerance <= 1e-10
+        assert ref.method == "high_accuracy_solve"
+
+    def test_large_absreg_duality_gap_raises(self, monkeypatch):
+        inst = problems.generate_problem("absreg", N=30, n=3, sigma=0.5, seed=19)
+        linprog = scipy.optimize.linprog
+
+        def loose(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.fun += 1e-6  # a dual value 1e-6 below the optimum
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", loose)
+        with pytest.raises(problems.ReferenceSolveError, match="duality gap"):
+            problems.reference_optimum(inst)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # Only the absreg and logistic reference solves need scipy.optimize.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, batchprox, batchprox.harness.cli; "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     def test_linreg_two_solve_paths_agree(self):
         inst = problems.generate_problem("linreg", N=80, n=7, sigma=0.7, seed=13)
         ref = problems.reference_optimum(inst)
