@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -121,6 +120,7 @@ def execute_sweep(config: SweepConfig, jobs: int = 1, progress=None):
             rows.extend(_run_instance_group(group))
             progress(i + 1, len(groups))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms; only pools need it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for i, chunk in enumerate(pool.map(_run_instance_group, groups)):
                 rows.extend(chunk)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import geometry
 
@@ -248,6 +247,18 @@ def _rescale_condition(A: np.ndarray, cond: float) -> np.ndarray:
 # Loss evaluation
 
 
+def expit(x):
+    """The logistic function 1/(1 + exp(-x)), elementwise, to a few ulp and
+    without floating-point warnings: exp is taken of -min(|x|, 708), which
+    cannot underflow, and entries beyond that take the exact limits 0 and 1.
+    NaN stays NaN."""
+    e = np.exp(-np.minimum(np.abs(x), 708.0))
+    num = np.array(e)  # e / (1 + e) for x < 0, 1 / (1 + e) for x >= 0
+    num[x >= 0] = 1.0
+    num[x < -708.0] = 0.0
+    return num / (1.0 + e)
+
+
 def batch_losses(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray):
     """Per-sample values and subgradients of one point on a batch of
     indices: (values (m,), grads (m, n)), the one-point case of
@@ -399,11 +410,13 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
     solved by least squares; noisy absolute regression by its n-row dual LP
     (max b'y s.t. A'y = 0, |y_i| <= 1/(2N)), with x* read from the equality
     multipliers, f* = f(x*) and the certified duality gap f* - b'y reported
-    as the tolerance; noisy logistic regression by a quasi-Newton solve run
-    to tight gradient tolerance.  Raises ReferenceSolveError when the LP
-    fails or leaves a duality gap above 1e-10 * max(1, f*), or when the
-    quasi-Newton solve stops with a gradient norm above 1e-8, so that no gap
-    is ever measured against an inexact f*.
+    as the tolerance; noisy logistic regression by damped Newton on the
+    n x n Hessian A'WA/N (``logistic_newton``) to a gradient norm of 1e-12,
+    reported as the tolerance, and f* = 0 when the planted point or the
+    Newton iterate separates the data.  Raises ReferenceSolveError when the
+    LP fails or leaves a duality gap above 1e-10 * max(1, f*), or when the
+    Newton solve stops with a gradient norm above 1e-8, so that no gap is
+    ever measured against an inexact f*.  Only the LP loads SciPy.
     """
     if inst._reference is not None:
         return inst._reference
@@ -430,11 +443,6 @@ def _compute_reference(inst: ProblemInstance) -> OptimumInfo:
             return OptimumInfo(0.0, inst.x_planted.copy(), "closed_form", 0.0)
         return _absreg_reference(inst)
     if inst.kind == LOGISTIC:
-        margins = inst.b * (inst.A @ inst.x_planted)
-        if np.all(margins > 0):
-            # Separable: every per-sample infimum (0) is approached along
-            # t * x_planted, so inf f = 0 though no minimizer exists.
-            return OptimumInfo(0.0, None, "closed_form", 0.0)
         return _logistic_reference(inst)
     raise AssertionError(inst.kind)  # pragma: no cover
 
@@ -466,27 +474,60 @@ _LOGISTIC_REFERENCE_GTOL = 1e-8
 
 
 def _logistic_reference(inst: ProblemInstance) -> OptimumInfo:
-    import scipy.optimize
-
-    A, b, N = inst.A, inst.b, inst.N
-
-    def fun(x):
-        u = b * (A @ x)
-        return float(np.logaddexp(0.0, -u).sum()) / (2.0 * N)
-
-    def jac(x):
-        u = b * (A @ x)
-        return A.T @ (-0.5 * b * expit(-u)) / N
-
-    res = scipy.optimize.minimize(
-        fun, np.zeros(inst.n), jac=jac, method="L-BFGS-B",
-        options={"maxiter": 50_000, "ftol": 0.0, "gtol": 1e-13},
-    )
-    gnorm = float(np.linalg.norm(jac(res.x)))
+    x, gnorm = inst.x_planted, 0.0
+    if not np.all(inst.b * (inst.A @ x) > 0):
+        x, gnorm, _ = logistic_newton(inst.A, inst.b, np.zeros(inst.n), np.inf, 1e-12, 100)
+    if np.all(inst.b * (inst.A @ x) > 0):
+        # Separable (by the planted point, or by the point Newton reached on
+        # its way to infinity): every per-sample infimum (0) is approached
+        # along t * x, so inf f = 0 though no minimizer exists.
+        return OptimumInfo(0.0, None, "closed_form", 0.0)
     if not gnorm <= _LOGISTIC_REFERENCE_GTOL:
         raise ReferenceSolveError(
             f"logistic reference solve stopped at gradient norm {gnorm:.3e}")
-    return OptimumInfo(fun(res.x), res.x, "high_accuracy_solve", gnorm)
+    return OptimumInfo(objective_value(inst, x), x, "high_accuracy_solve", gnorm)
+
+
+def logistic_newton(A, b, x0, alpha, tol, max_newton):
+    """Damped Newton for (1/2m) sum_i log(1 + exp(-b_i <a_i, x>)) +
+    ||x - x0||^2 / (2 alpha) from x0, m being the number of rows of A.  With
+    alpha = inf the prox term drops out exactly (d / inf = 0).
+
+    Each step solves the n x n Newton system of the Hessian A'WA + I/alpha
+    (W the diagonal of logistic curvatures, positive definite for a finite
+    alpha) and backtracks to the Armijo condition.  Returns (x, gradient
+    norm, iterations) at the first iterate whose gradient norm is at most
+    tol, or after max_newton steps.
+    """
+    m, n = A.shape
+
+    def objective(u, d):  # from margins u = b * Ax and d = x - x0
+        return float(np.logaddexp(0.0, -u).sum()) / (2 * m) + float(d @ d) / (2 * alpha)
+
+    x = x0.copy()
+    iters = 0
+    while True:
+        iters += 1
+        u = b * (A @ x)
+        s = expit(-u)
+        d = x - x0
+        grad = A.T @ (-0.5 * b * s) / m + d / alpha
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= tol or iters > max_newton:
+            return x, gnorm, iters
+        w = 0.5 * s * (1.0 - s) / m  # Hessian weights (b^2 = 1)
+        step = -np.linalg.solve((A.T * w) @ A + np.eye(n) / alpha, grad)
+        f0 = objective(u, d)
+        slope = float(grad @ step)  # minus the squared Newton decrement
+        t = 1.0
+        # A decrease below rounding level cannot be tested; such a step is
+        # tiny (||step||^2 <= alpha * |slope|) and is taken in full.
+        if -slope > 1e-12 * (1.0 + abs(f0)):
+            du = b * (A @ step)
+            while (objective(u + t * du, d + t * step) > f0 + 1e-4 * t * slope
+                   and t > 1e-12):
+                t *= 0.5
+        x = x + t * step
 
 
 def distance_to_optimum(inst: ProblemInstance, x: np.ndarray) -> float:

@@ -6,7 +6,7 @@ model it is the clipped Polyak step; for the average-of-truncated model it
 reduces to a box-constrained QP in the dual; the full proximal model gets an
 exact per-loss solver (linear system, box QP, or damped Newton for a logistic
 batch).  Single-sample proxes reduce to one-dimensional roots along the sample
-direction; the logistic one is found by safeguarded Newton.
+direction; the logistic one is found by monotone Newton on the margin.
 
 One box dual serves pam and the absreg and halfspace batch prox: with
 per-sample rows G = [g_1 ... g_m]' and affine values v_i at the prox center,
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import geometry, models, problems
 
@@ -370,7 +369,8 @@ def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
 
 def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
                        max_newton: int = 100) -> ProxResult:
-    """Full prox step for (1/2m) sum log(1+exp(-b <a,x>)) by damped Newton.
+    """Full prox step for (1/2m) sum log(1+exp(-b <a,x>)) by damped Newton
+    (``problems.logistic_newton``).
 
     Each step solves the n x n Newton system of the prox objective, whose
     Hessian I/alpha + A'WA (W the diagonal of logistic curvatures) is
@@ -383,41 +383,13 @@ def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
     x_k = np.asarray(x_k, dtype=float)
     A_b = np.atleast_2d(np.asarray(A_b, dtype=float))
     b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
-    m, n = A_b.shape
-
-    def objective(u, d):  # prox objective from margins u = b * Ax and d = x - x_k
-        return float(np.logaddexp(0.0, -u).sum()) / (2 * m) + float(d @ d) / (2 * alpha)
-
-    x = x_k.copy()
-    iters = 0
-    while True:
-        iters += 1
-        u = b_b * (A_b @ x)
-        s = expit(-u)
-        d = x - x_k
-        grad = A_b.T @ (-0.5 * b_b * s) / m + d / alpha
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            # (1/alpha)-strong convexity turns the gradient norm into a gap bound.
-            return ProxResult(x, duality_gap=0.5 * alpha * gnorm ** 2,
-                              inner_iterations=iters)
-        if iters > max_newton:
-            raise InnerSolveError(
-                f"logistic prox Newton did not converge (gradient norm {gnorm:.3e})"
-            )
-        w = 0.5 * s * (1.0 - s) / m  # Hessian weights (b^2 = 1)
-        step = -np.linalg.solve((A_b.T * w) @ A_b + np.eye(n) / alpha, grad)
-        f0 = objective(u, d)
-        slope = float(grad @ step)  # minus the squared Newton decrement
-        t = 1.0
-        # A decrease below rounding level cannot be tested; such a step is
-        # tiny (||step||^2 <= alpha * |slope|) and is taken in full.
-        if -slope > 1e-12 * (1.0 + abs(f0)):
-            du = b_b * (A_b @ step)
-            while (objective(u + t * du, d + t * step) > f0 + 1e-4 * t * slope
-                   and t > 1e-12):
-                t *= 0.5
-        x = x + t * step
+    x, gnorm, iters = problems.logistic_newton(A_b, b_b, x_k, alpha, tol, max_newton)
+    if not gnorm <= tol:
+        raise InnerSolveError(
+            f"logistic prox Newton did not converge (gradient norm {gnorm:.3e})"
+        )
+    # (1/alpha)-strong convexity turns the gradient norm into a gap bound.
+    return ProxResult(x, duality_gap=0.5 * alpha * gnorm ** 2, inner_iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -573,46 +545,32 @@ def _twopoint_single_prox(inst, centers, idx, alpha):
 
 
 def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
-    """Safeguarded Newton (rtsafe) for t with x = z - t a minimizing the
-    single-sample logistic prox; az = <a, z>, vectorized over the entries
-    (alpha is a scalar or one stepsize per entry).
+    """t with x = z - t a minimizing the single-sample logistic prox; az =
+    <a, z>, vectorized over the entries (alpha is a scalar or one stepsize
+    per entry).
 
-    The stationarity function phi(t) = t/alpha + (b/2) expit(-b (az - t asq))
-    is strictly increasing, phi'(t) = 1/alpha + (asq/2) s (1 - s) with
-    s = expit(-b (az - t asq)), and its root lies in [-alpha/2, alpha/2].
-    The bracket shrinks by the sign of phi; a Newton iterate that leaves it,
-    or whose step is more than half the previous step, is replaced by
-    bisection.  Stops on phi = 0 or when the step or the bracket falls below
-    1e-15 alpha; raises InnerSolveError if max_iter steps do not get there.
+    Stationarity gives t = -(alpha b / 2) expit(v) at v = -b <a, x> (minus
+    the margin), the root of g(v) = v + c + k expit(v) with c = b az and
+    k = alpha asq / 2.  g is increasing, convex for v <= 0 and concave for
+    v >= 0.  A root above 0 (g(0) < 0) is mapped to one below by the
+    reflection v -> -v, c -> -c - k, which keeps the form of g.  Newton from
+    v = min(-c, 0), where g >= 0, then decreases monotonically to the root
+    without safeguards.  A step is taken only while it moves v left, so each
+    entry ends at a fixed point of its own iteration, whatever the others
+    do; raises InnerSolveError if max_iter steps do not reach one everywhere.
     """
-    xtol = 1e-15 * alpha
-    lo = np.full(b.shape, -0.5 * alpha)
-    hi = np.full(b.shape, 0.5 * alpha)
-    t = np.zeros(b.shape)
-    prev = np.full(b.shape, alpha, dtype=float)  # length of the previous step
-    half_b, half_asq, inv_alpha = 0.5 * b, 0.5 * asq, 1.0 / alpha
-
-    def phi(t):
-        s = expit(b * (t * asq - az))
-        return t * inv_alpha + half_b * s, inv_alpha + half_asq * s * (1.0 - s)
-
-    f, df = phi(t)
-    done = f == 0
+    c = b * az
+    k = 0.5 * alpha * asq
+    flip = c + 0.5 * k < 0
+    c = np.where(flip, -c - k, c)
+    v = np.minimum(-c, 0.0)
     for _ in range(max_iter):
-        neg = f < 0
-        lo = np.where(neg, t, lo)
-        hi = np.where(neg, hi, t)
-        dx = f / df
-        newton = t - dx
-        bisect = (newton < lo) | (newton > hi) | (np.abs(dx + dx) > prev)
-        t_next = np.where(bisect, 0.5 * (lo + hi), newton)
-        prev = np.abs(t_next - t)
-        t = np.where(done, t, t_next)
-        done |= (prev <= xtol) | (hi - lo <= xtol)
-        if done.all():
-            return t
-        f, df = phi(t)
-        done |= f == 0
+        s = problems.expit(v)
+        ks = k * s
+        v_next = v - np.maximum((v + c + ks) / (1.0 + ks * (1.0 - s)), 0.0)
+        if (v_next == v).all():
+            return -0.5 * alpha * b * problems.expit(np.where(flip, -v, v))
+        v = v_next
     raise InnerSolveError("single-sample logistic prox did not converge")
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,23 @@ def small_instances(seed=0):
         problems.generate_problem("twopoint", delta=0.3, radius=2.0, gamma=0.0,
                                   seed=seed + 5),
     ]
+
+
+class TestExpit:
+    def test_exact_limits_without_warnings(self):
+        x = np.array([-np.inf, -800.0, -0.0, 0.0, 800.0, np.inf])
+        with np.errstate(all="raise"):
+            out = problems.expit(x)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.5, 0.5, 1.0, 1.0])
+        assert np.isnan(problems.expit(np.array([np.nan]))[0])
+        assert problems.expit(0.0) == 0.5 and problems.expit(-np.inf) == 0.0
+
+    def test_matches_scipy_to_a_few_ulp(self):
+        x = np.concatenate([np.linspace(-700.0, 700.0, 400_001),
+                            np.random.default_rng(0).standard_normal(1000)])
+        ref = scipy.special.expit(x)
+        ulps = np.abs(problems.expit(x) - ref) / np.spacing(ref)
+        assert ulps.max() <= 4
 
 
 class TestGeneration:
@@ -297,6 +315,23 @@ def primal_lad_lp(inst):
     return problems.objective_value(inst, res.x[:n])
 
 
+def lbfgs_logistic(inst):
+    """Oracle: L-BFGS-B on the logistic objective to a tight gradient
+    tolerance; returns f at the x it finds."""
+    A, b, N = inst.A, inst.b, inst.N
+
+    def fun(x):
+        return float(np.logaddexp(0.0, -(b * (A @ x))).sum()) / (2.0 * N)
+
+    def jac(x):
+        return A.T @ (-0.5 * b * scipy.special.expit(-(b * (A @ x)))) / N
+
+    res = scipy.optimize.minimize(
+        fun, np.zeros(inst.n), jac=jac, method="L-BFGS-B",
+        options={"maxiter": 50_000, "ftol": 0.0, "gtol": 1e-13})
+    return problems.objective_value(inst, res.x)
+
+
 class TestReferenceOptimum:
     @pytest.mark.parametrize("sigma", [0.25, 0.5])
     @pytest.mark.parametrize("N,n", [(4, 3), (30, 5), (60, 10), (200, 20),
@@ -325,15 +360,23 @@ class TestReferenceOptimum:
             problems.reference_optimum(inst)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # Only the absreg and logistic reference solves need scipy.optimize.
+        # Only the noisy-absreg LP loads SciPy: neither the import nor a
+        # logistic or linreg reference solve may load any scipy module.
         src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys, batchprox, batchprox.harness.cli; "
-                "print('scipy.optimize' in sys.modules)")
+        code = (
+            "import sys, batchprox, batchprox.harness.cli\n"
+            "from batchprox import problems\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(scipy_modules())\n"
+            "for kind, kw in [('logistic', {'p': 0.1}), ('linreg', {'sigma': 0.7})]:\n"
+            "    inst = problems.generate_problem(kind, N=100, n=4, seed=29, **kw)\n"
+            "    print(problems.reference_optimum(inst).f_star > 0, scipy_modules())\n")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert out.split("\n") == ["[]", "True []", "True []", ""]
 
     def test_linreg_two_solve_paths_agree(self):
         inst = problems.generate_problem("linreg", N=80, n=7, sigma=0.7, seed=13)
@@ -392,10 +435,36 @@ class TestReferenceOptimum:
 
     def test_unconverged_logistic_solve_raises(self, monkeypatch):
         inst = problems.generate_problem("logistic", N=100, n=4, p=0.1, seed=29)
-        monkeypatch.setattr(scipy.optimize, "minimize", lambda fun, x0, **k: SimpleNamespace(
-            x=np.asarray(x0, dtype=float)))
+        newton = problems.logistic_newton
+
+        def one_step(A, b, x0, alpha, tol, max_newton):
+            return newton(A, b, x0, alpha, tol, 1)
+
+        monkeypatch.setattr(problems, "logistic_newton", one_step)
         with pytest.raises(problems.ReferenceSolveError, match="gradient norm"):
             problems.reference_optimum(inst)
+
+    def test_separable_flipped_logistic(self):
+        # A flipped label that the planted point misclassifies, but another
+        # direction still separates every sample: inf f = 0, unattained.
+        inst = problems.generate_problem("logistic", N=200, n=20, p=0.01, seed=2)
+        assert inst.flips_applied > 0
+        assert not np.all(inst.b * (inst.A @ inst.x_planted) > 0)
+        ref = problems.reference_optimum(inst)
+        assert ref.f_star == 0.0 and ref.x_star is None
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0])
+    @pytest.mark.parametrize("p", [0.01, 0.1])
+    @pytest.mark.parametrize("N,n", [(200, 20), (1000, 40)])
+    def test_logistic_newton_matches_lbfgs_oracle(self, N, n, p, cond):
+        for seed in range(3):
+            inst = problems.generate_problem("logistic", N=N, n=n, p=p, cond=cond,
+                                             seed=seed)
+            ref = problems.reference_optimum(inst)
+            assert ref.f_star <= lbfgs_logistic(inst) + 1e-12 * max(1.0, ref.f_star)
+            assert 0.0 <= ref.tolerance <= 1e-10
+            if ref.x_star is not None:
+                assert ref.f_star == problems.objective_value(inst, ref.x_star)
 
     def test_cached(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.3, seed=1)

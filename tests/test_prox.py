@@ -426,6 +426,19 @@ class TestFullProxSolvers:
         with pytest.raises(prox.InnerSolveError):
             prox._logistic_single_prox_t(b, az, asq, 1.0, max_iter=2)
 
+    def test_logistic_single_prox_entries_do_not_depend_on_the_stack(self):
+        # Every entry stops at a fixed point of its own Newton iteration, so
+        # solving it alone or among others that take more steps agrees.
+        rng = np.random.default_rng(14)
+        b = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+        az = rng.standard_normal(30) * np.repeat([0.1, 10.0, 300.0], 10)
+        asq = 10.0 ** rng.uniform(-3, 3, 30)
+        alpha = 10.0 ** rng.uniform(-3, 4, 30)
+        t = prox._logistic_single_prox_t(b, az, asq, alpha)
+        alone = [prox._logistic_single_prox_t(b[i:i + 1], az[i:i + 1], asq[i:i + 1],
+                                              alpha[i:i + 1])[0] for i in range(30)]
+        np.testing.assert_array_equal(t, alone)
+
 
 class TestDispatcherAndPia:
     def test_shifted_center_truncated(self):
