@@ -35,14 +35,8 @@ def estimate_sigma0(inst, probes, draws: int | None = None,
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     per_probe = np.empty(probes.shape[0])
     for j, x in enumerate(probes):
-        if inst.kind == problems.TWOPOINT:
-            per_probe[j] = _twopoint_grad_variance(inst, x)
-            continue
-        _, grads = problems.batch_losses(inst, x, np.arange(inst.N))
-        gbar = grads.mean(axis=0)
-        if draws is None:
-            per_probe[j] = float(((grads - gbar) ** 2).sum(axis=1).mean())
-        else:
+        gbar, per_probe[j] = _gradient_moments(inst, x)
+        if draws is not None:
             if draws < 2:
                 raise ValueError("need at least 2 draws")
             if rng is None:
@@ -54,11 +48,14 @@ def estimate_sigma0(inst, probes, draws: int | None = None,
     return Sigma0Estimate(float(per_probe[j]), probes[j].copy(), per_probe)
 
 
-def _twopoint_grad_variance(inst, x):
-    _, grads = problems.batch_losses(inst, x, np.arange(2))
-    w = inst.sample_probabilities
-    gbar = w @ grads
-    return float((((grads - gbar) ** 2).sum(axis=1) * w).sum())
+def _gradient_moments(inst, x):
+    """The mean subgradient f'(x) = E F'(x;S) and the variance
+    E||F'(x;S) - f'(x)||^2 under the sampling law, by enumerating the
+    dataset (the two atoms of the two-point family)."""
+    _, grads = problems.batch_losses(inst, x, np.arange(inst.N))
+    w = inst.sample_probabilities  # None: uniform, the plain means
+    gbar = np.average(grads, axis=0, weights=w)
+    return gbar, float(np.average(((grads - gbar) ** 2).sum(axis=1), weights=w))
 
 
 def estimate_noise_to_signal(inst, probes):
@@ -71,13 +68,11 @@ def estimate_noise_to_signal(inst, probes):
     best = -np.inf
     skipped = []
     for j, x in enumerate(probes):
-        _, grads = problems.batch_losses(inst, x, np.arange(inst.N))
-        gbar = grads.mean(axis=0)
+        gbar, var = _gradient_moments(inst, x)
         signal = float(gbar @ gbar)
         if signal <= 1e-300:
             skipped.append(j)
             continue
-        var = float(((grads - gbar) ** 2).sum(axis=1).mean())
         best = max(best, var / signal)
     if not np.isfinite(best):
         raise ValueError("all probes have vanishing mean gradient")
@@ -130,7 +125,7 @@ def estimate_gamma_growth(
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     dirs = directions / np.linalg.norm(directions, axis=1, keepdims=True)
 
-    vals_star = _per_sample_values(inst, x_star)
+    vals_star, _ = problems.batch_losses(inst, x_star, np.arange(inst.N))
     Es, Ds, sems, negative = [], [], [], []
     for r in radii:
         for d in dirs:
@@ -172,28 +167,14 @@ def growth_bound_holds(est: GrowthEstimate, tol_scale: float = 1e-12) -> bool:
     return bool(np.all(est.per_probe_value >= rhs - tol_scale * scale))
 
 
-def _per_sample_values(inst, x):
-    if inst.kind == problems.TWOPOINT:
-        vals, _ = problems.batch_losses(inst, x, np.arange(2))
-    else:
-        vals, _ = problems.batch_losses(inst, x, np.arange(inst.N))
-    return vals
-
-
 def _growth_expectation(inst, x, vals_star, alpha, m, draws, rng):
     """E[(Fbar(x)-Fbar(x*)) min{alpha, ./||Fbar'||^2}] with batch size m."""
     if m == 1:
-        if inst.kind == problems.TWOPOINT:
-            idx = np.arange(2)
-            w = inst.sample_probabilities
-        else:
-            idx = np.arange(inst.N)
-            w = np.full(inst.N, 1.0 / inst.N)
-        vals, grads = problems.batch_losses(inst, x, idx)
-        diff = vals - vals_star[idx]
-        gsq = np.einsum("ij,ij->i", grads, grads)
-        terms = _growth_terms(diff, gsq, alpha)
-        return float(terms @ w), 0.0, bool(np.any(diff < -1e-12))
+        vals, grads = problems.batch_losses(inst, x, np.arange(inst.N))
+        diff = vals - vals_star
+        terms = _growth_terms(diff, np.einsum("ij,ij->i", grads, grads), alpha)
+        return (float(np.average(terms, weights=inst.sample_probabilities)), 0.0,
+                bool(np.any(diff < -1e-12)))
     if draws is None or rng is None:
         raise ValueError("batch-averaged estimation needs draws and an rng")
     terms = np.empty(draws)

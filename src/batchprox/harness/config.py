@@ -21,6 +21,7 @@ alpha0 in {10^(i/2) : i = -4..5}, m in {1,4,8,16,32,64}, 30 seeds.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -31,9 +32,6 @@ DEFAULT_M_GRID = [1, 4, 8, 16, 32, 64]
 DEFAULT_SEEDS = 30
 DEFAULT_EPSILON = 1e-2
 DEFAULT_METHODS = ("sgm", "pia", "pma", "pam", "prox")
-
-_SMOOTH_KINDS = (problems.LINREG, problems.LOGISTIC)
-
 
 class ConfigError(ValueError):
     pass
@@ -121,6 +119,9 @@ class SweepConfig:
             raise ConfigError("epsilon must be positive")
         if self.sample_budget < 1 or self.record_stride < 1:
             raise ConfigError("sample_budget and record_stride must be >= 1")
+        for ps in self.problems:
+            if ps.kind not in problems.KINDS:
+                raise ConfigError(f"unknown problem kind: {ps.kind!r}")
         for ms in self.methods:
             if ms.method not in DEFAULT_METHODS:
                 raise ConfigError(f"unknown method: {ms.method!r}")
@@ -128,14 +129,11 @@ class SweepConfig:
                 raise ConfigError(f"unknown schedule kind: {ms.schedule_kind!r}")
             if ms.schedule_kind == "smooth":
                 for ps in self.problems:
-                    if ps.kind not in _SMOOTH_KINDS:
+                    if not math.isfinite(problems.LOSSES[ps.kind].curvature(ps.gamma)):
                         raise ConfigError(
                             "smoothness-adaptive schedule is invalid for the "
                             f"nonsmooth {ps.kind!r} objective"
                         )
-        for ps in self.problems:
-            if ps.kind not in problems.KINDS:
-                raise ConfigError(f"unknown problem kind: {ps.kind!r}")
         return self
 
 

@@ -550,19 +550,18 @@ def samples_used(k: int, m: int) -> int:
 
 
 def smoothness_constant(inst: problems.ProblemInstance) -> float:
-    """Gradient Lipschitz constant of the empirical objective (smooth losses
-    only): lambda_max(A'A)/N for linear regression, lambda_max(A'A)/(8N)
+    """Gradient Lipschitz constant of the objective (smooth losses only):
+    the loss's curvature bound times lambda_max(A'WA), W the diagonal of the
+    sampling law (1/N per row for a dataset).  That is lambda_max(A'A)/N for
+    linear regression and the power loss at gamma = 1, and lambda_max(A'A)/(8N)
     for the half-weighted logistic loss."""
-    if inst.kind == problems.LINREG:
-        s = np.linalg.svd(inst.A, compute_uv=False)[0]
-        return float(s * s) / inst.N
-    if inst.kind == problems.LOGISTIC:
-        s = np.linalg.svd(inst.A, compute_uv=False)[0]
-        return float(s * s) / (8.0 * inst.N)
-    if inst.kind == problems.POWER and inst.gamma == 1.0:
-        s = np.linalg.svd(inst.A, compute_uv=False)[0]
-        return float(s * s) / inst.N
-    raise ValueError(f"{inst.kind} objective is nonsmooth; no L available")
+    c = problems.LOSSES[inst.kind].curvature(inst.gamma)
+    if not math.isfinite(c):
+        raise ValueError(f"{inst.kind} objective is nonsmooth; no L available")
+    w = inst.sample_probabilities
+    A = inst.A if w is None else np.sqrt(w * inst.N)[:, np.newaxis] * inst.A
+    s = np.linalg.svd(A, compute_uv=False)[0]
+    return float(s * s) * c / inst.N
 
 
 def suggested_eta0(sigma0: float, m: int, R: float, accelerated: bool = False) -> float:

@@ -1,17 +1,20 @@
 """Synthetic stochastic convex problems with known or solvable optima.
 
-Loss conventions (per-sample; the empirical objective averages these over
-the dataset):
+Every per-sample loss depends on x through one scalar of its sample (a, b):
+the residual r = <a,x> - b, or the margin r = b <a,x> for logistic.  The
+table ``LOSSES`` holds each kind's value and slope as functions of that
+scalar (per-sample; the objective averages them over the sampling law):
 
 * ``linreg``     F(x; (a,b)) = (1/2)(<a,x> - b)^2
 * ``absreg``     F(x; (a,b)) = (1/2)|<a,x> - b|
 * ``logistic``   F(x; (a,b)) = (1/2) log(1 + exp(-b <a,x>)),  b in {-1,+1}
 * ``halfspace``  F(x; i)     = dist(x, {y : <a_i,y> <= b_i})
+                             = max(<a_i,x> - b_i, 0) / ||a_i||
 * ``power``      F(x; (a,b)) = |<a,x> - b|^(1+gamma) / (1+gamma)
-* ``twopoint``   one-dimensional two-atom family: the sample is 0 with
-  probability 1-delta (zero loss) and v with probability delta, where
-  F(x; v) = |x - v*R|^(1+gamma) / (1+gamma) and v in {-1,+1} is fixed at
-  generation.
+* ``twopoint``   the power loss on two one-dimensional atoms, a = 0, b = 0
+  (zero loss) with probability 1-delta and a = 1, b = v*R with probability
+  delta, so that F(x; S) = |x - v*R|^(1+gamma) / (1+gamma) on the
+  informative atom; v in {-1,+1} is fixed at generation.
 
 The 1/2 weight on linreg/absreg/logistic makes the empirical objective
 (1/2N)||Ax-b||^2, (1/2N)||Ax-b||_1, and (1/2N) sum log(1+exp(.)).  The
@@ -22,7 +25,9 @@ per-sample infimum 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +41,34 @@ POWER = "power"
 TWOPOINT = "twopoint"
 
 KINDS = (LINREG, ABSREG, LOGISTIC, HALFSPACE, POWER, TWOPOINT)
+
+
+@dataclass(frozen=True)
+class Loss:
+    """A per-sample loss as a function of one scalar r of its sample (a, b):
+    F = value(r, gamma) with subgradient slope(r, gamma) a, where r is the
+    residual <a,x> - b, or the margin b <a,x> when ``margin`` (the slope then
+    takes a factor b).  curvature(gamma) bounds value'', inf for a loss that
+    is not smooth."""
+    value: Callable
+    slope: Callable
+    curvature: Callable
+    margin: bool = False
+
+
+LOSSES = {
+    LINREG: Loss(lambda r, g: 0.5 * r * r, lambda r, g: r, lambda g: 1.0),
+    ABSREG: Loss(lambda r, g: 0.5 * np.abs(r), lambda r, g: 0.5 * np.sign(r),
+                 lambda g: math.inf),
+    LOGISTIC: Loss(lambda u, g: 0.5 * np.logaddexp(0.0, -u),
+                   lambda u, g: -0.5 * expit(-u), lambda g: 0.125, margin=True),
+    HALFSPACE: Loss(lambda r, g: np.where(r > 0, r, 0.0),
+                    lambda r, g: np.where(r > 0, 1.0, 0.0), lambda g: math.inf),
+    POWER: Loss(lambda r, g: np.abs(r) ** (1.0 + g) / (1.0 + g),
+                lambda r, g: np.abs(r) ** g * np.sign(r),
+                lambda g: 1.0 if g == 1.0 else math.inf),
+}
+LOSSES[TWOPOINT] = LOSSES[POWER]
 
 NOISE_NONE = "none"
 NOISE_GAUSSIAN = "gaussian"
@@ -80,7 +113,7 @@ class ReferenceSolveError(RuntimeError):
 @dataclass(eq=False)
 class ProblemInstance:
     kind: str
-    A: np.ndarray  # N x n data matrix (two atoms' loss parameters for twopoint)
+    A: np.ndarray  # N x n data matrix (the two atoms for twopoint)
     b: np.ndarray
     noise: NoiseSpec
     domain: geometry.Domain
@@ -92,7 +125,7 @@ class ProblemInstance:
     radius: float = 0.0
     sign: int = 1  # twopoint atom sign v
     params: dict = field(default_factory=dict)
-    row_norms: np.ndarray | None = None
+    row_norms: np.ndarray | None = None  # halfspace losses divide by these
     flips_applied: int = 0
     _reference: OptimumInfo | None = field(default=None, repr=False)
     _cdf: np.ndarray | None = field(default=None, repr=False)
@@ -229,7 +262,8 @@ def _generate_twopoint(delta: float, radius: float, gamma: float, seed: int) -> 
               "gamma": gamma, "seed": seed}
     # Atom 0 carries zero loss; atom 1 is the informative sample v.
     return ProblemInstance(
-        kind=TWOPOINT, A=np.zeros((2, 1)), b=np.zeros(2), noise=NoiseSpec(),
+        kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
+        noise=NoiseSpec(),
         domain=geometry.all_space(), n=1, N=2,
         x_planted=np.array([v * radius], dtype=float),
         gamma=gamma, delta=delta, radius=radius, sign=v, params=params,
@@ -282,39 +316,18 @@ def stacked_losses(inst: ProblemInstance, X: np.ndarray, idx: np.ndarray):
     Each point's numbers come from per-point stacked products, so they do not
     depend on C or on the other points.  Indices are not validated.
     """
-    if inst.kind == TWOPOINT:
-        g = inst.gamma
-        d = X[:, :1] - inst.sign * inst.radius
-        r = np.abs(d)
-        informative = idx == 1
-        vals = np.where(informative, r ** (1.0 + g) / (1.0 + g), 0.0)
-        slope = np.sign(d) * r ** g
-        return vals, np.where(informative, slope, 0.0)[..., np.newaxis]
+    loss = LOSSES[inst.kind]
     rows = inst.A[idx]
     ax = np.matmul(rows, X[..., np.newaxis])[..., 0]
     b = inst.b[idx]
-    if inst.kind == LINREG:
-        r = ax - b
-        return 0.5 * r * r, rows * r[..., np.newaxis]
-    if inst.kind == ABSREG:
-        r = ax - b
-        return 0.5 * np.abs(r), rows * (0.5 * np.sign(r))[..., np.newaxis]
-    if inst.kind == LOGISTIC:
-        u = b * ax
-        vals = 0.5 * np.logaddexp(0.0, -u)
-        return vals, rows * (-0.5 * b * expit(-u))[..., np.newaxis]
-    if inst.kind == HALFSPACE:
+    r = b * ax if loss.margin else ax - b
+    vals, slope = loss.value(r, inst.gamma), loss.slope(r, inst.gamma)
+    if loss.margin:
+        slope = b * slope
+    if inst.row_norms is not None:
         nrm = inst.row_norms[idx]
-        viol = ax - b
-        active = viol > 0
-        vals = np.where(active, viol, 0.0) / nrm
-        return vals, rows * (active / nrm)[..., np.newaxis]
-    if inst.kind == POWER:
-        r = ax - b
-        g = inst.gamma
-        vals = np.abs(r) ** (1.0 + g) / (1.0 + g)
-        return vals, rows * (np.abs(r) ** g * np.sign(r))[..., np.newaxis]
-    raise AssertionError(inst.kind)  # pragma: no cover
+        vals, slope = vals / nrm, slope / nrm
+    return vals, rows * slope[..., np.newaxis]
 
 
 def loss_eval(inst: ProblemInstance, x: np.ndarray, i: int):
@@ -336,31 +349,21 @@ def objective_value(inst: ProblemInstance, x: np.ndarray) -> float:
 
 
 def objective_values(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """objective_value of each row of X (C, n), from the residuals A x - b
-    of each row (per-row products, so a row's value does not depend on C)."""
-    if inst.kind == TWOPOINT:
-        # Python's float power per row: NumPy's vectorized power can differ
-        # from it in the last bit (also at exponent 2), and a row's value
-        # should be the one a lone point gets.
-        e = 1.0 + inst.gamma
-        r = np.abs(X[:, 0] - inst.sign * inst.radius)
-        return inst.delta * np.array([v ** e for v in r.tolist()]) / e
+    """objective_value of each row of X (C, n), from the residuals (or
+    margins) of each row (per-row products, so a row's value does not depend
+    on C)."""
+    loss = LOSSES[inst.kind]
     ax = np.matmul(inst.A, X[..., np.newaxis])[..., 0]
-    if inst.kind == LINREG:
-        r = ax - inst.b
-        vals = 0.5 * r * r
-    elif inst.kind == ABSREG:
-        vals = 0.5 * np.abs(ax - inst.b)
-    elif inst.kind == LOGISTIC:
-        vals = 0.5 * np.logaddexp(0.0, -(inst.b * ax))
-    elif inst.kind == HALFSPACE:
-        viol = ax - inst.b
-        vals = np.where(viol > 0, viol, 0.0) / inst.row_norms
-    elif inst.kind == POWER:
-        g = inst.gamma
-        vals = np.abs(ax - inst.b) ** (1.0 + g) / (1.0 + g)
-    else:  # pragma: no cover
-        raise AssertionError(inst.kind)
+    r = inst.b * ax if loss.margin else ax - inst.b
+    if inst.kind == TWOPOINT:
+        # Atom 0 has zero loss.  Python's float power per row: NumPy's
+        # vectorized power can differ from it in the last bit (also at
+        # exponent 2), and a row's value should be the one a lone point gets.
+        e = 1.0 + inst.gamma
+        return inst.delta * np.array([abs(v) ** e for v in r[:, 1].tolist()]) / e
+    vals = loss.value(r, inst.gamma)
+    if inst.row_norms is not None:
+        vals = vals / inst.row_norms
     return np.add.reduce(vals, axis=1) / inst.N
 
 
@@ -426,25 +429,19 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
 
 
 def _compute_reference(inst: ProblemInstance) -> OptimumInfo:
-    if inst.kind == TWOPOINT:
-        return OptimumInfo(0.0, inst.x_planted.copy(), "closed_form", 0.0)
-    if inst.kind in (POWER, HALFSPACE):
-        x = inst.x_planted.copy() if inst.kind == POWER else None
+    if inst.kind == LOGISTIC:
+        return _logistic_reference(inst)
+    if inst.noise.kind == NOISE_NONE:
+        # Interpolation: every per-sample loss is 0 at the planted point (on
+        # the whole feasible polyhedron for halfspace, so no single x*).
+        x = None if inst.kind == HALFSPACE else inst.x_planted.copy()
         return OptimumInfo(0.0, x, "closed_form", 0.0)
     if inst.kind == LINREG:
-        if inst.noise.kind == NOISE_NONE:
-            return OptimumInfo(0.0, inst.x_planted.copy(), "closed_form", 0.0)
         xhat, *_ = np.linalg.lstsq(inst.A, inst.b, rcond=None)
         resid = inst.A.T @ (inst.A @ xhat - inst.b) / inst.N
         return OptimumInfo(objective_value(inst, xhat), xhat, "closed_form",
                            float(np.linalg.norm(resid)))
-    if inst.kind == ABSREG:
-        if inst.noise.kind == NOISE_NONE:
-            return OptimumInfo(0.0, inst.x_planted.copy(), "closed_form", 0.0)
-        return _absreg_reference(inst)
-    if inst.kind == LOGISTIC:
-        return _logistic_reference(inst)
-    raise AssertionError(inst.kind)  # pragma: no cover
+    return _absreg_reference(inst)
 
 
 _ABSREG_REFERENCE_GAP = 1e-10

@@ -499,8 +499,6 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     idx = np.asarray(idx, dtype=int)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), idx.shape)
-    if inst.kind == problems.TWOPOINT:
-        return _twopoint_single_prox(inst, centers, idx, alpha)
     if inst.kind != problems.HALFSPACE and not np.all(np.isfinite(alpha)):
         raise ValueError("full prox with infinite stepsize is not supported")
     rows = inst.A[idx]
@@ -520,28 +518,11 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
     elif inst.kind == problems.LOGISTIC:
         az = np.einsum("ij,ij->i", rows, centers)
         t = _logistic_single_prox_t(inst.b[idx], az, asq, alpha)
-    elif inst.kind == problems.POWER:
+    elif inst.kind in (problems.POWER, problems.TWOPOINT):
         t = _power_single_prox_t(r, asq, alpha, inst.gamma)
     else:
         raise ValueError(f"no single-sample prox for kind {inst.kind!r}")
     return centers - t[:, np.newaxis] * rows
-
-
-def _twopoint_single_prox(inst, centers, idx, alpha):
-    out = centers.copy()
-    informative = idx == 1
-    if not np.any(informative):
-        return out
-    r = centers[informative, 0] - inst.sign * inst.radius
-    a = alpha[informative]
-    infinite = ~np.isfinite(a)
-    if np.any(infinite) and inst.gamma != 0.0:
-        raise ValueError("infinite stepsize only supported for gamma = 0 here")
-    t = _power_single_prox_t(r, np.ones_like(r), np.where(infinite, 1.0, a),
-                             inst.gamma)
-    out[informative, 0] = np.where(infinite, inst.sign * inst.radius,
-                                   centers[informative, 0] - t)
-    return out
 
 
 def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):

@@ -81,6 +81,21 @@ class TestNoiseToSignal:
         rho, _ = analysis.estimate_noise_to_signal(inst, x[np.newaxis, :])
         assert rho == pytest.approx(float(expected), rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.1, 0.3])
+    def test_twopoint_follows_the_sampling_law(self, delta):
+        # Atom 0 has gradient 0 and atom 1 gradient g (drawn w.p. delta):
+        # the variance is delta (1 - delta) g^2 and the mean delta g, so
+        # rho = (1 - delta) / delta at every x other than the optimum.
+        inst = problems.generate_problem("twopoint", delta=delta, gamma=0.5,
+                                         radius=1.0, seed=3)
+        x = np.array([inst.sign * 1.0 + 0.7])
+        rho, skipped = analysis.estimate_noise_to_signal(inst, x[np.newaxis, :])
+        assert skipped == []
+        assert rho == pytest.approx((1.0 - delta) / delta, rel=1e-14, abs=0.0)
+        g = 0.7 ** 0.5
+        est = analysis.estimate_sigma0(inst, x[np.newaxis, :])
+        assert est.sigma0_sq == pytest.approx(delta * (1.0 - delta) * g * g, rel=1e-14)
+
     def test_all_probes_degenerate(self):
         inst = problems.generate_problem("halfspace", N=10, n=3, seed=6)
         with pytest.raises(ValueError):

@@ -80,6 +80,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_mod.config_from_dict(data)
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "power", "N": 30, "n": 3, "gamma": 0.5},
+        {"kind": "halfspace", "N": 30, "n": 3},
+        {"kind": "twopoint", "gamma": 0.0}])
+    def test_smooth_schedule_rejected_on_nonsmooth_losses(self, problem):
+        data = dict(TINY_CONFIG, problems=[problem],
+                    methods=[{"method": "pma", "schedule": {"kind": "smooth"}}])
+        with pytest.raises(ConfigError, match="nonsmooth"):
+            config_mod.config_from_dict(data)
+
+    def test_smooth_schedule_sweeps_on_power_gamma_one(self):
+        # The squared residual scaled by 1/2: smooth, with L = lambda_max(A'A)/N.
+        data = dict(TINY_CONFIG, problems=[{"kind": "power", "N": 30, "n": 3, "gamma": 1.0}],
+                    methods=[{"method": "pma", "schedule": {"kind": "smooth"}}],
+                    sample_budget=400)
+        rows = execute_sweep(config_mod.config_from_dict(data), progress=lambda *a: None)
+        assert len(rows) == 1
+        assert rows[0].status in ("converged", "budget")
+        assert math.isfinite(rows[0].final_gap)
+
     @pytest.mark.parametrize("key,grid", [("alpha0_grid", [1.0, 0.5, 1.0]),
                                           ("m_grid", [2, 2]),
                                           ("cond_grid", [1.0, 1])])

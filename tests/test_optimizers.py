@@ -570,7 +570,21 @@ class TestSmoothness:
         s = np.linalg.svd(inst.A, compute_uv=False)[0]
         assert L == pytest.approx(s * s / (8 * inst.N))
 
+    def test_power_gamma_one_constant(self):
+        inst = problems.generate_problem("power", N=40, n=6, gamma=1.0, seed=24)
+        H = inst.A.T @ inst.A / inst.N
+        assert optimizers.smoothness_constant(inst) == pytest.approx(
+            float(np.linalg.eigvalsh(H).max()), rel=1e-10)
+
+    def test_twopoint_constant_follows_the_sampling_law(self):
+        # f(x) = delta |x - vR|^2 / 2 at gamma = 1.
+        inst = problems.generate_problem("twopoint", delta=0.3, gamma=1.0, seed=4)
+        assert optimizers.smoothness_constant(inst) == pytest.approx(0.3, rel=1e-14)
+
     def test_nonsmooth_rejected(self):
-        inst = problems.generate_problem("absreg", N=20, n=3, sigma=0.5, seed=23)
-        with pytest.raises(ValueError):
-            optimizers.smoothness_constant(inst)
+        for inst in (problems.generate_problem("absreg", N=20, n=3, sigma=0.5, seed=23),
+                     problems.generate_problem("power", N=20, n=3, gamma=0.5, seed=23),
+                     problems.generate_problem("halfspace", N=20, n=3, seed=23),
+                     problems.generate_problem("twopoint", gamma=0.0, seed=23)):
+            with pytest.raises(ValueError, match="nonsmooth"):
+                optimizers.smoothness_constant(inst)

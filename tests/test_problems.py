@@ -112,8 +112,6 @@ class TestLossEval:
         # Oracle: central differences of the value function away from kinks.
         rng = np.random.default_rng(11)
         for inst in small_instances(20):
-            if inst.kind == problems.TWOPOINT:
-                continue
             for _ in range(5):
                 x = rng.standard_normal(inst.n)
                 i = int(rng.integers(inst.N))
@@ -128,6 +126,24 @@ class TestLossEval:
                 if abs(vp - 2 * v + vm) > 1e-7:
                     continue
                 assert fd == pytest.approx(float(g @ d), abs=2e-4)
+
+    def test_every_kind_has_a_loss_record(self):
+        assert set(problems.LOSSES) == set(problems.KINDS)
+        for loss in problems.LOSSES.values():
+            assert isinstance(loss, problems.Loss)
+
+    def test_twopoint_is_the_power_loss_on_two_atoms(self):
+        inst = problems.generate_problem("twopoint", delta=0.3, radius=1.7,
+                                         gamma=0.5, seed=5)
+        np.testing.assert_array_equal(inst.A, [[0.0], [1.0]])
+        np.testing.assert_array_equal(inst.b, [0.0, inst.sign * 1.7])
+        x = np.array([0.4])
+        r = 0.4 - inst.sign * 1.7
+        v0, g0 = problems.loss_eval(inst, x, 0)
+        v1, g1 = problems.loss_eval(inst, x, 1)
+        assert (v0, g0.tolist()) == (0.0, [0.0])
+        assert v1 == abs(r) ** 1.5 / 1.5
+        assert g1.tolist() == [np.sign(r) * abs(r) ** 0.5]
 
     def test_halfspace_inside_is_zero(self):
         inst = problems.generate_problem("halfspace", N=20, n=4, seed=6)
@@ -188,12 +204,11 @@ class TestObjective:
     def test_matches_mean_of_loss_eval(self):
         rng = np.random.default_rng(3)
         for inst in small_instances(2):
-            if inst.kind == problems.TWOPOINT:
-                continue
             x = rng.standard_normal(inst.n)
             vals = [problems.loss_eval(inst, x, i)[0] for i in range(inst.N)]
+            # The mean under the sampling law (uniform for a dataset).
             assert problems.objective_value(inst, x) == pytest.approx(
-                float(np.mean(vals)), rel=1e-14
+                float(np.average(vals, weights=inst.sample_probabilities)), rel=1e-14
             )
 
     def test_twopoint_population_objective(self):

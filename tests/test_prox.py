@@ -495,6 +495,23 @@ class TestDispatcherAndPia:
             best = sub[np.argmin(obj)]
             np.testing.assert_allclose(out, best, atol=2e-3)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_twopoint_single_prox_moves_only_on_the_informative_atom(self, gamma):
+        inst = problems.generate_problem("twopoint", delta=0.3, radius=1.5,
+                                         gamma=gamma, seed=2)
+        rng = np.random.default_rng(14)
+        centers = 3.0 * rng.standard_normal((40, 1))
+        idx = rng.integers(0, 2, 40)
+        alpha = rng.uniform(0.1, 5.0, 40)
+        out = prox.single_sample_prox(inst, centers, idx, alpha)
+        on = idx == 1
+        r = centers[on, 0] - inst.sign * 1.5
+        t = prox._power_single_prox_t(r, np.ones_like(r), alpha[on], gamma)
+        np.testing.assert_array_equal(out[on, 0], centers[on, 0] - t)
+        np.testing.assert_array_equal(out[~on], centers[~on])
+        with pytest.raises(ValueError, match="infinite stepsize"):
+            prox.single_sample_prox(inst, centers[:2], np.array([1, 0]), np.inf)
+
     def test_claim1_inequality_on_random_solves(self):
         # model(x+) + psi(x+) <= model(y) + psi(y) - ||y-x+||^2/(2a) + tol
         rng = np.random.default_rng(13)
