@@ -410,16 +410,18 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
     """f* (and x* when unique/known), cached on the instance.
 
     Interpolation instances return 0 directly.  Noisy linear regression is
-    solved by least squares; noisy absolute regression by its n-row dual LP
-    (max b'y s.t. A'y = 0, |y_i| <= 1/(2N)), with x* read from the equality
-    multipliers, f* = f(x*) and the certified duality gap f* - b'y reported
-    as the tolerance; noisy logistic regression by damped Newton on the
-    n x n Hessian A'WA/N (``logistic_newton``) to a gradient norm of 1e-12,
-    reported as the tolerance, and f* = 0 when the planted point or the
-    Newton iterate separates the data.  Raises ReferenceSolveError when the
-    LP fails or leaves a duality gap above 1e-10 * max(1, f*), or when the
-    Newton solve stops with a gradient norm above 1e-8, so that no gap is
-    ever measured against an inexact f*.  Only the LP loads SciPy.
+    solved by least squares; noisy absolute regression by an interior point
+    on its n-row dual LP (max b'y s.t. A'y = 0, |y_i| <= 1/(2N)), then
+    exactly at the vertex x* that interpolates the n rows of smallest
+    residual, with f* = f(x*) and the duality gap f* - b'y of the dual point
+    built on those rows reported as the tolerance; noisy logistic regression
+    by damped Newton on the n x n Hessian A'WA/N (``logistic_newton``) to a
+    gradient norm of 1e-12, reported as the tolerance, and f* = 0 when the
+    planted point or the Newton iterate separates the data.  Raises
+    ReferenceSolveError when that dual point leaves its box by more than
+    1e-12 relative or leaves a duality gap above 1e-10 * max(1, f*), or when
+    the Newton solve stops with a gradient norm above 1e-8, so that no gap
+    is ever measured against an inexact f*.  No reference solve loads SciPy.
     """
     if inst._reference is not None:
         return inst._reference
@@ -448,23 +450,90 @@ _ABSREG_REFERENCE_GAP = 1e-10
 
 
 def _absreg_reference(inst: ProblemInstance) -> OptimumInfo:
-    # The LAD dual has n equality rows where the primal has 2N inequality
-    # rows.  f* is the objective at the x* read from the multipliers of
-    # A'y = 0, so every gap is measured against the value of a real point.
-    import scipy.optimize
-
-    r = 0.5 / inst.N
-    res = scipy.optimize.linprog(-inst.b, A_eq=inst.A.T, b_eq=np.zeros(inst.n),
-                                 bounds=(-r, r), method="highs")
-    if not res.success:
-        raise ReferenceSolveError(f"absreg reference LP failed: {res.message}")
-    x = -res.eqlin.marginals
+    # The LAD dual max b'y s.t. A'y = 0, |y_i| <= r has n equality rows where
+    # the primal has 2N inequality rows, and its optimum is attained at a
+    # vertex x* that interpolates n rows (the basis B).  The interior point
+    # only names B: x* is solved from it exactly, and the dual point built on
+    # it certifies f* = f(x*) by the gap f* - b'y.
+    A, b, r = inst.A, inst.b, 0.5 / inst.N
+    x, u = _lad_interior_point(A, b)
+    basis, q = [], np.zeros((inst.n, 0))
+    for i in np.argsort(np.abs(A @ x - b), kind="stable"):
+        v = A[i] - q @ (q.T @ A[i])
+        v -= q @ (q.T @ v)  # Gram-Schmidt, twice for orthogonality
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9 * np.linalg.norm(A[i]):
+            basis.append(i)
+            q = np.column_stack([q, v / norm])
+            if len(basis) == inst.n:
+                break
+    x = np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+    res = A @ x - b
+    # Off B, complementary slackness fixes y_i = -r sign(res_i), except on
+    # rows that B also interpolates (duplicates of basis rows, or N <= n):
+    # there the interior point's y is kept.
+    zero = np.abs(res) <= 1e-12 * (np.abs(A) @ np.abs(x) + np.abs(b))
+    y = np.where(zero, np.clip(r * (2.0 * u - 1.0), -r, r), -r * np.sign(res))
+    y[basis] = 0.0
+    y[basis] = np.linalg.lstsq(A[basis].T, -(A.T @ y), rcond=None)[0]
+    excess = float(np.max(np.abs(y))) / r - 1.0
+    if not excess <= 1e-12:
+        raise ReferenceSolveError(
+            f"absreg reference dual point lies outside its box by {excess:.3e} (relative)")
     f_star = objective_value(inst, x)
-    gap = f_star + res.fun  # f(x*) minus the dual value b'y
+    gap = f_star - float(b @ np.clip(y, -r, r))
     if not gap <= _ABSREG_REFERENCE_GAP * max(1.0, f_star):
         raise ReferenceSolveError(
             f"absreg reference LP stopped at duality gap {gap:.3e}")
     return OptimumInfo(f_star, x, "high_accuracy_solve", max(gap, 0.0))
+
+
+def _lad_interior_point(A, b):
+    """Mehrotra predictor-corrector on the LAD dual in u = 1/2 + N y:
+    max b'u s.t. A'u = A'1/2, 0 <= u <= 1, paired with the primal x and
+    w - z = b - Ax, w, z >= 0.  The slack s = 1 - u is a variable of its own,
+    so that it keeps its relative accuracy as u nears 1.  Each Newton system
+    is the n x n A'(Theta)A, solved through the triangular factor of
+    sqrt(Theta) A, whose condition number is the square root of the
+    product's.  Returns (x, u) once the complementarity u'z + s'w is
+    1e-12 of the objective, or after 100 iterations."""
+    N = A.shape[0]
+    c = 0.5 * A.sum(axis=0)
+    u, s = np.full(N, 0.5), np.full(N, 0.5)
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    res = b - A @ x
+    shift = float(np.abs(res).mean()) + 1e-300  # w, z > 0 also when Ax = b
+    w, z = np.maximum(res, 0.0) + shift, np.maximum(-res, 0.0) + shift
+
+    def ratio(v, dv):  # the longest step that keeps v positive, capped at 1
+        neg = dv < 0
+        return min(1.0, 0.99995 * float(np.min(-v[neg] / dv[neg], initial=np.inf)))
+
+    for _ in range(100):
+        gap = float(u @ z + s @ w)
+        if gap <= 1e-12 * (1.0 + abs(float(b @ u))):
+            break
+        theta = 1.0 / (z / u + w / s)
+        R = np.linalg.qr(np.sqrt(theta)[:, np.newaxis] * A, mode="r")
+        r_p, r_d = c - A.T @ u, b - A @ x - w + z
+
+        def newton(r_uz, r_sw):  # right-hand sides of U dz + Z du, S dw + W ds
+            t = r_d + r_uz / u - r_sw / s
+            dx = np.linalg.solve(R, np.linalg.solve(R.T, A.T @ (theta * t) - r_p))
+            du = theta * (t - A @ dx)
+            dz, dw = (r_uz - z * du) / u, (r_sw + w * du) / s
+            return (dx, du, dz, dw, min(ratio(u, du), ratio(s, -du)),
+                    min(ratio(z, dz), ratio(w, dw)))
+
+        dx, du, dz, dw, ap, ad = newton(-u * z, -s * w)
+        mu = gap / (2 * N)
+        sigma = (float((u + ap * du) @ (z + ad * dz) + (s - ap * du) @ (w + ad * dw))
+                 / (2 * N) / mu) ** 3
+        dx, du, dz, dw, ap, ad = newton(sigma * mu - u * z - du * dz,
+                                        sigma * mu - s * w + du * dw)
+        u, s = u + ap * du, s - ap * du
+        x, z, w = x + ad * dx, z + ad * dz, w + ad * dw
+    return x, u
 
 
 _LOGISTIC_REFERENCE_GTOL = 1e-8

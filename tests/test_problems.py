@@ -2,7 +2,6 @@ import functools
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -361,22 +360,73 @@ class TestReferenceOptimum:
         assert 0.0 <= ref.tolerance <= 1e-10
         assert ref.method == "high_accuracy_solve"
 
+    @pytest.mark.parametrize("kw", [
+        dict(N=269, n=37, sigma=2.0, cond=10.0, seed=176),
+        dict(N=483, n=32, sigma=2.0, cond=1.0, seed=198),
+        dict(N=1000, n=40, sigma=0.5, cond=1.0, seed=0),
+    ])
+    def test_absreg_optimum_satisfies_kkt(self, kw):
+        # x* interpolates the n rows B of smallest residual, and the dual
+        # point that complementary slackness fixes off B (y_i = -sign(res_i)
+        # / 2N) completes on B to a point inside the box |y_i| <= 1/(2N).
+        inst = problems.generate_problem("absreg", **kw)
+        N, n = inst.N, inst.n
+        res = inst.A @ problems.reference_optimum(inst).x_star - inst.b
+        order = np.argsort(np.abs(res), kind="stable")
+        B, off = order[:n], order[n:]
+        y_off = -np.sign(res[off]) / (2 * N)
+        y_B = np.linalg.solve(inst.A[B].T, -(inst.A[off].T @ y_off))
+        assert 2 * N * np.max(np.abs(y_B)) <= 1.0 + 1e-9
+
+    @given(st.integers(1, 40), st.data(), st.sampled_from([0.25, 0.5, 2.0]),
+           st.sampled_from([1.0, 10.0, 100.0]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_absreg_reference_certifies(self, n, data, sigma, cond, seed):
+        # N = n is the square case below, where f* is 0 up to rounding.
+        N = data.draw(st.integers(n + 1, 1200), label="N")
+        inst = problems.generate_problem("absreg", N=N, n=n, sigma=sigma,
+                                         cond=cond, seed=seed)
+        f_star = self._certified_f_star(inst)
+        assert f_star <= primal_lad_lp(inst) * (1.0 + 1e-12)
+
+    def test_absreg_reference_certifies_duplicated_rows_and_square(self):
+        # The duplicated-row instance of test_analysis.py's
+        # test_duplication_invariance: same optimum as the single copy.
+        doubled = problems.generate_problem("absreg", N=15, n=3, sigma=0.5, seed=5)
+        doubled.A = np.vstack([doubled.A, doubled.A])
+        doubled.b = np.concatenate([doubled.b, doubled.b])
+        doubled.N = 30
+        f_star = self._certified_f_star(doubled)
+        assert f_star <= primal_lad_lp(doubled) * (1.0 + 1e-12)
+        single = problems.generate_problem("absreg", N=15, n=3, sigma=0.5, seed=5)
+        assert f_star == pytest.approx(self._certified_f_star(single), rel=1e-14)
+        for n in (1, 7, 40):  # N = n: x* interpolates every row, f* = 0
+            inst = problems.generate_problem("absreg", N=n, n=n, sigma=0.5,
+                                             cond=100.0, seed=n)
+            assert self._certified_f_star(inst) <= 1e-13
+
+    @staticmethod
+    def _certified_f_star(inst):
+        ref = problems.reference_optimum(inst)
+        assert ref.method == "high_accuracy_solve"
+        assert 0.0 <= ref.tolerance <= 1e-10 * max(1.0, ref.f_star)
+        assert ref.f_star == problems.objective_value(inst, ref.x_star)
+        return ref.f_star
+
     def test_large_absreg_duality_gap_raises(self, monkeypatch):
         inst = problems.generate_problem("absreg", N=30, n=3, sigma=0.5, seed=19)
-        linprog = scipy.optimize.linprog
+        objective_value = problems.objective_value
 
-        def loose(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            res.fun += 1e-6  # a dual value 1e-6 below the optimum
-            return res
+        def loose(inst, x):
+            return objective_value(inst, x) + 1e-6  # f(x*) 1e-6 above b'y
 
-        monkeypatch.setattr(scipy.optimize, "linprog", loose)
+        monkeypatch.setattr(problems, "objective_value", loose)
         with pytest.raises(problems.ReferenceSolveError, match="duality gap"):
             problems.reference_optimum(inst)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # Only the noisy-absreg LP loads SciPy: neither the import nor a
-        # logistic or linreg reference solve may load any scipy module.
+        # Neither the import nor a logistic, linreg or noisy-absreg
+        # reference solve may load any scipy module.
         src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
@@ -386,12 +436,13 @@ class TestReferenceOptimum:
             "def scipy_modules():\n"
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "print(scipy_modules())\n"
-            "for kind, kw in [('logistic', {'p': 0.1}), ('linreg', {'sigma': 0.7})]:\n"
+            "for kind, kw in [('logistic', {'p': 0.1}), ('linreg', {'sigma': 0.7}),\n"
+            "                 ('absreg', {'sigma': 0.5})]:\n"
             "    inst = problems.generate_problem(kind, N=100, n=4, seed=29, **kw)\n"
             "    print(problems.reference_optimum(inst).f_star > 0, scipy_modules())\n")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.split("\n") == ["[]", "True []", "True []", ""]
+        assert out.split("\n") == ["[]", "True []", "True []", "True []", ""]
 
     def test_linreg_two_solve_paths_agree(self):
         inst = problems.generate_problem("linreg", N=80, n=7, sigma=0.7, seed=13)
@@ -442,10 +493,12 @@ class TestReferenceOptimum:
         assert ref.f_star > 0.0
 
     def test_failed_absreg_lp_raises(self, monkeypatch):
+        # An interior point stopped far from the optimum names the wrong
+        # basis: the dual point built on it must leave its box.
         inst = problems.generate_problem("absreg", N=30, n=3, sigma=0.5, seed=19)
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: SimpleNamespace(
-            success=False, message="forced failure"))
-        with pytest.raises(problems.ReferenceSolveError, match="forced failure"):
+        monkeypatch.setattr(problems, "_lad_interior_point", lambda A, b: (
+            np.zeros(A.shape[1]), np.full(A.shape[0], 0.5)))
+        with pytest.raises(problems.ReferenceSolveError, match="outside its box"):
             problems.reference_optimum(inst)
 
     def test_unconverged_logistic_solve_raises(self, monkeypatch):
