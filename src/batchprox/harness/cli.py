@@ -255,7 +255,8 @@ def _cmd_lbtest(args) -> int:
                        list(rep.closed_form_risk), dashed=True),
         ]
         svg.emit_svg(svg.Plot(series, title="Posterior-mean risk",
-                              xlabel="round k", ylabel="risk", ylog=True),
+                              xlabel="round k", ylabel="risk",
+                              ylog=bool(np.all(rep.closed_form_risk > 0))),
                      os.path.join(args.out, "orthcol.svg"))
     else:
         rep = lab.twopoint_lab(args.lambda1, args.gamma, args.rounds,

@@ -154,13 +154,15 @@ class _Recorder:
         opts = self.opts
         every = cells.size == self.count.size
         Xc = X if every else X[cells]
-        gaps = problems.objective_values(self.inst, Xc) - self.f_star
+        if opts.record_average:  # one stacked call; values are per row
+            Xa = X_avg if every else X_avg[cells]
+            both = problems.objective_values(self.inst, np.concatenate([Xc, Xa]))
+            gaps, avg_gaps = np.split(both - self.f_star, 2)
+            self.avg_gaps.append(self._row(cells, avg_gaps))
+        else:
+            gaps = problems.objective_values(self.inst, Xc) - self.f_star
         self.ks.append(k)
         self.gaps.append(self._row(cells, gaps))
-        if opts.record_average:
-            Xa = X_avg if every else X_avg[cells]
-            self.avg_gaps.append(self._row(
-                cells, problems.objective_values(self.inst, Xa) - self.f_star))
         if opts.record_distance:
             self.dists.append(self._row(cells, problems.distances_to_optimum(self.inst, Xc)))
         if opts.snapshot_stride and k % opts.snapshot_stride == 0:

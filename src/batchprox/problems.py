@@ -467,7 +467,9 @@ def _absreg_reference(inst: ProblemInstance) -> OptimumInfo:
             q = np.column_stack([q, v / norm])
             if len(basis) == inst.n:
                 break
-    x = np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+    # LU, not lstsq, on a square basis: lstsq's rounding on B can lift f(x*).
+    x = (np.linalg.solve(A[basis], b[basis]) if len(basis) == inst.n
+         else np.linalg.lstsq(A[basis], b[basis], rcond=None)[0])
     res = A @ x - b
     # Off B, complementary slackness fixes y_i = -r sign(res_i), except on
     # rows that B also interpolates (duplicates of basis rows, or N <= n):

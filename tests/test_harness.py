@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batchprox import analysis, models, optimizers, problems, prox
 from batchprox.harness import (
@@ -283,10 +286,27 @@ class TestLab:
         rep = lab.orthcol_lab(8, 8, rounds=3, trials=50, seed=0)
         np.testing.assert_allclose(rep.empirical_risk, 0.0, atol=1e-30)
         np.testing.assert_allclose(rep.closed_form_risk, 0.0, atol=1e-30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0
+            assert rep.max_relative_error() == 0.0
 
     def test_orthcol_rank_recursion(self):
         rep = lab.orthcol_lab(16, 4, rounds=10, trials=2000, seed=1)
         np.testing.assert_allclose(rep.mean_rank, rep.predicted_rank, rtol=0.02)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data(), rounds=st.integers(1, 6),
+           trials=st.integers(1, 30), seed=st.integers(0, 2**20))
+    def test_orthcol_subset_draws(self, n, data, rounds, trials, seed):
+        m = data.draw(st.integers(1, n))
+        rep = lab.orthcol_lab(n, m, rounds, trials, seed=seed)
+        # Every trial observes m distinct coordinates in its first round.
+        assert rep.mean_rank[0] == m
+        assert np.all(np.diff(rep.mean_rank) >= 0) and np.all(rep.mean_rank <= n)
+        assert np.all(np.diff(rep.empirical_risk) <= 0)
+        assert np.all(rep.empirical_risk >= 0)
+        if m == n:
+            assert np.all(rep.empirical_risk == 0.0)
 
     def test_twopoint_respects_envelope(self):
         rep = lab.twopoint_lab(0.08, 0.0, rounds=15, trials=1500, seed=2)
@@ -426,6 +446,15 @@ class TestCli:
                     ["--kind", "twopoint", "--lambda1", "0.3", "--gamma", "1"],
                     ["--kind", "twopoint", "--gamma", "-0.5"]):
             assert cli.main(["lbtest", *bad, "--out", str(tmp_path)]) == 1
+
+    def test_lbtest_orthcol_full_batch(self, tmp_path, capsys):
+        # m = n observes everything in round 1: zero risk on a linear axis.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["lbtest", "--kind", "orthcol", "--n", "8", "--m",
+                             "8", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "orthcol.svg").exists()
+        assert "max relative risk error: 0.0000" in capsys.readouterr().out
 
     def test_unwritable_out_dir_is_runtime_failure(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -362,6 +362,7 @@ def _assert_same_record(a, b):
     assert (a.status, a.k_converged) == (b.status, b.k_converged)
     np.testing.assert_array_equal(a.ks, b.ks)
     np.testing.assert_array_equal(a.gaps, b.gaps)
+    np.testing.assert_array_equal(a.avg_gaps, b.avg_gaps)
     np.testing.assert_array_equal(a.x_final, b.x_final)
 
 
@@ -508,6 +509,24 @@ class TestLockstep:
             for d, (_, x) in zip(rec.dists, rec.snapshots):
                 assert d == problems.distance_to_optimum(inst, x)
                 assert d == np.linalg.norm(x - x_star)
+
+
+class TestRecordAverage:
+    """The gaps and the averaged gaps come from one stacked evaluation."""
+
+    @pytest.mark.parametrize("kind", sorted(ENGINE_INSTANCES))
+    @pytest.mark.parametrize("method", ["sgm", "pma", "prox"])
+    def test_gaps_do_not_depend_on_record_average(self, kind, method):
+        inst = problems.generate_problem(kind, seed=6, **ENGINE_INSTANCES[kind])
+        with_avg, without = [optimizers.run_base(
+            inst, models.strategy_from_id(method), optimizers.poly_decay(1.0),
+            m=4, n_steps=30, epsilon=1e-300, rng=np.random.default_rng(8),
+            record=optimizers.RecordOptions(record_average=flag))
+            for flag in (True, False)]
+        assert with_avg.gaps.tobytes() == without.gaps.tobytes()
+        assert without.avg_gaps is None
+        last = problems.objective_value(inst, with_avg.x_avg_final) - with_avg.f_star
+        assert with_avg.avg_gaps[-1] == last
 
 
 class TestOneCellApi:

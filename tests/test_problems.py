@@ -405,6 +405,17 @@ class TestReferenceOptimum:
                                              cond=100.0, seed=n)
             assert self._certified_f_star(inst) <= 1e-13
 
+    @pytest.mark.parametrize("kw", [
+        dict(N=20, n=19, sigma=0.25, cond=10.0, seed=480),
+        dict(N=23, n=22, sigma=0.25, cond=1.0, seed=243626041),
+        dict(N=6, n=5, sigma=0.25, cond=100.0, seed=870715804)])
+    def test_absreg_reference_near_square(self, kw):
+        # N = n + 1: f* is one residual, so the rounding left on the basis
+        # rows must stay far below it.  A least-squares basis solve put
+        # f(x*) 1.1e-11, 9.1e-12 and 8.8e-11 relative above the LP oracle.
+        inst = problems.generate_problem("absreg", **kw)
+        assert self._certified_f_star(inst) <= primal_lad_lp(inst) * (1.0 + 1e-12)
+
     @staticmethod
     def _certified_f_star(inst):
         ref = problems.reference_optimum(inst)
