@@ -39,12 +39,6 @@ class DistanceGenerator:
         if self.dim < 1:
             raise ValueError("dimension must be a positive integer")
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x = _check_dim(x, self.dim)
-        if self.kind == EUCLIDEAN:
-            return x.copy()
-        return np.log(np.maximum(x, _ENTROPY_FLOOR)) + 1.0
-
 
 def euclidean(dim: int) -> DistanceGenerator:
     return DistanceGenerator(EUCLIDEAN, dim)

@@ -12,9 +12,9 @@ Strategies:
 * ``pma``   truncated (Polyak) model of the batch average,
 * ``pam``   average of per-sample truncated models,
 * ``prox``  the batch-averaged loss itself,
-* ``pia``   per-sample models solved independently then averaged (handled
-  by the optimizer loop; its single-sample models are batch models with
-  m = 1).
+* ``pia``   per-sample models solved independently then averaged: the m = 1
+  step of its per-sample model from every sample of the batch, averaged,
+  inside ``prox.stacked_step``.
 """
 
 from __future__ import annotations

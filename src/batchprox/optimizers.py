@@ -11,10 +11,11 @@ reads one batch at a time; an attempt takes the cell's next batch and a
 redraw after a solver failure the one after it.  Every stacked product is per
 cell, so a cell's record does not depend on C or on the other cells.  The
 step of a strategy is ``prox.stacked_step``, which ``prox.solve_model_prox``
-also calls for one model.  ``run_base``, ``run_pia`` and ``run_accelerated``
-are one-cell calls; sweeps step the alpha0 cells of a (method, m) group
-together, and the two-point lab steps the trials that share an instance
-together.
+also calls for one model; iterate averaging is the m = 1 step of its
+per-sample model, averaged, inside it.  ``run_base``, ``run_pia`` and
+``run_accelerated`` are one-cell calls; sweeps step the alpha0 cells of a
+(method, m) group together, and the two-point lab steps the trials that share
+an instance together.
 
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
@@ -41,6 +42,7 @@ STATUS_INNERFAIL = "innerfail"
 
 _DIVERGENCE_FACTOR = 1e8
 _INNER_RETRIES = 2
+_INNER_TOL = 1e-9  # stopping tolerance of the iterative prox solvers
 # Indices per cell in one block draw: a cell draws min(n_steps, B // m)
 # batches at a time, so the blocks of C cells hold at most C * B indices.
 _BLOCK_INDICES = 4096
@@ -110,7 +112,6 @@ class RecordOptions:
     stride: int = 1
     record_average: bool = True
     record_distance: bool = False
-    snapshot_stride: int = 0  # 0 disables iterate snapshots
 
 
 @dataclass(eq=False)
@@ -127,7 +128,6 @@ class RunRecord:
     f_star: float
     initial_gap: float
     config: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)
 
 
 class _Recorder:
@@ -140,7 +140,6 @@ class _Recorder:
         self.f_star = f_star
         self.ks, self.gaps, self.avg_gaps, self.dists = [], [], [], []
         self.count = np.zeros(C, dtype=int)
-        self.snapshots = [[] for _ in range(C)]
 
     def _row(self, cells, values):
         if cells.size == self.count.size:
@@ -165,9 +164,6 @@ class _Recorder:
         self.gaps.append(self._row(cells, gaps))
         if opts.record_distance:
             self.dists.append(self._row(cells, problems.distances_to_optimum(self.inst, Xc)))
-        if opts.snapshot_stride and k % opts.snapshot_stride == 0:
-            for c in cells:
-                self.snapshots[c].append((k, X[c].copy()))
         self.count[cells] += 1
         return gaps
 
@@ -186,7 +182,7 @@ class _Recorder:
                 x_final=X[c].copy(),
                 x_avg_final=X_avg[c].copy() if X_avg is not None else None,
                 f_star=self.f_star, initial_gap=float(gap0[c]),
-                config=configs[c], snapshots=self.snapshots[c],
+                config=configs[c],
             ))
         return out
 
@@ -203,8 +199,6 @@ def run_base(
     x0=None,
     h: geometry.DistanceGenerator | None = None,
     full_batch: bool = False,
-    inner_tol: float = 1e-9,
-    debug_checks: bool = False,
 ) -> RunRecord:
     """Base model-based loop: sample a batch, build the model at x_k, solve
     the prox subproblem with alpha_k, and record the objective gap.
@@ -213,16 +207,14 @@ def run_base(
     mirror step); other models require the Euclidean geometry, and on
     constrained domains their unconstrained prox solve is followed by a
     projection.  Iterate averaging (``models.pia``) solves the m
-    single-sample subproblems from x_k and averages them; it does not redraw
-    a batch whose solve fails.
+    single-sample subproblems from x_k and averages them.
 
     Batches are drawn from rng in blocks of consecutive batches on the same
     stream, so the run reads the batches that one draw per step would give;
     rng may be left advanced past the last batch used.
     """
     return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
-                         record=record, x0=x0, h=h, full_batch=full_batch,
-                         inner_tol=inner_tol, debug_checks=debug_checks)[0]
+                         record=record, x0=x0, h=h, full_batch=full_batch)[0]
 
 
 def run_pia(
@@ -254,7 +246,6 @@ def run_accelerated(
     record: RecordOptions | None = None,
     x0=None,
     full_batch: bool = False,
-    inner_tol: float = 1e-9,
 ) -> RunRecord:
     """Three-term accelerated iteration:
 
@@ -271,12 +262,12 @@ def run_accelerated(
     """
     return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
                          accelerated=True, record=record, x0=x0,
-                         full_batch=full_batch, inner_tol=inner_tol)[0]
+                         full_batch=full_batch)[0]
 
 
 def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
                   accelerated=False, record=None, x0=None, h=None,
-                  full_batch=False, inner_tol=1e-9, debug_checks=False) -> list:
+                  full_batch=False) -> list:
     """Run C cells that share the instance, strategy, m and starting point
     and differ in their schedule and generator (cell c uses schedules[c]
     and rngs[c]); returns one RunRecord per cell.
@@ -297,13 +288,10 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     x = np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     x = geometry.project_domain(inst.domain, x)
     f_star = problems.reference_optimum(inst).f_star
-    pia = strategy.scheme == models.ITERATE_AVERAGE
     hgen = h if h is not None else geometry.euclidean(inst.n)
     if accelerated:
         if any(s.kind == POLY_DECAY and math.isinf(s.alpha0) for s in schedules):
             raise ValueError("the accelerated loop requires finite stepsizes")
-        config = {"method": strategy.method_id, "accelerated": True, "m": m_eff,
-                  "epsilon": epsilon, "full_batch": full}
     else:
         geometry.check_compatible(hgen, inst.domain)
         if hgen.kind != geometry.EUCLIDEAN and not (
@@ -312,16 +300,14 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
             raise ValueError("non-Euclidean geometry requires the linear model")
         for s in schedules:
             _check_infinite_alpha(strategy, s)
-        config = {"method": strategy.method_id, "m": m_eff, "epsilon": epsilon,
-                  "full_batch": full}
-        if pia:
-            config["pia_kind"] = strategy.kind
+    config = {"method": strategy.method_id, "accelerated": accelerated, "m": m_eff,
+              "epsilon": epsilon, "full_batch": full}
+    if strategy.scheme == models.ITERATE_AVERAGE:
+        config["pia_kind"] = strategy.kind
     configs = [dict(config, schedule=s) for s in schedules]
-    step = _stepper(inst, strategy, m, n_steps, full, rngs,
-                    prox.stacked_step(inst, strategy, m_eff, inner_tol, hgen),
-                    retries=0 if pia and not accelerated else _INNER_RETRIES,
-                    project=hgen.kind == geometry.EUCLIDEAN,
-                    debug=debug_checks and not (accelerated or pia))
+    step = _stepper(inst, m, n_steps, full, rngs,
+                    prox.stacked_step(inst, strategy, m_eff, _INNER_TOL, hgen),
+                    project=hgen.kind == geometry.EUCLIDEAN)
 
     C = len(schedules)
     X = np.repeat(x[np.newaxis], C, axis=0)
@@ -418,13 +404,12 @@ def _settle(cells, k, gaps, epsilon, limit, status, k_conv):
 _SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
 
 
-def _stepper(inst, strategy, m, n_steps, full, rngs, kernel, retries, project,
-             debug):
+def _stepper(inst, m, n_steps, full, rngs, kernel, project):
     """step(cells, anchors, centers, alpha) -> (new points, ok) for the
     running cells: take each cell's next batch, apply the stacked kernel
-    (a ``prox.stacked_step``), project, and redraw up to ``retries`` times
-    for the cells whose solve failed.  ok is False for a cell whose every
-    attempt failed (its row is then meaningless).
+    (a ``prox.stacked_step``), project, and redraw up to ``_INNER_RETRIES``
+    times for the cells whose solve failed.  ok is False for a cell whose
+    every attempt failed (its row is then meaningless).
 
     A cell's batches come from a (rows, m) block drawn from its generator in
     one call and refilled when used up; the rows are the batches that one
@@ -437,8 +422,6 @@ def _stepper(inst, strategy, m, n_steps, full, rngs, kernel, retries, project,
         rows = max(1, min(n_steps, _BLOCK_INDICES // m))
         blocks = np.empty((C, rows, m), dtype=np.int64)
         pos = np.full(C, rows)  # each cell's next unread row; rows means spent
-    # Probes of their own, so that a debug run reads the batches of a plain one.
-    probe_rng = np.random.default_rng(0) if debug else None
 
     def batches(cells):
         if full:
@@ -457,15 +440,11 @@ def _stepper(inst, strategy, m, n_steps, full, rngs, kernel, retries, project,
         out, good = _apply(kernel, A, Zc, alpha, idx)
         if project:
             out = np.array([geometry.project_domain(inst.domain, x) for x in out])
-        if debug:
-            for i in np.flatnonzero(good):
-                model = models.build_batch_model(inst, A[i], idx[i], strategy)
-                _debug_step_checks(model, Zc[i], out[i], alpha[i], probe_rng)
         return out, good
 
     def step(cells, anchors, centers, alpha):
         new, ok = attempt(cells, anchors, centers, alpha)
-        for _ in range(retries):
+        for _ in range(_INNER_RETRIES):
             if ok.all():
                 break
             bad = np.flatnonzero(~ok)
@@ -497,26 +476,6 @@ def _apply(kernel, A, Zc, alpha, idx):
         except _SOLVER_ERRORS:
             good[i] = False
     return out, good
-
-
-def _debug_step_checks(model, center, x_plus, alpha, rng, n_probes: int = 3,
-                       tol: float = 1e-8):
-    """Optimality of the prox solve via the minimizer inequality: for any y,
-    model(x+) + psi(x+) <= model(y) + psi(y) - ||y - x+||^2/(2 alpha)."""
-    if not math.isfinite(alpha):
-        alpha = 1e12
-    lhs = float(models.evaluate_model(model, x_plus))
-    lhs += float((x_plus - center) @ (x_plus - center)) / (2 * alpha)
-    anchor_val = model.anchor_value
-    if lhs > anchor_val + tol * (1.0 + abs(anchor_val)):
-        raise AssertionError("prox step failed to descend on the model")
-    probes = x_plus + rng.standard_normal((n_probes, x_plus.size))
-    for y in probes:
-        rhs = float(models.evaluate_model(model, y))
-        rhs += float((y - center) @ (y - center)) / (2 * alpha)
-        rhs -= float((y - x_plus) @ (y - x_plus)) / (2 * alpha)
-        if lhs > rhs + tol * (1.0 + abs(rhs)):
-            raise AssertionError("prox step violates the minimizer inequality")
 
 
 def _check_infinite_alpha(strategy, schedule):

@@ -124,7 +124,6 @@ class ProblemInstance:
     delta: float = 0.0
     radius: float = 0.0
     sign: int = 1  # twopoint atom sign v
-    params: dict = field(default_factory=dict)
     row_norms: np.ndarray | None = None  # halfspace losses divide by these
     flips_applied: int = 0
     _reference: OptimumInfo | None = field(default=None, repr=False)
@@ -136,10 +135,6 @@ class ProblemInstance:
         if self.kind == TWOPOINT:
             return np.array([1.0 - self.delta, self.delta])
         return None
-
-    def to_config(self) -> dict:
-        """JSON-serializable description; matrices are regenerated from it."""
-        return dict(self.params)
 
 
 def generate_problem(
@@ -176,10 +171,6 @@ def generate_problem(
         A = _rescale_condition(A, cond)
 
     dom = domain if domain is not None else geometry.all_space()
-    params = {
-        "kind": kind, "N": N, "n": n, "sigma": sigma, "p": p, "cond": cond,
-        "gamma": gamma, "delta": delta, "radius": radius, "seed": seed,
-    }
     flips = 0
 
     if kind == LINREG:
@@ -214,15 +205,11 @@ def generate_problem(
 
     inst = ProblemInstance(
         kind=kind, A=A, b=b, noise=noise, domain=dom, n=n, N=N,
-        x_planted=x_star, gamma=gamma, params=params, flips_applied=flips,
+        x_planted=x_star, gamma=gamma, flips_applied=flips,
     )
     if kind == HALFSPACE:
         inst.row_norms = np.linalg.norm(A, axis=1)
     return inst
-
-
-def from_config(config: dict) -> ProblemInstance:
-    return generate_problem(**config)
 
 
 def make_custom_linreg(A, b, x_planted=None,
@@ -245,7 +232,6 @@ def make_custom_linreg(A, b, x_planted=None,
         kind=LINREG, A=A, b=b, noise=noise,
         domain=domain if domain is not None else geometry.all_space(),
         n=n, N=N, x_planted=x_planted,
-        params={"kind": LINREG, "custom": True, "N": N, "n": n},
     )
 
 
@@ -258,15 +244,13 @@ def _generate_twopoint(delta: float, radius: float, gamma: float, seed: int) -> 
         raise ValueError("gamma must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     v = int(rng.choice([-1, 1]))
-    params = {"kind": TWOPOINT, "delta": delta, "radius": radius,
-              "gamma": gamma, "seed": seed}
     # Atom 0 carries zero loss; atom 1 is the informative sample v.
     return ProblemInstance(
         kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
         noise=NoiseSpec(),
         domain=geometry.all_space(), n=1, N=2,
         x_planted=np.array([v * radius], dtype=float),
-        gamma=gamma, delta=delta, radius=radius, sign=v, params=params,
+        gamma=gamma, delta=delta, radius=radius, sign=v,
     )
 
 

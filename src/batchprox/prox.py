@@ -404,10 +404,21 @@ def stacked_step(inst, strategy, m: int, tol: float, h):
     raises a solver error.  Pass the same array for A and Zc when the prox
     term is centered at the anchor.  Closed forms and the box-QP duals (pam,
     absreg and halfspace prox) run on the whole stack; the logistic Newton
-    solve runs per cell (in full_prox_steps)."""
+    solve runs per cell (in full_prox_steps).  Iterate averaging (pia) is
+    the m = 1 step of its per-sample model applied to every sample, averaged."""
     scheme, kind = strategy.scheme, strategy.kind
     if scheme == models.ITERATE_AVERAGE:
-        return lambda A, Zc, alpha, idx: pia_steps(inst, A, Zc, idx, kind, alpha)
+        # Built here, once per factory call, rather than in every step.
+        single = stacked_step(inst, models.BatchStrategy(models.MODEL_OF_AVERAGE, kind), 1,
+                              tol, h)
+
+        def pia(A, Zc, alpha, idx):
+            C, m = idx.shape
+            anchors = np.repeat(A, m, axis=0)
+            centers = anchors if Zc is A else np.repeat(Zc, m, axis=0)
+            parts = single(anchors, centers, np.repeat(alpha, m), idx.reshape(-1, 1))
+            return np.add.reduce(parts.reshape(C, m, -1), axis=1) / m
+        return pia
     if scheme == models.AVERAGE_OF_TRUNCATED and m > 1:
         def pam(A, Zc, alpha, idx):
             # Per-sample infima are 0: the box dual of the truncated pieces.
@@ -484,14 +495,15 @@ def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized single-sample prox solves (iterate averaging)
+# Vectorized single-sample prox solves (the full prox at m = 1, which iterate
+# averaging takes per sample)
 
 
 def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.ndarray:
     """Exact per-sample full-prox solutions from per-sample centers.
 
     ``centers`` has shape (m, n) (one prox center per sample; iterate
-    averaging passes m copies of the same point) and ``alpha`` is a scalar
+    averaging passes m copies of a cell's point) and ``alpha`` is a scalar
     or one stepsize per sample.  All solves reduce to one-dimensional
     problems along the sample direction, and each row's solution depends
     only on that row.
@@ -580,36 +592,14 @@ def _power_single_prox_t(r, asq, alpha, gamma, iters: int = 100):
 
 def pia_step(inst, x_k, idx, kind: str, alpha) -> np.ndarray:
     """Iterate-averaging update: solve the m single-sample prox subproblems
-    from the same point and average the solutions."""
-    if kind not in models.MODEL_KINDS:
-        raise ValueError(f"unknown per-sample model kind: {kind!r}")
+    from the same point and average the solutions (``stacked_step`` for one
+    cell)."""
     if kind == models.LINEAR and not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("linear model needs a finite positive stepsize")
     x_k = np.asarray(x_k, dtype=float)[np.newaxis]
     idx = np.asarray(idx, dtype=int)[np.newaxis]
-    return pia_steps(inst, x_k, x_k, idx, kind, np.array([alpha], dtype=float))[0]
-
-
-def pia_steps(inst, anchors, centers, idx, kind: str, alpha) -> np.ndarray:
-    """pia_step for C rows at once: per-sample models anchored at anchors
-    (C, n), prox terms centered at centers (C, n), batches idx (C, m) and
-    stepsizes alpha (C,).  The accelerated loop anchors at y and centers at
-    z; otherwise pass the same array for both."""
-    C, m = idx.shape
-    if kind == models.FULL_PROX:
-        parts = single_sample_prox(inst, np.repeat(centers, m, axis=0),
-                                   idx.ravel(), np.repeat(alpha, m))
-        return np.add.reduce(parts.reshape(C, m, -1), axis=1) / m
-    vals, grads = problems.stacked_losses(inst, anchors, idx)
-    if kind == models.LINEAR:
-        return centers - alpha[:, np.newaxis] * (np.add.reduce(grads, axis=1) / m)
-    gsq = np.einsum("cij,cij->ci", grads, grads)
-    gap = vals if centers is anchors else vals + matvec(grads, centers - anchors)
-    if np.any((gsq == 0) & (gap > 1e-12 * (1.0 + np.abs(vals)))):
-        raise DegenerateSampleError("zero per-sample gradient above its infimum")
-    ratio = np.where(gsq > 0, gap / np.where(gsq > 0, gsq, 1.0), 0.0)
-    t = np.minimum(alpha[:, np.newaxis], np.maximum(ratio, 0.0))
-    return centers - np.add.reduce(grads * t[..., np.newaxis], axis=1) / m
+    step = stacked_step(inst, models.pia(kind), idx.shape[1], 1e-9, geometry.euclidean(inst.n))
+    return step(x_k, x_k, np.array([alpha], dtype=float), idx)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -131,28 +131,6 @@ class TestRunBase:
                 assert cur <= prev + 1e-9
                 prev = cur
 
-    def test_debug_checks_pass(self):
-        inst = noisy_linreg(11)
-        rec = optimizers.run_base(inst, models.pam(),
-                                  optimizers.poly_decay(1.0), m=3, n_steps=100,
-                                  epsilon=1e-12, rng=np.random.default_rng(5),
-                                  debug_checks=True)
-        assert rec.status in ("budget", "converged")
-
-    @pytest.mark.parametrize("block", [optimizers._BLOCK_INDICES, 1])
-    def test_debug_checks_do_not_perturb_the_run(self, monkeypatch, block):
-        # block = 1 refills every step, so probes drawn from the cell's own
-        # generator would shift its batches.
-        monkeypatch.setattr(optimizers, "_BLOCK_INDICES", block)
-        inst = noisy_linreg(11)
-        plain, checked = (optimizers.run_base(
-            inst, models.pam(), optimizers.poly_decay(1.0), m=3, n_steps=100,
-            epsilon=1e-12, rng=np.random.default_rng(5), debug_checks=debug)
-            for debug in (False, True))
-        _assert_same_record(plain, checked)
-        np.testing.assert_array_equal(plain.avg_gaps, checked.avg_gaps)
-        np.testing.assert_array_equal(plain.x_avg_final, checked.x_avg_final)
-
     def test_small_consistent_system_solved_in_three_prox_steps(self):
         # m = n full-rank batch on a consistent system: the full proximal
         # step with a large stepsize nails the solution almost immediately.
@@ -173,16 +151,18 @@ class TestRunBase:
                                   record=optimizers.RecordOptions(stride=10))
         assert np.all(rec.gaps >= -1e-8)
 
-    def test_iterate_snapshots(self):
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_one_config_for_both_loops(self, accelerated):
         inst = noisy_linreg(25)
-        rec = optimizers.run_base(
-            inst, models.pma(), optimizers.poly_decay(1.0), m=2, n_steps=50,
-            epsilon=1e-12, rng=np.random.default_rng(8),
-            record=optimizers.RecordOptions(stride=1, snapshot_stride=10),
-        )
-        ks = [k for k, _ in rec.snapshots]
-        assert ks == [0, 10, 20, 30, 40, 50]
-        assert all(x.shape == (6,) for _, x in rec.snapshots)
+        run = optimizers.run_accelerated if accelerated else optimizers.run_base
+        for strat in (models.pma(), models.pia(models.LINEAR)):
+            rec = run(inst, strat, optimizers.poly_decay(0.5), m=2, n_steps=3,
+                      epsilon=1e-12, rng=np.random.default_rng(8))
+            pia = strat.method_id == "pia"
+            assert set(rec.config) == {"method", "accelerated", "m", "epsilon", "full_batch",
+                                       "schedule"} | ({"pia_kind"} if pia else set())
+            assert rec.config["accelerated"] is accelerated
+            assert rec.config.get("pia_kind") == (models.LINEAR if pia else None)
 
     def test_simplex_geometry_linear_model(self):
         dom = geometry.simplex()
@@ -203,14 +183,27 @@ class TestRunBase:
 
 class TestRunPia:
     def test_m1_identical_to_base(self):
-        inst = noisy_linreg(13)
+        # At m = 1, pia takes the step of its per-sample model, so it is that
+        # model's run bit for bit, redraws after a degenerate sample included.
+        # Row 0 of the custom instance is a = 0 with b = 1: a truncated model
+        # there has a zero gradient above its floor.
+        rng = np.random.default_rng(13)
+        A, b = rng.standard_normal((30, 4)), rng.standard_normal(30)
+        A[0], b[0] = 0.0, 1.0
+        instances = [problems.generate_problem("absreg", N=30, n=4, sigma=0.5, seed=13),
+                     problems.make_custom_linreg(A, b)]
+        pairs = [(models.TRUNCATED, models.pma()), (models.LINEAR, models.sgm()),
+                 (models.FULL_PROX, models.full_prox())]
         kw = dict(m=1, n_steps=150, epsilon=1e-12,
                   record=optimizers.RecordOptions(stride=1))
-        a = optimizers.run_pia(inst, models.TRUNCATED,
-                               optimizers.poly_decay(0.7), rng=np.random.default_rng(7), **kw)
-        b = optimizers.run_base(inst, models.pma(), optimizers.poly_decay(0.7),
-                                rng=np.random.default_rng(7), **kw)
-        np.testing.assert_allclose(a.gaps, b.gaps, rtol=1e-12)
+        for inst in instances:
+            for kind, strat in pairs:
+                a = optimizers.run_pia(inst, kind, optimizers.poly_decay(0.7),
+                                       rng=np.random.default_rng(7), **kw)
+                base = optimizers.run_base(inst, strat, optimizers.poly_decay(0.7),
+                                           rng=np.random.default_rng(7), **kw)
+                assert a.status == base.status == optimizers.STATUS_BUDGET, (inst.kind, kind)
+                assert a.gaps.tobytes() == base.gaps.tobytes(), (inst.kind, kind)
 
     def test_linear_kind_equals_sgm(self):
         inst = noisy_linreg(14)
@@ -495,18 +488,22 @@ class TestLockstep:
         ids=["linreg", "twopoint"])
     def test_recorded_distances_are_distance_to_optimum(self, inst):
         # Cells that stop at different steps leave rows of different sets
-        # of running cells; each recorded distance is the lone computation.
+        # of running cells; each recorded distance is the lone computation at
+        # x_k, the final point of a lone run of k steps on the same generator.
         gap0 = float(problems.objective_value(inst, np.zeros(inst.n)))
+        kw = dict(epsilon=0.2 * gap0,
+                  record=optimizers.RecordOptions(stride=2, record_distance=True))
+        schedules = [optimizers.poly_decay(a) for a in (0.05, 1.0, 50.0)]
         recs = optimizers._run_lockstep(
-            inst, models.pma(), [optimizers.poly_decay(a) for a in (0.05, 1.0, 50.0)],
-            1, 24, 0.2 * gap0, [np.random.default_rng(70 + i) for i in range(3)],
-            record=optimizers.RecordOptions(stride=2, record_distance=True,
-                                            snapshot_stride=2))
+            inst, models.pma(), schedules, 1, 24,
+            rngs=[np.random.default_rng(70 + i) for i in range(3)], **kw)
         assert len({r.ks.size for r in recs}) > 1
         x_star = problems.reference_optimum(inst).x_star
-        for rec in recs:
-            assert [k for k, _ in rec.snapshots] == list(rec.ks)
-            for d, (_, x) in zip(rec.dists, rec.snapshots):
+        for i, rec in enumerate(recs):
+            for k, d in zip(rec.ks, rec.dists):
+                x = np.zeros(inst.n) if k == 0 else optimizers.run_base(
+                    inst, models.pma(), schedules[i], 1, int(k),
+                    rng=np.random.default_rng(70 + i), **kw).x_final
                 assert d == problems.distance_to_optimum(inst, x)
                 assert d == np.linalg.norm(x - x_star)
 
