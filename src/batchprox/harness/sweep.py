@@ -11,6 +11,7 @@ lockstep, which leaves every row as it would be run alone.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
 import numpy as np
@@ -121,10 +122,22 @@ def execute_sweep(config: SweepConfig, jobs: int = 1, progress=None):
             progress(i + 1, len(groups))
     else:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms; only pools need it
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, chunk in enumerate(pool.map(_run_instance_group, groups)):
-                rows.extend(chunk)
-                progress(i + 1, len(groups))
+        from multiprocessing import get_context
+        # Spawned workers load NumPy with one BLAS thread each: the jobs
+        # already fill the cores, and the default threads would contend.
+        saved = {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        os.environ.update(dict.fromkeys(saved, "1"))
+        try:
+            with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
+                for i, chunk in enumerate(pool.map(_run_instance_group, groups)):
+                    rows.extend(chunk)
+                    progress(i + 1, len(groups))
+        finally:  # the parent's own environment
+            for var, value in saved.items():
+                os.environ.pop(var)
+                if value is not None:
+                    os.environ[var] = value
     rows.sort(key=lambda r: r.sort_key())
     return rows
 

@@ -78,11 +78,8 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
 
     def alpha(self, k: int) -> float:
-        if self.kind == POLY_DECAY:
-            if self.beta == 0.0:
-                return self.alpha0
-            return self.alpha0 * k ** (-self.beta)
-        return 1.0 / (self.L + self.eta(k))
+        """alpha_k: the one-cell call of the engine's ``_stepsizes``."""
+        return float(_stepsizes([self], False)(k, None)[0])
 
     def eta(self, k: int) -> float:
         if self.kind == POLY_DECAY:
@@ -131,53 +128,57 @@ class RunRecord:
 
 
 class _Recorder:
-    """Recorded gaps of C lockstep cells.  Every record covers the cells
-    still running, so cell c's records are the first count[c] rows."""
+    """Recorded gaps of C lockstep cells in one (records, width) table that
+    grows by doubling: columns [0, C) hold the gaps, [C, 2C) the averaged
+    gaps (with ``record_average``) and the next C the distances (with
+    ``record_distance``).  A record covers the cells still running and
+    leaves NaN in the others' columns, so cell c's records are the first
+    count[c] rows.  The engine keeps X and X_avg as the two halves of one
+    (2C, n) stack, so one ``objective_values`` call on it evaluates the gaps
+    and the averaged gaps, in the table's column order, without a copy."""
 
     def __init__(self, inst, opts: RecordOptions, C: int, f_star: float):
         self.inst = inst
         self.opts = opts
         self.f_star = f_star
-        self.ks, self.gaps, self.avg_gaps, self.dists = [], [], [], []
+        self.stacked = (1 + opts.record_average) * C  # rows of the X stack
+        self.ks = np.zeros(64, dtype=int)
+        self.table = np.full((64, self.stacked + opts.record_distance * C), np.nan)
+        self.rows = 0
         self.count = np.zeros(C, dtype=int)
 
-    def _row(self, cells, values):
-        if cells.size == self.count.size:
-            return values
-        row = np.full(self.count.size, np.nan)
-        row[cells] = values
-        return row
-
-    def record(self, k: int, cells, X, X_avg) -> np.ndarray:
-        """Record the cells' gaps at step k; returns them."""
-        opts = self.opts
-        every = cells.size == self.count.size
-        Xc = X if every else X[cells]
-        if opts.record_average:  # one stacked call; values are per row
-            Xa = X_avg if every else X_avg[cells]
-            both = problems.objective_values(self.inst, np.concatenate([Xc, Xa]))
-            gaps, avg_gaps = np.split(both - self.f_star, 2)
-            self.avg_gaps.append(self._row(cells, avg_gaps))
+    def record(self, k: int, cells, XX) -> np.ndarray:
+        """Record the cells' gaps at step k, XX the (X; X_avg) stack;
+        returns them."""
+        i, C = self.rows, self.count.size
+        if i == self.ks.size:
+            self.ks = np.concatenate([self.ks, self.ks])
+            self.table = np.concatenate([self.table, np.full_like(self.table, np.nan)])
+        if cells.size == C:
+            cols = slice(0, self.stacked)
+            vals = problems.objective_values(self.inst, XX) - self.f_star
+            self.count += 1
         else:
-            gaps = problems.objective_values(self.inst, Xc) - self.f_star
-        self.ks.append(k)
-        self.gaps.append(self._row(cells, gaps))
-        if opts.record_distance:
-            self.dists.append(self._row(cells, problems.distances_to_optimum(self.inst, Xc)))
-        self.count[cells] += 1
-        return gaps
+            cols = np.concatenate([cells, cells + C]) if self.stacked > C else cells
+            vals = problems.objective_values(self.inst, XX[cols]) - self.f_star
+            self.count[cells] += 1
+        self.table[i, cols] = vals
+        if self.opts.record_distance:
+            self.table[i, self.stacked + cells] = problems.distances_to_optimum(
+                self.inst, XX[cells])
+        self.ks[i] = k
+        self.rows += 1
+        return vals[:cells.size]
 
     def finish(self, m_eff, status, k_conv, X, X_avg, gap0, configs) -> list:
-        ks = np.array(self.ks, dtype=int)
-        C = self.count.size
-        tables = [np.concatenate(t).reshape(-1, C) if t else None
-                  for t in (self.gaps, self.avg_gaps, self.dists)]
+        ks, C = self.ks[:self.rows], self.count.size
         out = []
         for c, n in enumerate(self.count):
-            gaps, avg_gaps, dists = [t[:n, c] if t is not None else None
-                                     for t in tables]
+            col = self.table[:n]
             out.append(RunRecord(
-                ks=ks[:n], gaps=gaps, avg_gaps=avg_gaps, dists=dists,
+                ks=ks[:n], gaps=col[:, c],
+                avg_gaps=col[:, C + c] if self.opts.record_average else None,
+                dists=col[:, self.stacked + c] if self.opts.record_distance else None,
                 samples=ks[:n] * m_eff, status=status[c], k_converged=k_conv[c],
                 x_final=X[c].copy(),
                 x_avg_final=X_avg[c].copy() if X_avg is not None else None,
@@ -310,12 +311,12 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
                     project=hgen.kind == geometry.EUCLIDEAN)
 
     C = len(schedules)
-    X = np.repeat(x[np.newaxis], C, axis=0)
+    XX = np.repeat(x[np.newaxis], (1 + opts.record_average) * C, axis=0)
+    X, X_avg = XX[:C], XX[C:] if opts.record_average else None
     Z = X.copy() if accelerated else None
-    X_avg = X.copy() if opts.record_average else None
     rec = _Recorder(inst, opts, C, f_star)
     cells = np.arange(C)  # the cells still running
-    gap0 = rec.record(0, cells, X, X_avg)
+    gap0 = rec.record(0, cells, XX)
     limit = _DIVERGENCE_FACTOR * np.maximum(gap0, 1e-12)
     status = [STATUS_BUDGET] * C
     k_conv = [None] * C
@@ -337,7 +338,7 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
         else:
             anchors = centers = X[run]
         new, ok = step(cells, anchors, centers, alpha)
-        if not ok.all():
+        if ok is not None and not ok.all():
             for c in cells[~ok]:
                 status[c] = STATUS_INNERFAIL
             cells, new = cells[ok], new[ok]
@@ -350,17 +351,17 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
         if X_avg is not None:
             X_avg[run] += (X[run] - X_avg[run]) / k  # mean of x_1 .. x_k
         if k % stride == 0 or k == n_steps:
-            gaps = rec.record(k, cells, X, X_avg)
+            gaps = rec.record(k, cells, XX)
             cells = _settle(cells, k, gaps, epsilon, limit, status, k_conv)
     return rec.finish(m_eff, status, k_conv, X, X_avg, gap0, configs)
 
 
 def _stepsizes(schedules, accelerated):
-    """alphas(k, theta_k) -> the (C,) stepsizes of the cells at step k, equal
-    bit for bit to each schedule's alpha(k); the accelerated loop takes the
-    smoothness-adaptive stepsize 1/(L theta_k + eta(k)).  k^(-beta) is
-    Python's float power, once per distinct beta, because NumPy's vectorized
-    power may differ from it in the last bit."""
+    """alphas(k, theta_k) -> the (C,) stepsizes of the cells at step k, each
+    schedule's alpha(k), which is this call for one cell; the accelerated
+    loop takes the smoothness-adaptive stepsize 1/(L theta_k + eta(k)).
+    k^(-beta) is Python's float power, once per distinct beta, because
+    NumPy's vectorized power may differ from it in the last bit."""
     C = len(schedules)
 
     def rows(keep):
@@ -388,17 +389,20 @@ def _stepsizes(schedules, accelerated):
 
 def _settle(cells, k, gaps, epsilon, limit, status, k_conv):
     """Stop the cells whose recorded gap converged or diverged; returns the
-    cells still running."""
-    converged = gaps <= epsilon
-    diverged = ~converged & (~np.isfinite(gaps) | (gaps > limit[cells]))
-    stop = converged | diverged
-    if not stop.any():
+    cells still running.  A cell runs on iff epsilon < gap < inf and the gap
+    is not above its limit, so a NaN gap stops and a NaN limit stops nothing
+    finite; that test runs first as one comparison chain per cell."""
+    lim = limit[cells]
+    if all(epsilon < g < math.inf and not g > l
+           for g, l in zip(gaps.tolist(), lim.tolist())):
         return cells
+    running = (gaps > epsilon) & (gaps < math.inf) & ~(gaps > lim)
+    converged = gaps <= epsilon
     for c in cells[converged].tolist():
         status[c], k_conv[c] = STATUS_CONVERGED, k
-    for c in cells[diverged].tolist():
+    for c in cells[~(running | converged)].tolist():
         status[c] = STATUS_DIVERGED
-    return cells[~stop]
+    return cells[running]
 
 
 _SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
@@ -408,7 +412,8 @@ def _stepper(inst, m, n_steps, full, rngs, kernel, project):
     """step(cells, anchors, centers, alpha) -> (new points, ok) for the
     running cells: take each cell's next batch, apply the stacked kernel
     (a ``prox.stacked_step``), project, and redraw up to ``_INNER_RETRIES``
-    times for the cells whose solve failed.  ok is False for a cell whose
+    times for the cells whose solve failed.  ok is None when the first
+    stacked attempt succeeded, else a mask that is False for a cell whose
     every attempt failed (its row is then meaningless).
 
     A cell's batches come from a (rows, m) block drawn from its generator in
@@ -445,12 +450,13 @@ def _stepper(inst, m, n_steps, full, rngs, kernel, project):
     def step(cells, anchors, centers, alpha):
         new, ok = attempt(cells, anchors, centers, alpha)
         for _ in range(_INNER_RETRIES):
-            if ok.all():
+            if ok is None or ok.all():
                 break
             bad = np.flatnonzero(~ok)
             A = anchors[bad]
             out, good = attempt(cells[bad], A, A if centers is anchors else centers[bad],
                                 alpha[bad])
+            good = slice(None) if good is None else good
             new[bad[good]] = out[good]
             ok[bad[good]] = True
         return new, ok
@@ -458,11 +464,11 @@ def _stepper(inst, m, n_steps, full, rngs, kernel, project):
 
 
 def _apply(kernel, A, Zc, alpha, idx):
-    """(kernel output, ok mask).  If the stacked kernel raises a solver
-    error, the cells are redone one by one, so only the cells that fail
-    alone are charged with it."""
+    """(kernel output, None) when the stacked kernel succeeds.  If it raises
+    a solver error, the cells are redone one by one, so only the cells that
+    fail alone are charged with it, and the second item is the ok mask."""
     try:
-        return kernel(A, Zc, alpha, idx), np.ones(alpha.size, dtype=bool)
+        return kernel(A, Zc, alpha, idx), None
     except _SOLVER_ERRORS:
         if alpha.size == 1:
             return Zc.copy(), np.zeros(1, dtype=bool)

@@ -110,35 +110,40 @@ def solve_box_qps(Q, v, alpha, lo, hi, tol: float = 1e-9, max_iter: int = 500):
 
     A zero diagonal of Q is a zero row and column: that term is linear, and
     its coordinate is fixed at the endpoint given by the sign of v.  The rest
-    start at their coordinatewise maxima.  An iteration takes the
-    epsilon-active set (coordinates whose own Newton step g_i / (alpha Q_ii)
-    leaves the box) and solves the Newton system of the free block, its
-    diagonal shifted by _NEWTON_REG so that a singular block stays solvable
-    (active coordinates take the diagonal step).  The projected full step is
-    taken when it passes the KKT test or increases the objective by at least
-    _ARMIJO times the first-order increase.  Otherwise free coordinates at a
-    bound that the step pushes out are made active, the system is solved
-    again (a direction in which a singular free block is linear then runs
-    until a coordinate reaches its bound), and the step maximizes the
-    objective along the projection arc.
+    start at their coordinatewise maxima; when every cell's start passes the
+    KKT test, the call returns it with 0 iterations before it builds any
+    Newton matrix.  An iteration takes the epsilon-active set (coordinates
+    whose own Newton step g_i / (alpha Q_ii) leaves the box) and solves the
+    Newton system of the free block, its diagonal shifted by _NEWTON_REG so
+    that a singular block stays solvable (active coordinates take the
+    diagonal step).  The projected full step is taken when it passes the KKT
+    test or increases the objective by at least _ARMIJO times the
+    first-order increase.  Otherwise free coordinates at a bound that the
+    step pushes out are made active, the system is solved again (a
+    direction in which a singular free block is linear then runs until a
+    coordinate reaches its bound), and the step maximizes the objective
+    along the projection arc.
     """
     C, m = v.shape
     iters, res = np.zeros(C, dtype=int), np.zeros(C)
-    lam_out = np.zeros((C, m))
     aQ = alpha[:, np.newaxis, np.newaxis] * Q
     scale = np.diagonal(aQ, axis1=1, axis2=2).copy()  # curvature of each coordinate
     fixed = (scale <= 0.0) | (lo == hi)
     scale[fixed] = 1.0
     lam = np.minimum(np.maximum(v / scale, lo), hi)
-    lam = np.where(fixed & (v > 0), hi, np.where(fixed & (v < 0), lo, lam))
+    if fixed.any():
+        lam = np.where(fixed & (v > 0), hi, np.where(fixed & (v < 0), lo, lam))
     unbounded = np.isinf(lam).any(axis=1)
     lam[unbounded] = 0.0
+    g = _ascent(aQ, v, lam)
+    r = np.where(unbounded, np.nan, _kkt(g, lam, lo, hi)) if m else res.copy()
+    if (r <= tol).all():  # the coordinatewise maxima already pass
+        return lam, iters, r
     # Newton matrices: `shifted` on free x free entries, `lone` elsewhere.
     shifted, lone = aQ.copy(), np.zeros_like(aQ)
     shifted.reshape(C, -1)[:, ::m + 1] = scale * (1.0 + _NEWTON_REG)
     lone.reshape(C, -1)[:, ::m + 1] = scale
-    g = _ascent(aQ, v, lam)
-    r = np.where(unbounded, np.nan, _kkt(g, lam, lo, hi)) if m else res.copy()
+    lam_out = np.zeros((C, m))
     cells, const = np.arange(C), (aQ, shifted, lone, v, lo, hi, scale, fixed)
     for it in range(max_iter + 1):
         stop = ~(r > tol)  # converged, or failed (nan)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -161,6 +163,36 @@ class TestSweep:
         write_csv(rows1, p1)
         write_csv(rows2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_jobs_two_writes_the_one_thread_csv(self, tmp_path):
+        # The workers start with one BLAS thread whatever the parent's
+        # environment says, so --jobs 2 writes the bytes of a --jobs 1 run
+        # with OPENBLAS_NUM_THREADS=1.
+        data = dict(TINY_CONFIG, seeds=2, sample_budget=400, alpha0_grid=[0.5, 2.0],
+                    problems=[{"kind": "logistic", "N": 200, "n": 8, "p": 0.1},
+                              {"kind": "absreg", "N": 200, "n": 8, "sigma": 0.5}],
+                    methods=[{"method": "pma"}, {"method": "prox"}])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(src),
+                                             os.environ.get("PYTHONPATH", "")])
+        for jobs, extra in ((1, {"OPENBLAS_NUM_THREADS": "1"}), (2, {})):
+            subprocess.run([sys.executable, "-m", "batchprox.harness", "sweep",
+                            "--config", json.dumps(data), "--jobs", str(jobs),
+                            "--out", str(tmp_path / f"jobs{jobs}")],
+                           env=dict(env, **extra), check=True, capture_output=True)
+        one = (tmp_path / "jobs1" / "sweep.csv").read_bytes()
+        assert one.count(b"\n") == 1 + 2 * 2 * 2 * 2
+        assert (tmp_path / "jobs2" / "sweep.csv").read_bytes() == one
+
+    def test_parallel_sweep_restores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        execute_sweep(config_mod.config_from_dict(dict(TINY_CONFIG, seeds=2)), jobs=2,
+                      progress=quiet)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_master_seed_changes_results(self):
         cfg1 = config_mod.config_from_dict(TINY_CONFIG)

@@ -508,6 +508,71 @@ class TestLockstep:
                 assert d == np.linalg.norm(x - x_star)
 
 
+class TestRecorder:
+    """The recorder's tables: each cell's columns are its lone run's records."""
+
+    def test_cells_stopping_at_different_steps_match_their_lone_runs(self, monkeypatch):
+        # sgm on one instance: alpha0 = 0.01 runs out of budget, 0.5 and 0.1
+        # converge at different steps, 5 diverges, and 2 fails every attempt
+        # of its fifth step.  The budget cell takes 81 records, so the tables
+        # grow past their first allocation.
+        real, doomed = prox.stacked_step, 2.0 * 5 ** -0.5
+
+        def stacked_step(*args):
+            kernel = real(*args)
+
+            def step(A, Zc, alpha, idx):
+                if np.any(alpha == doomed):
+                    raise prox.InnerSolveError("forced")
+                return kernel(A, Zc, alpha, idx)
+            return step
+
+        monkeypatch.setattr(prox, "stacked_step", stacked_step)
+        inst = noisy_linreg(30)
+        gap0 = problems.objective_value(inst, np.zeros(inst.n)) \
+            - problems.reference_optimum(inst).f_star
+        alphas = [0.01, 0.5, 5.0, 2.0, 0.1]
+        kw = dict(m=2, n_steps=240, epsilon=0.02 * gap0,
+                  record=optimizers.RecordOptions(stride=3, record_average=True,
+                                                  record_distance=True))
+        group = optimizers._run_lockstep(
+            inst, models.sgm(), [optimizers.poly_decay(a) for a in alphas],
+            rngs=[np.random.default_rng(40 + i) for i in range(len(alphas))], **kw)
+        assert [r.status for r in group] == ["budget", "converged", "diverged",
+                                             "innerfail", "converged"]
+        assert len({r.ks.size for r in group}) == len(alphas)
+        assert group[0].ks.size == 81
+        for i, (a, rec) in enumerate(zip(alphas, group)):
+            alone = optimizers._run_lockstep(
+                inst, models.sgm(), [optimizers.poly_decay(a)],
+                rngs=[np.random.default_rng(40 + i)], **kw)[0]
+            assert (rec.status, rec.k_converged) == (alone.status, alone.k_converged)
+            for name in ("ks", "gaps", "avg_gaps", "dists", "samples", "x_final",
+                         "x_avg_final"):
+                x, y = getattr(rec, name), getattr(alone, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+
+    def test_tables_grow_with_the_records_not_the_budget(self, monkeypatch):
+        made = []
+
+        class Recorder(optimizers._Recorder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(optimizers, "_Recorder", Recorder)
+        inst = noisy_linreg(31)
+        gap0 = problems.objective_value(inst, np.zeros(inst.n)) \
+            - problems.reference_optimum(inst).f_star
+        rec = optimizers.run_base(inst, models.strategy_from_id("prox"),
+                                  optimizers.poly_decay(20.0), m=inst.N, n_steps=10 ** 9,
+                                  epsilon=0.1 * gap0, rng=np.random.default_rng(3))
+        assert rec.status == "converged" and rec.k_converged <= 3
+        assert rec.ks.tolist() == list(range(rec.k_converged + 1))
+        assert made[0].ks.size <= 64 and made[0].table.shape[0] <= 64
+
+
 class TestRecordAverage:
     """The gaps and the averaged gaps come from one stacked evaluation."""
 

@@ -209,6 +209,61 @@ class TestProjectedNewton:
             assert iters[c] == info.sweeps
             assert res[c] == info.residual
 
+    def test_cells_that_pass_at_the_start_equal_lone_solves(self, monkeypatch):
+        # Diagonal Q: the coordinatewise maxima are the solution (with zero
+        # diagonals fixed at an endpoint), so those cells take 0 iterations.
+        # Full-rank Q needs Newton steps; rank-2 Q at m = 6 needs arc steps.
+        arcs = []
+        real_arc = prox._arc_max
+
+        def counting_arc(aQ, *args):
+            arcs.append(aQ.shape[0])
+            return real_arc(aQ, *args)
+
+        def cell(rng, kind, m=6):
+            if kind == "diag":
+                Q = np.diag(rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8))
+            else:
+                G = rng.standard_normal((m, 8 if kind == "full" else 2))
+                Q = G @ G.T
+            lo, hi = ((-0.5 / m, 0.5 / m) if rng.random() < 0.5 else (0.0, 1.0 / m))
+            return (Q, rng.uniform(-1.0, 2.0, m), 10.0 ** rng.uniform(-1.0, 3.0),
+                    np.full(m, lo), np.full(m, hi))
+
+        def solve(cells):
+            Q, v, alpha, lo, hi = (np.array(part) for part in zip(*cells))
+            return prox.solve_box_qps(Q, v, alpha, lo, hi, 1e-9)
+
+        monkeypatch.setattr(prox, "_arc_max", counting_arc)
+        stacks = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            kinds = ["diag"] * 5 + ["full"] * 5 + ["low"] * 10
+            order = rng.permutation(len(kinds))
+            stacks.append([(kinds[i], cell(rng, kinds[i])) for i in order])
+        rng = np.random.default_rng(9)
+        stacks.append([("diag", cell(rng, "diag")) for _ in range(3)])
+        most = 0
+        for stack in stacks:
+            del arcs[:]
+            kinds, cells = zip(*stack)
+            lam, iters, res = solve(cells)
+            # A stack of passing cells returns before any Newton step.
+            assert (sum(arcs) > 0) == (set(kinds) != {"diag"})
+            for c, one in enumerate(cells):
+                lam1, iters1, res1 = solve([one])
+                assert lam[c].tobytes() == lam1[0].tobytes()
+                assert iters[c] == iters1[0] and res[c] == res1[0]
+                if kinds[c] == "diag":
+                    assert iters[c] == 0 and res[c] <= 1e-9
+            assert np.all(res <= 1e-9)
+            most = max(most, iters.max())
+        assert most >= 2
+        lam, iters, res = prox.solve_box_qps(np.zeros((2, 0, 0)), np.zeros((2, 0)),
+                                             np.ones(2), np.zeros((2, 0)),
+                                             np.zeros((2, 0)), 1e-9)
+        assert lam.shape == (2, 0) and iters.tolist() == [0, 0] and res.tolist() == [0, 0]
+
     def test_box_dual_steps_stack_and_failure(self):
         rng = np.random.default_rng(21)
         C, m, n = 4, 6, 3
