@@ -399,8 +399,8 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
     exactly at the vertex x* that interpolates the n rows of smallest
     residual, with f* = f(x*) and the duality gap f* - b'y of the dual point
     built on those rows reported as the tolerance; noisy logistic regression
-    by damped Newton on the n x n Hessian A'WA/N (``logistic_newton``) to a
-    gradient norm of 1e-12, reported as the tolerance, and f* = 0 when the
+    by the one-cell, alpha = inf call of ``logistic_newton`` (n x n Newton) to
+    a gradient norm of 1e-12, reported as the tolerance, and f* = 0 when the
     planted point or the Newton iterate separates the data.  Raises
     ReferenceSolveError when that dual point leaves its box by more than
     1e-12 relative or leaves a duality gap above 1e-10 * max(1, f*), or when
@@ -528,7 +528,8 @@ _LOGISTIC_REFERENCE_GTOL = 1e-8
 def _logistic_reference(inst: ProblemInstance) -> OptimumInfo:
     x, gnorm = inst.x_planted, 0.0
     if not np.all(inst.b * (inst.A @ x) > 0):
-        x, gnorm, _ = logistic_newton(inst.A, inst.b, np.zeros(inst.n), np.inf, 1e-12, 100)
+        (x,), (gnorm,), _ = logistic_newton(inst.A[np.newaxis], inst.b[np.newaxis],
+                                            np.zeros((1, inst.n)), np.array([np.inf]), 1e-12, 100)
     if np.all(inst.b * (inst.A @ x) > 0):
         # Separable (by the planted point, or by the point Newton reached on
         # its way to infinity): every per-sample infimum (0) is approached
@@ -537,49 +538,66 @@ def _logistic_reference(inst: ProblemInstance) -> OptimumInfo:
     if not gnorm <= _LOGISTIC_REFERENCE_GTOL:
         raise ReferenceSolveError(
             f"logistic reference solve stopped at gradient norm {gnorm:.3e}")
-    return OptimumInfo(objective_value(inst, x), x, "high_accuracy_solve", gnorm)
+    return OptimumInfo(objective_value(inst, x), x, "high_accuracy_solve", float(gnorm))
 
 
-def logistic_newton(A, b, x0, alpha, tol, max_newton):
-    """Damped Newton for (1/2m) sum_i log(1 + exp(-b_i <a_i, x>)) +
-    ||x - x0||^2 / (2 alpha) from x0, m being the number of rows of A.  With
-    alpha = inf the prox term drops out exactly (d / inf = 0).
+def logistic_newton(A, b, X0, alpha, tol, max_newton):
+    """Damped Newton on C cells: cell c minimizes (1/2m) sum_i log(1 +
+    exp(-b_ci <a_ci, x>)) + ||x - X0_c||^2 / (2 alpha_c) (A (C, m, n), b (C, m),
+    X0 (C, n), alpha (C,); inf drops the prox term).  The Newton system is
+    I + alpha B B' (B = W^1/2 A, W the curvatures; Woodbury) when m < n and
+    every alpha is finite, else A'WA + I/alpha with A'WA an einsum, whose sums
+    the code orders, not the BLAS thread split.  Each cell backtracks (Armijo)
+    and stops on its own at gradient norm <= tol or after max_newton steps;
+    all products are per cell.  Returns (X, gradient norms, iterations)."""
+    from .prox import matvec, rowdot
+    C, m, n = A.shape
+    X, gnorm, iters = np.empty_like(X0), np.empty(C), np.empty(C, dtype=int)
+    At = np.ascontiguousarray(A.transpose(0, 2, 1))  # einsum sums over contiguous rows
+    run, x0, x, a, nb = np.arange(C), X0, X0, alpha[:, np.newaxis], -b  # the running cells
 
-    Each step solves the n x n Newton system of the Hessian A'WA + I/alpha
-    (W the diagonal of logistic curvatures, positive definite for a finite
-    alpha) and backtracks to the Armijo condition.  Returns (x, gradient
-    norm, iterations) at the first iterate whose gradient norm is at most
-    tol, or after max_newton steps.
-    """
-    m, n = A.shape
+    def objective(z, d):  # per running cell, from z = -b * Ax and d = x - x0
+        return np.add.reduce(np.logaddexp(0.0, z), axis=1) / (2 * m) + rowdot(d, d) / (2 * alpha)
 
-    def objective(u, d):  # from margins u = b * Ax and d = x - x0
-        return float(np.logaddexp(0.0, -u).sum()) / (2 * m) + float(d @ d) / (2 * alpha)
-
-    x = x0.copy()
-    iters = 0
-    while True:
-        iters += 1
-        u = b * (A @ x)
-        s = expit(-u)
+    for k in range(1, max_newton + 2):  # every cell stops by k = max_newton + 1
+        z = nb * matvec(A, x)  # minus the margins
+        s = expit(z)
         d = x - x0
-        grad = A.T @ (-0.5 * b * s) / m + d / alpha
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol or iters > max_newton:
-            return x, gnorm, iters
-        w = 0.5 * s * (1.0 - s) / m  # Hessian weights (b^2 = 1)
-        step = -np.linalg.solve((A.T * w) @ A + np.eye(n) / alpha, grad)
-        f0 = objective(u, d)
-        slope = float(grad @ step)  # minus the squared Newton decrement
-        t = 1.0
+        grad = matvec(At, nb * s) * (0.5 / m) + d / a
+        g = np.sqrt(rowdot(grad, grad))
+        stop = g <= tol if k <= max_newton else np.ones(run.size, dtype=bool)
+        if stop.any():
+            X[run[stop]], gnorm[run[stop]], iters[run[stop]] = x[stop], g[stop], k
+            if stop.all():
+                return X, gnorm, iters
+            keep = np.flatnonzero(~stop)
+            run, A, At, nb, x0, alpha, a, x, z, s, d, grad = (
+                v.take(keep, axis=0) for v in (run, A, At, nb, x0, alpha, a, x, z, s, d, grad))
+        w = s * (1.0 - s) * (0.5 / m)  # Hessian weights (b^2 = 1)
+        if m < n and np.isfinite(alpha).all():  # Woodbury
+            Bt = np.sqrt(w)[:, np.newaxis] * At
+            K = np.matmul(Bt.transpose(0, 2, 1), a[..., np.newaxis] * Bt)
+            K.reshape(run.size, -1)[:, ::m + 1] += 1.0  # I + alpha B B'
+            y = np.linalg.solve(K, matvec(Bt.transpose(0, 2, 1), grad)[..., np.newaxis])[..., 0]
+            step = a * (a * matvec(Bt, y) - grad)
+        else:
+            H = np.einsum("cik,cjk->cij", At * w[:, np.newaxis], At)
+            H.reshape(run.size, -1)[:, ::n + 1] += 1.0 / a
+            step = -np.linalg.solve(H, grad[..., np.newaxis])[..., 0]
+        f0, slope = objective(z, d), rowdot(grad, step)  # slope: minus the squared decrement
         # A decrease below rounding level cannot be tested; such a step is
         # tiny (||step||^2 <= alpha * |slope|) and is taken in full.
-        if -slope > 1e-12 * (1.0 + abs(f0)):
-            du = b * (A @ step)
-            while (objective(u + t * du, d + t * step) > f0 + 1e-4 * t * slope
-                   and t > 1e-12):
-                t *= 0.5
-        x = x + t * step
+        back, t = -slope > 1e-12 * (1.0 + np.abs(f0)), np.ones(run.size)
+        if back.any():
+            dz, armijo = nb * matvec(A, step), 1e-4 * slope
+            trial = z + dz, d + step  # t = 1
+            for _ in range(40):  # halve while t > 1e-12, that is, at most 40 times
+                back &= objective(*trial) > f0 + t * armijo
+                if not back.any():
+                    break
+                t[back] *= 0.5
+                trial = z + t[:, np.newaxis] * dz, d + t[:, np.newaxis] * step
+        x = x + t[:, np.newaxis] * step
 
 
 def distance_to_optimum(inst: ProblemInstance, x: np.ndarray) -> float:

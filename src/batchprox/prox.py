@@ -4,9 +4,9 @@ Each outer iteration minimizes ``model(x) + ||x - center||^2 / (2 alpha)``.
 For the linear model this is a (projected) gradient step; for the truncated
 model it is the clipped Polyak step; for the average-of-truncated model it
 reduces to a box-constrained QP in the dual; the full proximal model gets an
-exact per-loss solver (linear system, box QP, or damped Newton for a logistic
-batch).  Single-sample proxes reduce to one-dimensional roots along the sample
-direction; the logistic one is found by monotone Newton on the margin.
+exact per-loss solver (linear system, box QP, or one damped Newton in min(m, n)
+dimensions for a stack of logistic batches).  Single-sample proxes are 1-d roots
+along the sample direction, the logistic one by monotone Newton on the margin.
 
 One box dual serves pam and the absreg and halfspace batch prox: with
 per-sample rows G = [g_1 ... g_m]' and affine values v_i at the prox center,
@@ -322,13 +322,17 @@ def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
     Solves the m x m system (Woodbury) when m < n, else the n x n normal
     system; the operator I/alpha + A'A/m is always positive definite.
     """
+    return linreg_prox_stacked(*_one_cell("prox_step_linreg", x_k, A_b, b_b, alpha))[0]
+
+
+def _one_cell(name, x_k, A_b, b_b, alpha):
+    """The one-cell stacks (center, batch rows, labels, stepsize) of a batch
+    prox's arguments; raises ValueError unless alpha is finite and positive."""
     if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("prox_step_linreg needs a finite positive stepsize")
-    x_k = np.asarray(x_k, dtype=float)
-    A_b = np.atleast_2d(np.asarray(A_b, dtype=float))
-    b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
-    return linreg_prox_stacked(x_k[np.newaxis], A_b[np.newaxis],
-                               b_b[np.newaxis], np.array([alpha], dtype=float))[0]
+        raise ValueError(f"{name} needs a finite positive stepsize")
+    return (np.asarray(x_k, dtype=float)[np.newaxis],
+            np.atleast_2d(np.asarray(A_b, dtype=float))[np.newaxis],
+            np.atleast_1d(np.asarray(b_b, dtype=float))[np.newaxis], np.array([float(alpha)]))
 
 
 def linreg_prox_stacked(X, A, B, alpha) -> np.ndarray:
@@ -362,39 +366,29 @@ def matvec(M, V):
 def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
     """Full prox step for (1/2m)||Ax - b||_1 via the dual box QP over
     [-1/(2m), 1/(2m)]; x+ = x_k - alpha A' lam."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("prox_step_absreg needs a finite positive stepsize")
-    x_k = np.asarray(x_k, dtype=float)
-    A_b = np.atleast_2d(np.asarray(A_b, dtype=float))
-    b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
-    c = 0.5 / A_b.shape[0]
-    return _first(box_dual_steps(x_k[np.newaxis], A_b[np.newaxis], (A_b @ x_k - b_b)[np.newaxis],
-                                 np.array([alpha], dtype=float), -c, c, tol))
+    X, A, B, stepsizes = _one_cell("prox_step_absreg", x_k, A_b, b_b, alpha)
+    c = 0.5 / A.shape[1]
+    return _first(box_dual_steps(X, A, matvec(A, X) - B, stepsizes, -c, c, tol))
 
 
 def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
                        max_newton: int = 100) -> ProxResult:
-    """Full prox step for (1/2m) sum log(1+exp(-b <a,x>)) by damped Newton
-    (``problems.logistic_newton``).
-
-    Each step solves the n x n Newton system of the prox objective, whose
-    Hessian I/alpha + A'WA (W the diagonal of logistic curvatures) is
-    positive definite for every batch shape.  Stops when the gradient of the
-    prox objective drops below tol; raises InnerSolveError if max_newton
-    steps do not get there.
-    """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError("prox_step_logistic needs a finite positive stepsize")
-    x_k = np.asarray(x_k, dtype=float)
-    A_b = np.atleast_2d(np.asarray(A_b, dtype=float))
-    b_b = np.atleast_1d(np.asarray(b_b, dtype=float))
-    x, gnorm, iters = problems.logistic_newton(A_b, b_b, x_k, alpha, tol, max_newton)
-    if not gnorm <= tol:
-        raise InnerSolveError(
-            f"logistic prox Newton did not converge (gradient norm {gnorm:.3e})"
-        )
+    """Full prox step for (1/2m) sum log(1+exp(-b <a,x>)): the one-cell call
+    of ``logistic_prox_steps``."""
+    (x,), (gnorm,), (iters,) = logistic_prox_steps(
+        *_one_cell("prox_step_logistic", x_k, A_b, b_b, alpha), tol, max_newton)
     # (1/alpha)-strong convexity turns the gradient norm into a gap bound.
-    return ProxResult(x, duality_gap=0.5 * alpha * gnorm ** 2, inner_iterations=iters)
+    return ProxResult(x, duality_gap=0.5 * alpha * float(gnorm) ** 2, inner_iterations=int(iters))
+
+
+def logistic_prox_steps(centers, A, b, alpha, tol: float = 1e-9, max_newton: int = 100):
+    """(points, gradient norms, iterations) of C cells' logistic batch prox by
+    ``problems.logistic_newton``; raises InnerSolveError if a cell ends above tol."""
+    x, gnorm, iters = problems.logistic_newton(A, b, centers, alpha, tol, max_newton)
+    if not (gnorm <= tol).all():
+        raise InnerSolveError("logistic prox Newton did not converge "
+                              f"(gradient norm {gnorm.max():.3e})")
+    return x, gnorm, iters
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +401,10 @@ def stacked_step(inst, strategy, m: int, tol: float, h):
     takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
     and batches idx (C, m), and returns the new points before projection or
     raises a solver error.  Pass the same array for A and Zc when the prox
-    term is centered at the anchor.  Closed forms and the box-QP duals (pam,
-    absreg and halfspace prox) run on the whole stack; the logistic Newton
-    solve runs per cell (in full_prox_steps).  Iterate averaging (pia) is
-    the m = 1 step of its per-sample model applied to every sample, averaged."""
+    term is centered at the anchor.  Closed forms, the box-QP duals (pam,
+    absreg and halfspace prox) and the logistic Newton run on the whole
+    stack.  Iterate averaging (pia) is the m = 1 step of its per-sample
+    model applied to every sample, averaged."""
     scheme, kind = strategy.scheme, strategy.kind
     if scheme == models.ITERATE_AVERAGE:
         # Built here, once per factory call, rather than in every step.
@@ -475,7 +469,7 @@ def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
     (C, n), batches idx (C, m) and stepsizes alpha (C,).  One sample is a 1-d
     root, linreg a linear system, absreg and halfspace a box dual (halfspace
     distances are globally max{affine, 0}, so theirs is the pam dual with
-    signed affine values); the logistic Newton solve runs per cell."""
+    signed affine values), logistic one stacked damped Newton."""
     m = idx.shape[1]
     if m == 1:
         return single_sample_prox(inst, centers, idx[:, 0], alpha)
@@ -485,8 +479,7 @@ def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
     if inst.kind == problems.LINREG:
         return linreg_prox_stacked(centers, rows, b, alpha)
     if inst.kind == problems.LOGISTIC:
-        return np.array([prox_step_logistic(centers[i], rows[i], b[i], float(alpha[i]), tol).x_next
-                         for i in range(alpha.size)])
+        return logistic_prox_steps(centers, rows, b, alpha, tol)[0]
     r = matvec(rows, centers) - b
     if inst.kind == problems.ABSREG:
         return box_dual_steps(centers, rows, r, alpha, -0.5 / m, 0.5 / m, tol)[0]
@@ -518,10 +511,12 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), idx.shape)
     if inst.kind != problems.HALFSPACE and not np.all(np.isfinite(alpha)):
         raise ValueError("full prox with infinite stepsize is not supported")
-    rows = inst.A[idx]
-    r = np.einsum("ij,ij->i", rows, centers) - inst.b[idx]
+    rows, b = inst.A[idx], inst.b[idx]
+    az = np.einsum("ij,ij->i", rows, centers)
+    r = az - b
     asq = np.einsum("ij,ij->i", rows, rows)
-    safe_asq = np.where(asq > 0, asq, 1.0)
+    if inst.kind in (problems.ABSREG, problems.HALFSPACE):
+        safe_asq = np.where(asq > 0, asq, 1.0)
 
     if inst.kind == problems.LINREG:
         t = alpha * r / (1.0 + alpha * asq)
@@ -533,8 +528,7 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
         d0 = np.maximum(r, 0.0) / nrm
         t = np.minimum(alpha, d0) / nrm  # an infinite alpha projects
     elif inst.kind == problems.LOGISTIC:
-        az = np.einsum("ij,ij->i", rows, centers)
-        t = _logistic_single_prox_t(inst.b[idx], az, asq, alpha)
+        t = _logistic_single_prox_t(b, az, asq, alpha)
     elif inst.kind in (problems.POWER, problems.TWOPOINT):
         t = _power_single_prox_t(r, asq, alpha, inst.gamma)
     else:
@@ -563,11 +557,14 @@ def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
     c = np.where(flip, -c - k, c)
     v = np.minimum(-c, 0.0)
     for _ in range(max_iter):
-        s = problems.expit(v)
+        # expit(v) for v <= 0 (true here) in fewer calls: the same bits, no warnings
+        e = np.exp(np.maximum(v, -708.0))
+        s = e / (1.0 + e)
+        s[v < -708.0] = 0.0
         ks = k * s
         v_next = v - np.maximum((v + c + ks) / (1.0 + ks * (1.0 - s)), 0.0)
-        if (v_next == v).all():
-            return -0.5 * alpha * b * problems.expit(np.where(flip, -v, v))
+        if (v_next == v).all():  # expit(-v) = 1 / (1 + e) for the reflected entries
+            return -0.5 * alpha * b * np.where(flip, 1.0 / (1.0 + e), s)
         v = v_next
     raise InnerSolveError("single-sample logistic prox did not converge")
 

@@ -525,6 +525,25 @@ class TestReferenceOptimum:
         with pytest.raises(problems.ReferenceSolveError, match="gradient norm"):
             problems.reference_optimum(inst)
 
+    def test_logistic_reference_does_not_depend_on_blas_threads(self):
+        # The instance of a sweep (N = 1000, n = 40, p = 0.01, cond 10,
+        # master seed 0, seed index 1) whose f* moved by one ulp between one
+        # and two BLAS threads while the Hessian was a BLAS product.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = (
+            "from batchprox import problems\n"
+            "from batchprox.harness import config, sweep\n"
+            "prob = config.ProblemSpec(kind='logistic', N=1000, n=40, p=0.01)\n"
+            "inst = prob.instantiate(10.0, sweep._instance_seed(0, prob, 10.0, 1))\n"
+            "print(problems.reference_optimum(inst).f_star.hex())\n")
+        out = [subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                              capture_output=True, env=dict(env, **{k: t for k in threads})
+                              ).stdout for t in ("1", "2")]
+        assert out[0] == out[1] and out[0].startswith("0x1.05a73bc597e")
+
     def test_separable_flipped_logistic(self):
         # A flipped label that the planted point misclassifies, but another
         # direction still separates every sample: inf f = 0, unattained.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from helpers import grid_minimize, primal_fn
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchprox import models, problems, prox
+from batchprox import geometry, models, optimizers, problems, prox
 
 
 class TestTruncatedStep:
@@ -493,6 +494,142 @@ class TestFullProxSolvers:
         alone = [prox._logistic_single_prox_t(b[i:i + 1], az[i:i + 1], asq[i:i + 1],
                                               alpha[i:i + 1])[0] for i in range(30)]
         np.testing.assert_array_equal(t, alone)
+
+    def test_logistic_single_prox_loop_keeps_its_bits(self):
+        # The loop's exp(max(v, -708)) / (1 + ...) is expit(v) for v <= 0,
+        # bit for bit and without warnings, also where v < -708 gives 0.
+        def expit_loop_t(b, az, asq, alpha, max_iter=100):
+            c = b * az
+            k = 0.5 * alpha * asq
+            flip = c + 0.5 * k < 0
+            c = np.where(flip, -c - k, c)
+            v = np.minimum(-c, 0.0)
+            for _ in range(max_iter):
+                s = problems.expit(v)
+                ks = k * s
+                v_next = v - np.maximum((v + c + ks) / (1.0 + ks * (1.0 - s)), 0.0)
+                if (v_next == v).all():
+                    return -0.5 * alpha * b * problems.expit(np.where(flip, -v, v))
+                v = v_next
+            raise AssertionError("no fixed point")
+
+        rng = np.random.default_rng(21)
+        b = np.where(rng.random(400) < 0.5, -1.0, 1.0)
+        # Margins of 600 or more leave s ~ e^-600 (k s stays normal); from
+        # 710 on, the start v = -|<a, z>| is below -708, where s is 0.
+        az = np.concatenate([rng.uniform(-1.0, 1.0, 300) * np.repeat([1.0, 30.0, 600.0], 100),
+                             rng.choice([-1.0, 1.0], 100) * rng.uniform(710.0, 2000.0, 100)])
+        asq = 10.0 ** rng.uniform(-3, 2, 400)
+        with np.errstate(all="raise"):
+            for alpha in (1e-3, 1.0, 10.0 ** rng.uniform(-3, 4, 400), 1e4):
+                t = prox._logistic_single_prox_t(b, az, asq, alpha)
+                np.testing.assert_array_equal(t, expit_loop_t(b, az, asq, alpha))
+                assert (t == 0.0).any()  # s = 0 exactly: some v ended below -708
+            # Margins just short of 708 take exp(v) itself, not the clamp (k s
+            # and the returned t stay normal numbers at these stepsizes), and
+            # margins just past it take s = 0.
+            near = np.concatenate([rng.uniform(700.0, 704.0, 40), rng.uniform(708.0, 709.0, 10)])
+            asq = rng.uniform(30.0, 100.0, 50)
+            for alpha in (1.0, 1e4):
+                np.testing.assert_array_equal(
+                    prox._logistic_single_prox_t(np.ones(50), near, asq, alpha),
+                    expit_loop_t(np.ones(50), near, asq, alpha))
+
+
+def per_cell_logistic_newton(A, b, x0, alpha, tol, max_newton):
+    """The one-cell damped Newton the stacked solve replaced: the n x n
+    system at every batch shape, its Hessian by a BLAS product."""
+    m, n = A.shape
+
+    def objective(u, d):
+        return float(np.logaddexp(0.0, -u).sum()) / (2 * m) + float(d @ d) / (2 * alpha)
+
+    x = x0.copy()
+    iters = 0
+    while True:
+        iters += 1
+        u = b * (A @ x)
+        s = problems.expit(-u)
+        d = x - x0
+        grad = A.T @ (-0.5 * b * s) / m + d / alpha
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= tol or iters > max_newton:
+            return x, gnorm, iters
+        w = 0.5 * s * (1.0 - s) / m
+        step = -np.linalg.solve((A.T * w) @ A + np.eye(n) / alpha, grad)
+        f0 = objective(u, d)
+        slope = float(grad @ step)
+        t = 1.0
+        if -slope > 1e-12 * (1.0 + abs(f0)):
+            du = b * (A @ step)
+            while (objective(u + t * du, d + t * step) > f0 + 1e-4 * t * slope
+                   and t > 1e-12):
+                t *= 0.5
+        x = x + t * step
+
+
+def logistic_stack(m, n, seed):
+    """Six cells with stepsizes 1e-3 ... 1e3; cell 4 is a near-separable
+    batch at alpha = 1e3 (margins scaled by 300), which needs the most steps."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((6, m, n))
+    b = np.where(rng.random((6, m)) < 0.5, -1.0, 1.0)
+    b[4] = np.sign(A[4] @ rng.standard_normal(n))
+    A[4] *= 300.0
+    alpha = np.array([1e-3, 1e-1, 1.0, 10.0, 1e3, 1e2])
+    return A, b, rng.standard_normal((6, n)), alpha
+
+
+class TestStackedLogisticNewton:
+    @pytest.mark.parametrize("m,n", [(4, 10), (10, 10), (25, 6)])
+    def test_every_cell_of_a_shuffled_stack_equals_its_lone_call(self, m, n):
+        A, b, Z, alpha = logistic_stack(m, n, seed=25)
+        order = np.random.default_rng(m).permutation(6)
+        A, b, Z, alpha = A[order], b[order], Z[order], alpha[order]
+        X, g, iters = problems.logistic_newton(A, b, Z, alpha, 1e-10, 100)
+        assert (g <= 1e-10).all()
+        slow = int(np.flatnonzero(order == 4)[0])
+        assert iters[slow] >= 3 * np.median(np.delete(iters, slow))
+        for c in range(6):
+            x1, g1, i1 = problems.logistic_newton(A[c:c + 1], b[c:c + 1], Z[c:c + 1],
+                                                  alpha[c:c + 1], 1e-10, 100)
+            np.testing.assert_array_equal(x1[0], X[c])
+            assert (g1[0], i1[0]) == (g[c], iters[c])
+            res = prox.prox_step_logistic(Z[c], A[c], b[c], float(alpha[c]), tol=1e-10)
+            np.testing.assert_array_equal(res.x_next, X[c])
+            assert res.inner_iterations == iters[c]
+            assert res.duality_gap == 0.5 * alpha[c] * g[c] ** 2
+
+    @pytest.mark.parametrize("m,n", [(4, 10), (10, 10), (25, 6)])
+    def test_points_agree_with_the_per_cell_newton(self, m, n):
+        A, b, Z, alpha = logistic_stack(m, n, seed=26)
+        X, _, _ = problems.logistic_newton(A, b, Z, alpha, 1e-10, 100)
+        for c in range(6):
+            x, gnorm, _ = per_cell_logistic_newton(A[c], b[c], Z[c], alpha[c], 1e-10, 100)
+            assert gnorm <= 1e-10
+            assert np.abs(X[c] - x).max() <= 1e-12 * np.abs(x).max()
+
+    def test_a_cell_at_max_newton_fails_alone(self, monkeypatch):
+        # With max_newton = 10 only the near-separable cell runs out of steps:
+        # the stack raises, and _apply's cell-by-cell redo charges that cell
+        # alone, giving the others their stacked points.
+        A, b, Z, alpha = logistic_stack(25, 6, seed=25)
+        inst = dataclasses.replace(problems.generate_problem("logistic", N=40, n=6, seed=3),
+                                   A=A.reshape(150, 6), b=b.reshape(150), N=150)
+        idx = np.arange(150).reshape(6, 25)
+        newton = problems.logistic_newton
+        X, _, iters = newton(A, b, Z, alpha, 1e-9, 100)
+        assert iters[4] > 10 and (np.delete(iters, 4) <= 10).all()
+        monkeypatch.setattr(problems, "logistic_newton",
+                            lambda A, b, X0, alpha, tol, max_newton:
+                            newton(A, b, X0, alpha, tol, 10))
+        with pytest.raises(prox.InnerSolveError):
+            prox.full_prox_steps(inst, Z, idx, alpha)
+        kernel = prox.stacked_step(inst, models.full_prox(), 25, 1e-9, geometry.euclidean(6))
+        out, good = optimizers._apply(kernel, Z, Z, alpha, idx)
+        np.testing.assert_array_equal(good, np.arange(6) != 4)
+        np.testing.assert_array_equal(out[good], X[good])
+        np.testing.assert_array_equal(out[4], Z[4])
 
 
 class TestDispatcherAndPia:
