@@ -117,10 +117,10 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     the unimprovable envelope.
 
     Trial t draws its instance from seed + 7t and its batches from its own
-    generator.  The instance depends only on its atom sign v, so the trials
-    of one sign run as the cells of one lockstep stack; a cell's record does
-    not depend on the stack, so each trial's distances are those of a lone
-    run.
+    generator.  The instance depends only on its atom sign v, so only that
+    sign is drawn per trial, and the trials of one sign run as the cells of
+    one lockstep stack; a cell's record does not depend on the stack, so
+    each trial's distances are those of a lone run.
     """
     delta = (1.0 + gamma) ** 2 * lambda1
     if not 0.0 <= gamma <= 1.0:
@@ -128,17 +128,16 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     if not 0.0 < delta < 1.0:
         raise ConfigError("need (1+gamma)^2 * lambda1 in (0, 1)")
     _check_run_args(rounds, trials, R)
-    stacks: dict[int, tuple] = {}  # sign -> (instance, its trials)
+    stacks: dict[int, list] = {}  # sign -> its trials
     for t in range(trials):
-        inst = problems.generate_problem(
-            "twopoint", delta=delta, gamma=gamma, radius=R, seed=seed + 7 * t
-        )
-        stacks.setdefault(inst.sign, (inst, []))[1].append(t)
+        stacks.setdefault(problems.twopoint_sign(seed + 7 * t), []).append(t)
     sq = np.zeros((trials, rounds + 1))
     schedule = optimizers.poly_decay(math.inf, beta=0.0)
     record = optimizers.RecordOptions(stride=1, record_average=False,
                                       record_distance=True)
-    for inst, ts in stacks.values():
+    for ts in stacks.values():
+        inst = problems.generate_problem("twopoint", delta=delta, gamma=gamma, radius=R,
+                                         seed=seed + 7 * ts[0])
         rngs = [np.random.default_rng(
             np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0]) for t in ts]
         recs = optimizers._run_lockstep(inst, models.pma(), [schedule] * len(ts), 1,

@@ -242,8 +242,7 @@ def _generate_twopoint(delta: float, radius: float, gamma: float, seed: int) -> 
         raise ValueError("radius must be positive")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    v = int(rng.choice([-1, 1]))
+    v = twopoint_sign(seed)
     # Atom 0 carries zero loss; atom 1 is the informative sample v.
     return ProblemInstance(
         kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
@@ -252,6 +251,11 @@ def _generate_twopoint(delta: float, radius: float, gamma: float, seed: int) -> 
         x_planted=np.array([v * radius], dtype=float),
         gamma=gamma, delta=delta, radius=radius, sign=v,
     )
+
+
+def twopoint_sign(seed: int) -> int:
+    """The atom sign v of the two-point instance from ``seed``, its only draw."""
+    return (-1, 1)[int(np.random.default_rng(seed).integers(0, 2))]
 
 
 def _rescale_condition(A: np.ndarray, cond: float) -> np.ndarray:

@@ -16,9 +16,10 @@ per-sample rows G = [g_1 ... g_m]' and affine values v_i at the prox center,
 and the primal update is x+ = center - alpha * G' lam (pam and halfspace:
 v_i = F(x;s_i), every per-sample infimum being 0, and the box [0, 1/m];
 absreg: the residuals and [-1/(2m), 1/(2m)]).  ``box_dual_steps`` solves it
-for a stack of cells by projected Newton (``solve_box_qps``); a zero column
-of G makes that coordinate's term linear, and it is fixed exactly at the
-endpoint given by the sign of v.  The polyhedron projection is the same QP over [0, inf).
+for a stack of cells by projected Newton (``solve_box_qps``, the box as two
+floats; a zero column of G fixes its coordinate at the endpoint given by the
+sign of v) and forms no duality gap: only the one-cell API reads it.  The
+polyhedron projection is the same QP over [0, inf), per coordinate.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def solve_box_qps(Q, v, alpha, lo, hi, tol: float = 1e-9, max_iter: int = 500):
 
         maximize  -(alpha_c/2) lam' Q_c lam + v_c' lam   s.t.  lo_c <= lam <= hi_c
 
-    with Q (C, m, m) positive semidefinite, v, lo, hi (C, m) and alpha (C,).
+    with Q (C, m, m) positive semidefinite, v (C, m), alpha (C,), and lo, hi
+    (C, m) or, for one box shared by every coordinate, two finite floats.
     Returns (lam, iterations, KKT residual); a cell converged iff its
     residual is at most tol (inf: nonfinite data, an unbounded dual, or no
     increase along the search arc).  Cells retire on their own and every
@@ -125,41 +127,50 @@ def solve_box_qps(Q, v, alpha, lo, hi, tol: float = 1e-9, max_iter: int = 500):
     along the projection arc.
     """
     C, m = v.shape
-    iters, res = np.zeros(C, dtype=int), np.zeros(C)
+    shared = not isinstance(lo, np.ndarray)  # one box for every coordinate
     aQ = alpha[:, np.newaxis, np.newaxis] * Q
     scale = np.diagonal(aQ, axis1=1, axis2=2).copy()  # curvature of each coordinate
-    fixed = (scale <= 0.0) | (lo == hi)
-    scale[fixed] = 1.0
-    lam = np.minimum(np.maximum(v / scale, lo), hi)
+    fixed = (scale <= 0.0) if shared else (scale <= 0.0) | (lo == hi)
     if fixed.any():
+        scale[fixed] = 1.0
+    else:
+        fixed = None
+    lam = np.minimum(np.maximum(v / scale, lo), hi)
+    if fixed is not None:
         lam = np.where(fixed & (v > 0), hi, np.where(fixed & (v < 0), lo, lam))
-    unbounded = np.isinf(lam).any(axis=1)
-    lam[unbounded] = 0.0
+    if not shared:  # an infinite bound can be the coordinatewise maximum
+        unbounded = np.isinf(lam).any(axis=1)
+        lam[unbounded] = 0.0
     g = _ascent(aQ, v, lam)
-    r = np.where(unbounded, np.nan, _kkt(g, lam, lo, hi)) if m else res.copy()
+    r = _kkt(g, lam, lo, hi) if m else np.zeros(C)
+    if not shared:
+        r[unbounded] = np.nan
     if (r <= tol).all():  # the coordinatewise maxima already pass
-        return lam, iters, r
+        return lam, np.zeros(C, dtype=int), r
     # Newton matrices: `shifted` on free x free entries, `lone` elsewhere.
     shifted, lone = aQ.copy(), np.zeros_like(aQ)
     shifted.reshape(C, -1)[:, ::m + 1] = scale * (1.0 + _NEWTON_REG)
     lone.reshape(C, -1)[:, ::m + 1] = scale
-    lam_out = np.zeros((C, m))
-    cells, const = np.arange(C), (aQ, shifted, lone, v, lo, hi, scale, fixed)
+    cells, out = np.arange(C), None  # out: (lam, iterations, residual) of retired cells
     for it in range(max_iter + 1):
-        stop = ~(r > tol)  # converged, or failed (nan)
-        if it == max_iter:
-            stop[:] = True
+        # converged, or failed (nan); at max_iter every cell stops and the loop returns
+        stop = ~(r > tol) if it < max_iter else np.full(r.shape, True)
         if stop.any():
+            res = np.where(np.isnan(r), np.inf, r)
+            if out is None:
+                if stop.all():  # the whole stack stops at once
+                    return lam, np.full(C, it), res
+                out = np.zeros((C, m)), np.zeros(C, dtype=int), np.zeros(C)
             done = cells[stop]
-            lam_out[done], iters[done] = lam[stop], it
-            res[done] = np.where(np.isnan(r[stop]), np.inf, r[stop])
+            out[0][done], out[1][done], out[2][done] = lam[stop], it, res[stop]
             if stop.all():
-                break
-            keep = ~stop
-            cells, lam, g, r = cells[keep], lam[keep], g[keep], r[keep]
-            const = tuple(a[keep] for a in const)
-        aQ, shifted, lone, v, lo, hi, scale, fixed = const
-        free = ~(((lam - lo) * scale < -g) | ((hi - lam) * scale < g) | fixed)
+                return out
+            keep = ~stop  # gather what later iterations read (not shared floats)
+            cells, lam, g, r, aQ, shifted, lone, v, scale, lo, hi, fixed = (
+                a[keep] if isinstance(a, np.ndarray) else a
+                for a in (cells, lam, g, r, aQ, shifted, lone, v, scale, lo, hi, fixed))
+        active = ((lam - lo) * scale < -g) | ((hi - lam) * scale < g)
+        free = ~(active if fixed is None else active | fixed)
         d = _newton(shifted, lone, g, free)
         trial = np.minimum(np.maximum(lam + d, lo), hi)
         g_t = _ascent(aQ, v, trial)
@@ -173,23 +184,24 @@ def solve_box_qps(Q, v, alpha, lo, hi, tol: float = 1e-9, max_iter: int = 500):
         if not ok.all():
             b = ~ok
             lb, db = lam[b], d[b]
-            blocked = free[b] & (((lb <= lo[b]) & (db < 0.0)) | ((lb >= hi[b]) & (db > 0.0)))
+            lob, hib = (lo, hi) if shared else (lo[b], hi[b])
+            blocked = free[b] & (((lb <= lob) & (db < 0.0)) | ((lb >= hib) & (db > 0.0)))
             if blocked.any():
                 d[b] = db = _newton(shifted[b], lone[b], g[b], free[b] & ~blocked)
-            t = _arc_max(aQ[b], v[b], lo[b], hi[b], lb, g[b], db)
-            trial[b] = np.minimum(np.maximum(lb + t[:, np.newaxis] * db, lo[b]), hi[b])
+            t = _arc_max(aQ[b], v[b], lob, hib, lb, g[b], db)
+            trial[b] = np.minimum(np.maximum(lb + t[:, np.newaxis] * db, lob), hib)
             g_t[b] = _ascent(aQ[b], v[b], trial[b])
             # No increase along the arc would repeat forever: the cell fails.
             r_t[b] = np.where((t > 0.0) & np.isfinite(t),
-                              _kkt(g_t[b], trial[b], lo[b], hi[b]), np.nan)
+                              _kkt(g_t[b], trial[b], lob, hib), np.nan)
         lam, g, r = trial, g_t, r_t
-    return lam_out, iters, res
 
 
 def _newton(shifted, lone, g, free):
     """Newton steps of the free blocks; the other coordinates take their
     diagonal steps."""
-    M = np.where(free[:, :, np.newaxis] & free[:, np.newaxis, :], shifted, lone)
+    M = shifted if free.all() else np.where(
+        free[:, :, np.newaxis] & free[:, np.newaxis, :], shifted, lone)
     return np.linalg.solve(M, g[..., np.newaxis])[..., 0]
 
 
@@ -205,8 +217,10 @@ def _arc_max(aQ, v, lo, hi, lam, g, d):
     reach = np.isfinite(starts)
     t0 = np.where(reach, starts, 0.0)
     length = np.concatenate([starts[:, 1:], np.full((C, 1), np.inf)], axis=1) - t0
-    P = np.minimum(np.maximum(lam[:, np.newaxis] + t0[..., np.newaxis] * d[:, np.newaxis],
-                              lo[:, np.newaxis]), hi[:, np.newaxis])  # each piece's start
+    if isinstance(lo, np.ndarray):
+        lo, hi = lo[:, np.newaxis], hi[:, np.newaxis]
+    P = np.minimum(np.maximum(lam[:, np.newaxis] + t0[..., np.newaxis] * d[:, np.newaxis], lo),
+                   hi)  # each piece's start
     D = np.where(brk[:, np.newaxis] > t0[..., np.newaxis], d[:, np.newaxis], 0.0)  # its direction
     gP = v[:, np.newaxis] - np.matmul(P, aQ)  # aQ is symmetric
     gain = 0.5 * ((g[:, np.newaxis] + gP) * (P - lam[:, np.newaxis])).sum(axis=2)
@@ -284,8 +298,8 @@ def pam_step(x_k, model: models.BatchModel, alpha, tol: float = 1e-9) -> ProxRes
     x_k = np.asarray(x_k, dtype=float)
     G = model.grads
     v = model.values + G @ (x_k - model.anchor)  # the pieces' values at x_k
-    return _first(box_dual_steps(x_k[np.newaxis], G[np.newaxis], v[np.newaxis],
-                                 np.array([alpha], dtype=float), 0.0, 1.0 / model.m, tol))
+    return _first(x_k[np.newaxis], G[np.newaxis], v[np.newaxis], np.array([alpha], dtype=float),
+                  0.0, 1.0 / model.m, tol)
 
 
 def box_dual_steps(centers, G, v, alpha, lo: float, hi: float, tol: float = 1e-9):
@@ -293,27 +307,30 @@ def box_dual_steps(centers, G, v, alpha, lo: float, hi: float, tol: float = 1e-9
     ||x - center||^2 / (2 alpha) of C cells, h the support function of
     [lo, hi] (max(u, 0)/m for pam and halfspace, |u|/(2m) for absreg), with
     rows g_i in G (C, m, n), v (C, m) and alpha (C,).  Its dual is the box
-    QP over [lo, hi]^m with Q = G G' (solve_box_qps); x+ = center - alpha G'lam.
-    Returns (x+, lam, duality gap, iterations); raises InnerSolveError if any
-    cell's solve fails."""
+    QP over [lo, hi]^m with Q = G G' (solve_box_qps on the shared box lo, hi);
+    x+ = center - alpha G'lam.  Returns (x+, lam, iterations), no duality gap
+    (``box_dual_gaps``); raises InnerSolveError if any cell's solve fails."""
     Gt = G.transpose(0, 2, 1)
-    lam, iters, res = solve_box_qps(np.matmul(G, Gt), v, alpha, np.full(v.shape, lo),
-                                    np.full(v.shape, hi), tol)
+    lam, iters, res = solve_box_qps(np.matmul(G, Gt), v, alpha, lo, hi, tol)
     if not (res <= tol).all():
         raise InnerSolveError(f"box QP did not converge (residual {res.max():.3e})")
-    d = alpha[:, np.newaxis] * matvec(Gt, -lam)
+    return centers + alpha[:, np.newaxis] * matvec(Gt, -lam), lam, iters
+
+
+def box_dual_gaps(G, v, alpha, lam, lo: float, hi: float) -> np.ndarray:
+    """Duality gaps (primal - dual) of box_dual_steps' solutions lam, for the one-cell API."""
+    d = alpha[:, np.newaxis] * matvec(G.transpose(0, 2, 1), -lam)  # x+ - center
     u = v + matvec(G, d)
-    # primal - dual, with alpha lam'G G'lam = ||d||^2 / alpha
+    # alpha lam'G G'lam = ||d||^2 / alpha
     support = np.add.reduce(hi * np.maximum(u, 0.0) + lo * np.minimum(u, 0.0), axis=1)
-    gap = support - rowdot(v, lam) + rowdot(d, d) / alpha
-    return centers + d, lam, gap, iters
+    return support - rowdot(v, lam) + rowdot(d, d) / alpha
 
 
-def _first(out) -> ProxResult:
-    """ProxResult of the first cell of a box_dual_steps result."""
-    x, lam, gap, iters = out
-    return ProxResult(x[0], lam=lam[0], duality_gap=float(gap[0]),
-                      inner_iterations=int(iters[0]))
+def _first(centers, G, v, alpha, lo: float, hi: float, tol: float) -> ProxResult:
+    """ProxResult of a one-cell box_dual_steps, with its duality gap."""
+    x, lam, iters = box_dual_steps(centers, G, v, alpha, lo, hi, tol)
+    gap = box_dual_gaps(G, v, alpha, lam, lo, hi)
+    return ProxResult(x[0], lam=lam[0], duality_gap=float(gap[0]), inner_iterations=int(iters[0]))
 
 
 def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
@@ -368,7 +385,7 @@ def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
     [-1/(2m), 1/(2m)]; x+ = x_k - alpha A' lam."""
     X, A, B, stepsizes = _one_cell("prox_step_absreg", x_k, A_b, b_b, alpha)
     c = 0.5 / A.shape[1]
-    return _first(box_dual_steps(X, A, matvec(A, X) - B, stepsizes, -c, c, tol))
+    return _first(X, A, matvec(A, X) - B, stepsizes, -c, c, tol)
 
 
 def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,

@@ -186,6 +186,29 @@ class TestSweep:
         assert one.count(b"\n") == 1 + 2 * 2 * 2 * 2
         assert (tmp_path / "jobs2" / "sweep.csv").read_bytes() == one
 
+    def test_logistic_sweep_does_not_depend_on_blas_threads(self, tmp_path):
+        # The logistic instance whose reference once moved with the thread
+        # count (N = 1000, n = 40, p = 0.01, cond 10, seed index 1), swept by
+        # sgm, pma, prox and accelerated pma in one- and two-thread processes.
+        data = dict(TINY_CONFIG, seeds=2, sample_budget=2000, alpha0_grid=[0.1, 1.0, 10.0],
+                    problems=[{"kind": "logistic", "N": 1000, "n": 40, "p": 0.01}],
+                    cond_grid=[10.0], m_grid=[1, 16, 64], master_seed=0,
+                    methods=[{"method": "sgm"}, {"method": "pma"}, {"method": "prox"},
+                             {"method": "pma", "accelerated": True}])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sweep.__file__)))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(src),
+                                             os.environ.get("PYTHONPATH", "")])
+        for threads in ("1", "2"):
+            subprocess.run([sys.executable, "-m", "batchprox.harness", "sweep",
+                            "--config", json.dumps(data), "--out", str(tmp_path / threads)],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                           capture_output=True)
+        one = (tmp_path / "1" / "sweep.csv").read_bytes()
+        assert one.count(b"\n") == 1 + 4 * 3 * 2 * 3
+        assert (tmp_path / "2" / "sweep.csv").read_bytes() == one
+
     def test_parallel_sweep_restores_the_environment(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -372,6 +395,35 @@ class TestLab:
             sq[t] = d ** 2
         assert signs == {-1, 1}
         np.testing.assert_array_equal(rep.mean_sq_dist, sq.mean(axis=0))
+
+    @pytest.mark.parametrize("seed, trials", [(0, 30), (5, 57), (11, 3)])
+    def test_twopoint_sign_draws_keep_the_per_trial_instances(self, seed, trials):
+        # The per-trial instance path: one instance drawn per trial, and one
+        # lockstep stack per sign on its first trial's instance.
+        lambda1, gamma, rounds = 0.05, 0.0, 12
+        rep = lab.twopoint_lab(lambda1, gamma, rounds, trials, seed=seed)
+        stacks = {}
+        for t in range(trials):
+            inst = problems.generate_problem("twopoint", delta=lambda1, gamma=gamma,
+                                             seed=seed + 7 * t)
+            stacks.setdefault(inst.sign, (inst, []))[1].append(t)
+        sq = np.zeros((trials, rounds + 1))
+        record = optimizers.RecordOptions(stride=1, record_average=False,
+                                          record_distance=True)
+        for inst, ts in stacks.values():
+            rngs = [np.random.default_rng(
+                np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0]) for t in ts]
+            recs = optimizers._run_lockstep(
+                inst, models.pma(), [optimizers.poly_decay(math.inf, beta=0.0)] * len(ts),
+                1, rounds, 1e-300, rngs, record=record)
+            for t, rec in zip(ts, recs):
+                d = np.concatenate([rec.dists, np.full(rounds + 1 - rec.dists.size,
+                                                       rec.dists[-1])])
+                sq[t] = d[: rounds + 1] ** 2
+        mean_sq = sq.mean(axis=0)
+        assert rep.mean_sq_dist.tobytes() == mean_sq.tobytes()
+        ks, positive = np.arange(rounds + 1), mean_sq > 0
+        assert rep.empirical_log_factor == lab._fit_log_slope(ks[positive], mean_sq[positive])
 
     @pytest.mark.parametrize("rounds, trials", [(0, 5), (5, 0), (-1, 5)])
     def test_labs_reject_empty_runs(self, rounds, trials):

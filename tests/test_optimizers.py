@@ -466,6 +466,31 @@ class TestLockstep:
                           "budget", "diverged", "budget", "converged"]
         assert k_conv == [7, None, None, None, None, None, None, 7]
 
+    def test_settle_wide_stacks_take_the_mask(self, monkeypatch):
+        # test_settle_statuses' NaN, +-inf and NaN-limit cases, tiled past the
+        # widest stack that takes the comparison chain, and a wide stack in
+        # which every cell runs on: the NumPy mask gives the chain's answer.
+        reps = optimizers._CHAIN_CELLS // 6 + 1
+        cells = (np.array([0, 2, 3, 5, 6, 7]) + 8 * np.arange(reps)[:, np.newaxis]).ravel()
+        gaps = np.tile([0.05, np.nan, np.inf, 5.0, 1.0, -np.inf], reps)
+        limit = np.tile([1.0, 9.0, np.inf, np.inf, 9.0, 4.0, np.nan, 1.0], reps)
+        calm = np.full(cells.size, 0.5)  # below every limit: every cell runs on
+        assert cells.size > optimizers._CHAIN_CELLS
+        outcomes = []
+        for widest in (optimizers._CHAIN_CELLS, 10 ** 9):  # the mask, then the chain
+            monkeypatch.setattr(optimizers, "_CHAIN_CELLS", widest)
+            status, k_conv = ["budget"] * (8 * reps), [None] * (8 * reps)
+            running = optimizers._settle(cells, 7, gaps, 0.1, limit, status, k_conv)
+            calm_running = optimizers._settle(cells, 7, calm, 0.1, limit, status[:], k_conv[:])
+            assert calm_running.tolist() == cells.tolist()
+            outcomes.append((running.tolist(), status, k_conv))
+        assert outcomes[0] == outcomes[1]
+        running, status, k_conv = outcomes[0]
+        assert running == [6 + 8 * r for r in range(reps)]
+        assert status == ["converged", "budget", "diverged", "diverged",
+                          "budget", "diverged", "budget", "converged"] * reps
+        assert k_conv == [7, None, None, None, None, None, None, 7] * reps
+
     def test_array_stepsizes_are_the_schedules(self):
         schedules = [optimizers.poly_decay(a, b) for a, b in (
             (0.7, 0.0), (math.inf, 0.0), (3.0, 0.3), (0.05, 0.5), (40.0, 1.0),

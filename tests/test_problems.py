@@ -94,6 +94,14 @@ class TestGeneration:
         np.testing.assert_array_equal(inst.b, clone.b)
 
 
+def test_twopoint_sign_is_the_generated_sign():
+    # The sign is the `choice([-1, 1])` draw of the same stream.
+    for seed in range(1000):
+        inst = problems.generate_problem("twopoint", delta=0.1, seed=seed)
+        assert problems.twopoint_sign(seed) == inst.sign
+        assert inst.sign == int(np.random.default_rng(seed).choice([-1, 1]))
+
+
 class TestLossEval:
     def test_linreg_at_optimum(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.0, seed=5)

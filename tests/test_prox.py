@@ -274,10 +274,12 @@ class TestProjectedNewton:
         centers = rng.standard_normal((C, n))
         v = rng.uniform(-0.5, 2.0, (C, m))
         alpha = np.array([0.1, 1.0, 10.0, 100.0])
-        x, lam, gap, iters = prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        x, lam, iters = prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        gap = prox.box_dual_gaps(G, v, alpha, lam, 0.0, 1.0 / m)
         for c in range(C):
-            xc, lc, gc, ic = prox.box_dual_steps(centers[c:c + 1], G[c:c + 1], v[c:c + 1],
-                                                 alpha[c:c + 1], 0.0, 1.0 / m)
+            one = (G[c:c + 1], v[c:c + 1], alpha[c:c + 1])
+            xc, lc, ic = prox.box_dual_steps(centers[c:c + 1], *one, 0.0, 1.0 / m)
+            gc = prox.box_dual_gaps(*one, lc, 0.0, 1.0 / m)
             np.testing.assert_array_equal(x[c], xc[0])
             np.testing.assert_array_equal(lam[c], lc[0])
             assert gap[c] == gc[0] and iters[c] == ic[0]
@@ -287,6 +289,252 @@ class TestProjectedNewton:
         v[3, 1] = np.nan  # one cell that cannot be solved fails the stack
         with pytest.raises(prox.InnerSolveError):
             prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+
+def _reference_solve_box_qps(Q, v, alpha, lo, hi, tol, max_iter=500):
+    """Reference projected Newton for solve_box_qps to match byte for byte:
+    per-coordinate bounds only, every retired cell scattered into output
+    arrays, the gathered state always complete."""
+    C, m = v.shape
+    iters, res = np.zeros(C, dtype=int), np.zeros(C)
+    aQ = alpha[:, np.newaxis, np.newaxis] * Q
+    scale = np.diagonal(aQ, axis1=1, axis2=2).copy()
+    fixed = (scale <= 0.0) | (lo == hi)
+    scale[fixed] = 1.0
+    lam = np.minimum(np.maximum(v / scale, lo), hi)
+    if fixed.any():
+        lam = np.where(fixed & (v > 0), hi, np.where(fixed & (v < 0), lo, lam))
+    unbounded = np.isinf(lam).any(axis=1)
+    lam[unbounded] = 0.0
+    g = prox._ascent(aQ, v, lam)
+    r = np.where(unbounded, np.nan, prox._kkt(g, lam, lo, hi)) if m else res.copy()
+    if (r <= tol).all():
+        return lam, iters, r
+    shifted, lone = aQ.copy(), np.zeros_like(aQ)
+    shifted.reshape(C, -1)[:, ::m + 1] = scale * (1.0 + prox._NEWTON_REG)
+    lone.reshape(C, -1)[:, ::m + 1] = scale
+    lam_out = np.zeros((C, m))
+    cells, const = np.arange(C), (aQ, shifted, lone, v, lo, hi, scale, fixed)
+
+    def newton(shifted, lone, g, free):
+        M = np.where(free[:, :, np.newaxis] & free[:, np.newaxis, :], shifted, lone)
+        return np.linalg.solve(M, g[..., np.newaxis])[..., 0]
+
+    for it in range(max_iter + 1):
+        stop = ~(r > tol)
+        if it == max_iter:
+            stop[:] = True
+        if stop.any():
+            done = cells[stop]
+            lam_out[done], iters[done] = lam[stop], it
+            res[done] = np.where(np.isnan(r[stop]), np.inf, r[stop])
+            if stop.all():
+                break
+            keep = ~stop
+            cells, lam, g, r = cells[keep], lam[keep], g[keep], r[keep]
+            const = tuple(a[keep] for a in const)
+        aQ, shifted, lone, v, lo, hi, scale, fixed = const
+        free = ~(((lam - lo) * scale < -g) | ((hi - lam) * scale < g) | fixed)
+        d = newton(shifted, lone, g, free)
+        trial = np.minimum(np.maximum(lam + d, lo), hi)
+        g_t = prox._ascent(aQ, v, trial)
+        r_t = prox._kkt(g_t, trial, lo, hi)
+        ok = r_t <= tol
+        if not ok.all():
+            step = trial - lam
+            lin = prox.rowdot(g, step)
+            ok |= (lin > 0.0) & (prox.rowdot(g + g_t, step) >= 2.0 * prox._ARMIJO * lin)
+        if not ok.all():
+            b = ~ok
+            lb, db = lam[b], d[b]
+            blocked = free[b] & (((lb <= lo[b]) & (db < 0.0)) | ((lb >= hi[b]) & (db > 0.0)))
+            if blocked.any():
+                d[b] = db = newton(shifted[b], lone[b], g[b], free[b] & ~blocked)
+            t = _reference_arc_max(aQ[b], v[b], lo[b], hi[b], lb, g[b], db)
+            trial[b] = np.minimum(np.maximum(lb + t[:, np.newaxis] * db, lo[b]), hi[b])
+            g_t[b] = prox._ascent(aQ[b], v[b], trial[b])
+            r_t[b] = np.where((t > 0.0) & np.isfinite(t),
+                              prox._kkt(g_t[b], trial[b], lo[b], hi[b]), np.nan)
+        lam, g, r = trial, g_t, r_t
+    return lam_out, iters, res
+
+
+def _reference_arc_max(aQ, v, lo, hi, lam, g, d):
+    """The projected arc search of _reference_solve_box_qps (per-coordinate bounds)."""
+    C = lam.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        brk = np.where(d != 0.0, np.where(d > 0.0, hi - lam, lo - lam) / d, np.inf)
+    starts = np.concatenate([np.zeros((C, 1)), np.sort(brk, axis=1)], axis=1)
+    reach = np.isfinite(starts)
+    t0 = np.where(reach, starts, 0.0)
+    length = np.concatenate([starts[:, 1:], np.full((C, 1), np.inf)], axis=1) - t0
+    P = np.minimum(np.maximum(lam[:, np.newaxis] + t0[..., np.newaxis] * d[:, np.newaxis],
+                              lo[:, np.newaxis]), hi[:, np.newaxis])
+    D = np.where(brk[:, np.newaxis] > t0[..., np.newaxis], d[:, np.newaxis], 0.0)
+    gP = v[:, np.newaxis] - np.matmul(P, aQ)
+    gain = 0.5 * ((g[:, np.newaxis] + gP) * (P - lam[:, np.newaxis])).sum(axis=2)
+    slope = (gP * D).sum(axis=2)
+    curv = (D * np.matmul(D, aQ)).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(slope > 0.0, np.minimum(np.where(curv > 0.0, slope / curv, np.inf), length),
+                     0.0)
+    value = np.where(reach, gain + s * (slope - 0.5 * np.where(curv > 0.0, s * curv, 0.0)),
+                     -np.inf)
+    j = value.argmax(axis=1)
+    return t0[np.arange(C), j] + s[np.arange(C), j]
+
+
+def _assert_reference_bytes(Q, v, alpha, lo, hi, tol=1e-9):
+    """solve_box_qps returns the reference's bytes, with the bounds as
+    arrays and, where every coordinate of every cell shares one finite box,
+    as two floats.  Returns the reference's (lam, iterations, residual)."""
+    ref = _reference_solve_box_qps(Q, v, alpha, lo, hi, tol)
+    runs = [(lo, hi)]
+    if lo.size and np.all(lo == lo.flat[0]) and np.all(hi == hi.flat[0]) \
+            and np.isfinite([lo.flat[0], hi.flat[0]]).all():
+        runs.append((float(lo.flat[0]), float(hi.flat[0])))
+    for bounds in runs:
+        out = prox.solve_box_qps(Q, v, alpha, *bounds, tol)
+        for a, b in zip(out, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return ref
+
+
+def _low_rank_cell(rng, m):
+    """A cell of the random low-rank stress family: rank(Q) <= 3, alpha up to
+    1e3 and a box [-c, c]."""
+    G = rng.standard_normal((m, int(rng.integers(1, 4))))
+    c = float(rng.uniform(0.1, 2.0))
+    return G @ G.T, rng.standard_normal(m), 10.0 ** rng.uniform(-3.0, 3.0), -c, c
+
+
+def _reference_box_dual_gap(G, v, alpha, lam, lo, hi):
+    """Reference duality gap of a box-dual step: d = alpha G'(-lam), the support
+    term of u = v + G d, minus lam'v, plus ||d||^2 / alpha."""
+    Gt = G.transpose(0, 2, 1)
+    d = alpha[:, np.newaxis] * np.matmul(Gt, -lam[..., np.newaxis])[..., 0]
+    u = v + np.matmul(G, d[..., np.newaxis])[..., 0]
+    support = np.add.reduce(hi * np.maximum(u, 0.0) + lo * np.minimum(u, 0.0), axis=1)
+    dot = lambda a, b: np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]  # noqa: E731
+    return d, support - dot(v, lam) + dot(d, d) / alpha
+
+
+class TestBoxDualRework:
+    @given(box_qps(), box_qps(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_qps_keep_the_reference_bytes(self, qp, other, where):
+        _assert_reference_bytes(qp.Q[np.newaxis], qp.v[np.newaxis], np.array([qp.alpha]),
+                             qp.lo[np.newaxis], qp.hi[np.newaxis])
+        m = qp.v.size
+        if other.v.size != m:
+            other = prox.BoxQP(qp.Q[::-1, ::-1], qp.v[::-1], qp.alpha, qp.lo, qp.hi)
+        qps = [prox.BoxQP(other.Q, other.v, other.alpha, qp.lo, qp.hi),
+               prox.BoxQP(qp.Q, qp.v, 7.0 * qp.alpha, qp.lo, qp.hi)]
+        qps.insert(where, qp)
+        _assert_reference_bytes(*(np.stack([getattr(q, f) for q in qps])
+                               for f in ("Q", "v", "alpha", "lo", "hi")))
+
+    def test_shuffled_stacks_keep_the_reference_bytes(self, monkeypatch):
+        # Stacks that mix cells passing at the start, Newton cells, arc-search
+        # cells of the low-rank family, cells with zero columns (fixed at an
+        # endpoint), pinned coordinates (lo = hi), hi = inf (some of those
+        # duals unbounded) and a NaN cell, so that cells retire at different
+        # iterations.
+        arcs = []
+        real_arc = prox._arc_max
+
+        def counting_arc(aQ, *args):
+            arcs.append(aQ.shape[0])
+            return real_arc(aQ, *args)
+
+        def cell(rng, kind, m, box):
+            if kind == "low":
+                Q, v, alpha, _, _ = _low_rank_cell(rng, m)
+            else:
+                G = rng.standard_normal((m, m + 2 if kind == "full" else 2))
+                if kind == "zero":
+                    G[rng.random(m) < 0.3] = 0.0
+                Q = np.diag(rng.uniform(0.5, 2.0, m)) if kind == "diag" else G @ G.T
+                v, alpha = rng.uniform(-1.0, 2.0, m), 10.0 ** rng.uniform(-1.0, 3.0)
+                if kind == "nan":
+                    v[rng.integers(m)] = np.nan
+            if box == "pinned":
+                lo, hi = np.full(m, -0.5), np.full(m, 0.5)
+                pin = rng.random(m) < 0.3
+                lo[pin] = hi[pin] = rng.uniform(-0.5, 0.5, pin.sum())
+            else:
+                lo, hi = np.full(m, box[0]), np.full(m, box[1])
+            return Q, v, alpha, lo, hi
+
+        monkeypatch.setattr(prox, "_arc_max", counting_arc)
+        kinds = ["diag", "full", "zero", "low", "low", "low", "nan"]
+        most, retire_apart, fixed_shared = 0, False, False
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            m = (3, 8, 24, 64)[seed % 4]
+            for box in ((0.0, 1.0 / m), (-0.75, 0.75), (0.0, np.inf), "pinned"):
+                stack = [kinds[i] for i in rng.permutation(len(kinds))]
+                if box != (0.0, 1.0 / m):
+                    stack.remove("nan")
+                Q, v, alpha, lo, hi = (np.array(p) for p in zip(*(cell(rng, k, m, box)
+                                                                   for k in stack)))
+                with np.errstate(invalid="ignore"):  # the NaN cell
+                    _, iters, res = _assert_reference_bytes(Q, v, alpha, lo, hi)
+                most = max(most, iters.max())
+                retire_apart |= len(set(iters.tolist())) >= 3
+                if box == (0.0, 1.0 / m):  # passed as two floats too
+                    fixed_shared |= bool((np.diagonal(Q, axis1=1, axis2=2) == 0.0).any())
+                    c = stack.index("nan")
+                    assert np.isinf(res[c])
+                    with np.errstate(invalid="ignore"):  # the NaN cell alone
+                        _assert_reference_bytes(Q[c:c + 1], v[c:c + 1], alpha[c:c + 1],
+                                             lo[c:c + 1], hi[c:c + 1])
+        assert arcs and most >= 5 and retire_apart and fixed_shared
+        # m = 0, with per-coordinate bounds and with two floats
+        _assert_reference_bytes(np.zeros((3, 0, 0)), np.zeros((3, 0)), np.ones(3),
+                             np.zeros((3, 0)), np.zeros((3, 0)))
+        lam, iters, res = prox.solve_box_qps(np.zeros((3, 0, 0)), np.zeros((3, 0)), np.ones(3),
+                                             0.0, 1.0)
+        assert lam.shape == (3, 0) and iters.tolist() == [0] * 3 and res.tolist() == [0.0] * 3
+
+    def test_low_rank_family_keeps_the_reference_bytes(self):
+        # One-cell solves (the whole stack stops at once) and stacks of one m.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            Q, v, alpha, lo, hi = _low_rank_cell(rng, int(rng.integers(1, 65)))
+            m = v.size
+            _assert_reference_bytes(Q[np.newaxis], v[np.newaxis], np.array([alpha]),
+                                 np.full((1, m), lo), np.full((1, m), hi))
+        rng = np.random.default_rng(40)
+        parts = [_low_rank_cell(rng, 64) for _ in range(5)]
+        Q, v, alpha = (np.array(p) for p in list(zip(*parts))[:3])
+        lo, hi = np.full((5, 64), -1.0), np.full((5, 64), 1.0)
+        _, iters, res = _assert_reference_bytes(Q, v, alpha, lo, hi)
+        assert np.all(res <= 1e-9) and len(set(iters.tolist())) > 1
+
+    def test_one_cell_gaps_keep_the_reference_formula(self):
+        rng = np.random.default_rng(8)
+        inst = problems.generate_problem("absreg", N=60, n=5, sigma=0.5, seed=3)
+        for m in (2, 4, 8, 12):
+            for _ in range(10):
+                x = rng.standard_normal(5)
+                idx = rng.integers(0, 60, m)
+                a = float(10.0 ** rng.uniform(-2.0, 2.0))
+                model = models.build_batch_model(inst, x, idx, models.pam())
+                res = prox.pam_step(x, model, a)
+                G = model.grads[np.newaxis]
+                v = (model.values + model.grads @ (x - model.anchor))[np.newaxis]
+                d, gap = _reference_box_dual_gap(G, v, np.array([a]), res.lam[np.newaxis],
+                                              0.0, 1.0 / m)
+                assert res.duality_gap == float(gap[0])
+                assert res.x_next.tobytes() == (x + d[0]).tobytes()
+                A, b = inst.A[idx][np.newaxis], inst.b[idx][np.newaxis]
+                res = prox.prox_step_absreg(x, A[0], b[0], a)
+                v = np.matmul(A, x[np.newaxis, :, np.newaxis])[..., 0] - b
+                d, gap = _reference_box_dual_gap(A, v, np.array([a]), res.lam[np.newaxis],
+                                              -0.5 / m, 0.5 / m)
+                assert res.duality_gap == float(gap[0])
+                assert res.x_next.tobytes() == (x + d[0]).tobytes()
+
 
 class TestPamStep:
     def test_m1_equals_truncated(self):
