@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems
+from .prox import rowdot
 
 
 @dataclass
@@ -177,16 +178,14 @@ def _growth_expectation(inst, x, vals_star, alpha, m, draws, rng):
                 bool(np.any(diff < -1e-12)))
     if draws is None or rng is None:
         raise ValueError("batch-averaged estimation needs draws and an rng")
-    terms = np.empty(draws)
-    neg = False
-    for t in range(draws):
-        idx = problems.sample_batch(inst, m, rng)
-        vals, grads = problems.batch_losses(inst, x, idx)
-        diff = float(vals.mean() - vals_star[idx].mean())
-        g = grads.mean(axis=0)
-        terms[t] = _growth_terms(np.array([diff]), np.array([float(g @ g)]), alpha)[0]
-        neg = neg or diff < -1e-12
-    return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(draws)), neg
+    # One block of draws on the stream of `draws` sample_batch calls.
+    idx = problems.sample_batches(inst, draws, m, rng)
+    vals, grads = problems.stacked_losses(inst, np.broadcast_to(x, (draws, x.size)), idx)
+    diff = vals.mean(axis=1) - vals_star[idx].mean(axis=1)
+    g = grads.mean(axis=1)
+    terms = _growth_terms(diff, rowdot(g, g), alpha)
+    return (float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(draws)),
+            bool(np.any(diff < -1e-12)))
 
 
 def _growth_terms(diff, gsq, alpha):
@@ -211,7 +210,8 @@ class ProfileCurve:
         return float(self.fraction[i]) if i >= 0 else 0.0
 
 
-def _cell_time(row):
+def cell_time(row):
+    """A sweep row's time to epsilon: samples_to_eps, or inf unless it converged."""
     if str(row.get("status", "")) != "converged":
         return math.inf
     t = row.get("samples_to_eps")
@@ -239,7 +239,7 @@ def performance_profile(rows, methods, max_failures: int = 3):
     for row in rows:
         if row["method"] not in methods:
             continue
-        cells.setdefault(_experiment_key(row), {})[row["method"]] = _cell_time(row)
+        cells.setdefault(_experiment_key(row), {})[row["method"]] = cell_time(row)
     ratios = {a: [] for a in methods}
     kept = 0
     for times in cells.values():
@@ -282,7 +282,7 @@ def speedup_table(rows, method: str, units: str = "samples"):
         if row["method"] != method:
             continue
         key = (row["m"], row["alpha0"])
-        by_m.setdefault(key, []).append(_cell_time(row))
+        by_m.setdefault(key, []).append(cell_time(row))
     if not by_m:
         raise ValueError(f"no rows for method {method!r}")
     t_star: dict = {}
@@ -313,8 +313,7 @@ def rate_slope(record, k_window):
         raise ValueError(
             "nonpositive gaps in window; fit the geometric rate instead"
         )
-    slope, _ = np.polyfit(np.log(ks.astype(float)), np.log(gaps), 1)
-    return float(slope)
+    return loglinear_fit(np.log(ks), gaps)[0]
 
 
 def loglinear_fit(ks, values):

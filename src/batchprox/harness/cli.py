@@ -178,9 +178,7 @@ def _emit_time_vs_stepsize(dicts, methods, out_dir):
             for r in dicts:
                 if r["method"] != method or r["m"] != m:
                     continue
-                t = (float(r["samples_to_eps"])
-                     if r["status"] == "converged" else math.inf)
-                pts.setdefault(float(r["alpha0"]), []).append(t)
+                pts.setdefault(float(r["alpha0"]), []).append(analysis.cell_time(r))
             alphas = sorted(pts)
             med = [float(np.median(pts[a])) for a in alphas]
             series.append(svg.Series(method, alphas, med))

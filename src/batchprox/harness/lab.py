@@ -1,11 +1,13 @@
 """Lower-bound laboratory: simulable versions of the hardness constructions.
 
-``orthcol``: streaming regression revealing random orthogonal projections.
-The Bayes-optimal estimator zeroes the unobserved coordinates in the fixed
-orthogonal basis, and its risk admits the closed form R^2 (1 - m/n)^k; the
-rank of the observed subspace follows E[r_k | r_{k-1}] = (1-m/n) r_{k-1} + m.
-Each round draws the m-subsets of all trials at once with Floyd's algorithm,
-m vectorized draws, from one (trials, n) block of coordinates.
+``orthcol``: streaming noiseless regression that reveals, each round,
+A = sqrt(n/m) [u_i1 ... u_im]' and b = A x* for m distinct columns of a fixed
+orthogonal U, so that E[A'A] = I.  The Bayes-optimal estimator zeroes the
+unobserved coordinates in that basis, and its risk admits the closed form
+R^2 (1 - m/n)^k; the rank of the observed subspace follows
+E[r_k | r_{k-1}] = (1-m/n) r_{k-1} + m.  Each round draws the m-subsets of
+all trials at once with Floyd's algorithm, m vectorized draws, from one
+(trials, n) block of coordinates.
 
 ``twopoint``: the one-dimensional two-atom family on which no method can
 beat a (1 - delta)^k decay of squared distance; running the pure Polyak
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import models, optimizers, problems
+from .. import analysis, models, optimizers, problems
 from .config import ConfigError
 
 __all__ = ["OrthColReport", "TwoPointReport", "orthcol_lab", "twopoint_lab"]
@@ -55,10 +57,10 @@ def orthcol_lab(n: int, m: int, rounds: int, trials: int, R: float = 1.0,
 
     The risk after k rounds is the prior mass on unobserved basis
     coordinates, so only the coordinate values and the observed index sets
-    matter; E[A'A] = I and the data matrices themselves are exercised by
-    the generator's tests.  A round is one Floyd draw across all trials
-    (Bentley & Floyd 1987): for j = n-m .. n-1 every trial takes i uniform
-    in [0, j], or j if it holds i already: a uniform m-subset in m draws.
+    matter, and no data matrix is formed.  A round is one Floyd draw across
+    all trials (Bentley & Floyd 1987): for j = n-m .. n-1 every trial takes
+    i uniform in [0, j], or j if it holds i already: a uniform m-subset in
+    m draws.
     """
     if not 1 <= m <= n:
         raise ConfigError("need 1 <= m <= n")
@@ -152,7 +154,8 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     ks = np.arange(rounds + 1)
     envelope = R**2 * (1.0 - delta) ** ks
     positive = mean_sq > 0
-    slope = _fit_log_slope(ks[positive], mean_sq[positive])
+    slope = (analysis.loglinear_fit(ks[positive], mean_sq[positive])[0]
+             if np.count_nonzero(positive) >= 2 else 0.0)
     return TwoPointReport(
         delta=delta, gamma=gamma, R=R, trials=trials, rounds=ks,
         mean_sq_dist=mean_sq, envelope=envelope,
@@ -166,10 +169,3 @@ def _check_run_args(rounds: int, trials: int, R: float) -> None:
         raise ConfigError("need rounds >= 1 and trials >= 1")
     if not R > 0:
         raise ConfigError("need R > 0")
-
-
-def _fit_log_slope(ks, values) -> float:
-    if ks.size < 2:
-        return 0.0
-    slope, _ = np.polyfit(np.asarray(ks, dtype=float), np.log(values), 1)
-    return float(slope)

@@ -160,10 +160,13 @@ def _evaluate_many(model: BatchModel, Y: np.ndarray) -> np.ndarray:
         aff = model.anchor_value + D @ model.gbar
         return np.maximum(aff, model.lower_bound)
     # full prox: the model is the batch-averaged loss itself
-    vals = np.empty(Y.shape[0])
-    for i in range(Y.shape[0]):
-        vals[i] = problems.batch_objective(model.inst, Y[i], model.batch)
-    return vals
+    return _batch_averages(model.inst, Y, model.batch)
+
+
+def _batch_averages(inst, Y, batch):
+    """The batch-averaged loss at each row of Y (P, n), one stacked call."""
+    vals, _ = problems.stacked_losses(inst, Y, np.broadcast_to(batch, (Y.shape[0], batch.size)))
+    return vals.mean(axis=1)
 
 
 @dataclass
@@ -198,7 +201,7 @@ def check_model_conditions(
     probes = model.anchor + scale * rng.standard_normal((n_probes, n))
 
     mvals = np.asarray(evaluate_model(model, probes))
-    fvals = np.array([problems.batch_objective(inst, p, model.batch) for p in probes])
+    fvals = _batch_averages(inst, probes, model.batch)
 
     lb_viol = float(np.max(mvals - fvals))
     floor_viol = 0.0

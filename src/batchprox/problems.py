@@ -90,13 +90,6 @@ class NoiseSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("flip probability must lie in [0, 1]")
 
-    def label(self) -> str:
-        if self.kind == NOISE_NONE:
-            return "none"
-        if self.kind == NOISE_FLIP:
-            return f"flip{self.p:g}"
-        return f"{self.kind}{self.sigma:g}"
-
 
 @dataclass
 class OptimumInfo:
@@ -316,17 +309,6 @@ def stacked_losses(inst: ProblemInstance, X: np.ndarray, idx: np.ndarray):
         nrm = inst.row_norms[idx]
         vals, slope = vals / nrm, slope / nrm
     return vals, rows * slope[..., np.newaxis]
-
-
-def loss_eval(inst: ProblemInstance, x: np.ndarray, i: int):
-    """(value, subgradient) of sample i at x."""
-    vals, grads = batch_losses(inst, x, np.array([i]))
-    return float(vals[0]), grads[0].copy()
-
-
-def batch_objective(inst: ProblemInstance, x: np.ndarray, idx: np.ndarray) -> float:
-    vals, _ = batch_losses(inst, x, idx)
-    return float(vals.mean())
 
 
 def objective_value(inst: ProblemInstance, x: np.ndarray) -> float:
@@ -604,22 +586,12 @@ def logistic_newton(A, b, X0, alpha, tol, max_newton):
         x = x + t[:, np.newaxis] * step
 
 
-def distance_to_optimum(inst: ProblemInstance, x: np.ndarray) -> float:
-    """Euclidean distance to the optimal set.
-
-    Supported whenever the optimal set is a known point or, for the
-    halfspace-intersection problem, the feasible polyhedron (computed by an
-    exact projection).
-    """
-    x = np.asarray(x, dtype=float)
-    return float(distances_to_optimum(inst, x[np.newaxis])[0])
-
-
 def distances_to_optimum(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """distance_to_optimum of each row of X (C, n).  To a point it is
-    sqrt(d.d) by one dot per row, the computation of ``np.linalg.norm`` on
-    the row alone, so a row's value does not depend on C; the halfspace
-    intersection takes one exact projection per row."""
+    """Euclidean distance of each row of X (C, n) to the optimal set, a known
+    point or the feasible polyhedron of the halfspace intersection.  To a
+    point it is sqrt(d.d) by one dot per row, the computation of
+    ``np.linalg.norm`` on the row alone, so a row's value does not depend on
+    C; the halfspace intersection takes one exact projection per row."""
     from .prox import project_polyhedron, rowdot
     if inst.kind == HALFSPACE:
         return np.array([np.linalg.norm(x - project_polyhedron(inst.A, inst.b, x))
@@ -629,48 +601,3 @@ def distances_to_optimum(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"optimal set of {inst.kind} instance is not a point")
     D = X - info.x_star
     return np.sqrt(rowdot(D, D))
-
-
-# ---------------------------------------------------------------------------
-# Orthogonal-column streaming regression (lower-bound construction)
-
-
-@dataclass(eq=False)
-class OrthColRegression:
-    """Streaming noiseless regression revealing random orthogonal projections.
-
-    Each round draws m distinct columns of a fixed orthogonal U and reveals
-    A = sqrt(n/m) * [u_i1 ... u_im]^T together with b = A x_star, so that
-    E[A^T A] = I.  The Bayes posterior mean under the Gaussian prior zeroes
-    out the unobserved coordinates of x_star in the U basis.
-    """
-
-    U: np.ndarray
-    x_star: np.ndarray
-    n: int
-    m: int
-    R: float
-
-    def draw_round(self, rng: np.random.Generator):
-        idx = rng.choice(self.n, size=self.m, replace=False)
-        A = np.sqrt(self.n / self.m) * self.U[:, idx].T
-        return A, A @ self.x_star, idx
-
-    def coords(self) -> np.ndarray:
-        """x_star expressed in the U basis."""
-        return self.U.T @ self.x_star
-
-
-def make_orthcol_regression(n: int, m: int, R: float, seed: int,
-                            use_identity: bool = False) -> OrthColRegression:
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    rng = np.random.default_rng(seed)
-    if use_identity:
-        U = np.eye(n)
-    else:
-        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    x_star = (R / np.sqrt(n)) * rng.standard_normal(n)
-    return OrthColRegression(U=U, x_star=x_star, n=n, m=m, R=R)

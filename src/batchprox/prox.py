@@ -243,8 +243,9 @@ def _ascent(aQ, v, lam):
 
 def _kkt(g, lam, lo, hi):
     """Per-cell KKT residuals: |g| inside the box, the outward-pointing
-    part at a bound (nothing for a coordinate pinned by lo = hi)."""
-    return np.maximum(np.where(lam > lo, -g, 0.0), np.where(lam < hi, g, 0.0)).max(axis=1)
+    part at a bound (nothing for a coordinate pinned by lo = hi).  A NaN
+    coordinate of lam takes |g|, so its residual is NaN, not 0."""
+    return np.maximum(np.where(lam <= lo, 0.0, -g), np.where(lam >= hi, 0.0, g)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

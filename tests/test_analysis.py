@@ -20,7 +20,7 @@ class TestSigma0:
         # Oracle: population variance over the 5 samples by direct loops.
         inst = problems.generate_problem("linreg", N=5, n=2, sigma=0.5, seed=2)
         x = np.array([0.3, -0.7])
-        grads = np.array([problems.loss_eval(inst, x, i)[1] for i in range(5)])
+        grads = np.array([problems.batch_losses(inst, x, [i])[1][0] for i in range(5)])
         gbar = grads.mean(axis=0)
         expected = float(np.mean([(g - gbar) @ (g - gbar) for g in grads]))
         est = analysis.estimate_sigma0(inst, x[np.newaxis, :])
@@ -146,6 +146,36 @@ class TestGammaGrowth:
             vals.append(est.lambda1_hat)
         assert vals[1] > vals[0]
         assert vals[2] > vals[1]
+
+    @pytest.mark.parametrize("m", [2, 5, 8, 32])
+    @pytest.mark.parametrize("kind, kw", [
+        ("power", dict(gamma=0.5)), ("power", dict(gamma=1.0)),
+        ("linreg", dict(sigma=0.3)), ("absreg", dict(sigma=0.3)),
+        ("twopoint", dict(delta=0.3, gamma=0.5))])
+    def test_batch_draws_match_a_per_draw_loop(self, kind, kw, m):
+        # The stacked m > 1 expectation against one sample_batch and one
+        # batch_losses call per draw: E, its standard error, the negative
+        # flag and the generator state afterwards, bit for bit.
+        inst = problems.generate_problem(kind, N=40, n=5, seed=3, **kw)
+        x_star = problems.reference_optimum(inst).x_star
+        vals_star, _ = problems.batch_losses(inst, x_star, np.arange(inst.N))
+        draws = 300
+        for r in (0.1, 1.0):
+            x = x_star + r * np.random.default_rng(4).standard_normal(inst.n)
+            rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+            got = analysis._growth_expectation(inst, x, vals_star, 0.7, m, draws, rng)
+            terms, neg = np.empty(draws), False
+            for t in range(draws):
+                idx = problems.sample_batch(inst, m, ref_rng)
+                vals, grads = problems.batch_losses(inst, x, idx)
+                diff = float(vals.mean() - vals_star[idx].mean())
+                g = grads.mean(axis=0)
+                terms[t] = analysis._growth_terms(np.array([diff]),
+                                                  np.array([float(g @ g)]), 0.7)[0]
+                neg = neg or diff < -1e-12
+            assert got == (float(terms.mean()),
+                           float(terms.std(ddof=1) / np.sqrt(draws)), neg)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_needs_known_optimum(self):
         inst = problems.generate_problem("logistic", N=30, n=3, p=0.0, seed=7)

@@ -423,7 +423,8 @@ class TestLab:
         mean_sq = sq.mean(axis=0)
         assert rep.mean_sq_dist.tobytes() == mean_sq.tobytes()
         ks, positive = np.arange(rounds + 1), mean_sq > 0
-        assert rep.empirical_log_factor == lab._fit_log_slope(ks[positive], mean_sq[positive])
+        assert rep.empirical_log_factor == analysis.loglinear_fit(ks[positive],
+                                                                  mean_sq[positive])[0]
 
     @pytest.mark.parametrize("rounds, trials", [(0, 5), (5, 0), (-1, 5)])
     def test_labs_reject_empty_runs(self, rounds, trials):

@@ -21,7 +21,7 @@ class TestBuild:
         for strat in STRATEGIES:
             model = models.build_batch_model(inst, x, batch, strat)
             assert models.evaluate_model(model, x) == pytest.approx(
-                problems.batch_objective(inst, x, batch), abs=1e-12
+                problems.batch_losses(inst, x, batch)[0].mean(), abs=1e-12
             )
 
     def test_nonnegative_loss_gives_zero_floor(self):
@@ -37,7 +37,7 @@ class TestBuild:
                                      models.pma())
 
     def test_pam_value_is_mean_of_truncations(self):
-        # Oracle: recompute from loss_eval directly.
+        # Oracle: recompute from each sample's value and subgradient.
         rng = np.random.default_rng(1)
         inst = make_inst(sigma=0.4)
         x = rng.standard_normal(5)
@@ -47,7 +47,7 @@ class TestBuild:
             y = x + rng.standard_normal(5)
             expected = 0.0
             for i in batch:
-                v, g = problems.loss_eval(inst, x, int(i))
+                (v,), (g,) = problems.batch_losses(inst, x, [i])
                 expected += max(v + float(g @ (y - x)), 0.0)
             expected /= batch.size
             assert models.evaluate_model(model, y) == pytest.approx(
@@ -98,10 +98,10 @@ class TestBuild:
             x = rng.standard_normal(5)
             batch = np.array([1, 2, 3])
             model = models.build_batch_model(inst, x, batch, models.pma())
-            f_x = problems.batch_objective(inst, x, batch)
+            f_x = problems.batch_losses(inst, x, batch)[0].mean()
             for _ in range(30):
                 y = x + rng.standard_normal(5)
-                f_y = problems.batch_objective(inst, y, batch)
+                f_y = problems.batch_losses(inst, y, batch)[0].mean()
                 assert f_y >= f_x + float(model.gbar @ (y - x)) - 1e-9
 
 
@@ -124,6 +124,38 @@ class TestEvaluate:
             assert batched[i] == pytest.approx(
                 models.evaluate_model(model, ys[i]), rel=1e-14
             )
+
+
+def _batch_average_loop(inst, Y, batch):
+    """The batch-averaged loss at each row of Y, one batch_losses call per row."""
+    return np.array([problems.batch_losses(inst, y, batch)[0].mean() for y in Y])
+
+
+class TestStackedBatchAverages:
+    @pytest.mark.parametrize("kind", ["linreg", "absreg", "logistic",
+                                      "halfspace", "power"])
+    def test_match_a_per_probe_loop(self, kind):
+        # evaluate_model (full prox) and check_model_conditions' batch losses
+        # against one batch_losses call per probe, bit for bit.
+        inst = make_inst(kind, sigma=0.3, p=0.05, gamma=0.5, seed=10)
+        rng = np.random.default_rng(14)
+        for m in (1, 3, 16):
+            x, batch = rng.standard_normal(5), rng.integers(0, inst.N, m)
+            ys = x + 2.0 * rng.standard_normal((40, 5))
+            fp = models.build_batch_model(inst, x, batch, models.full_prox())
+            loop = _batch_average_loop(inst, ys, batch)
+            assert models.evaluate_model(fp, ys).tobytes() == loop.tobytes()
+            for strat in STRATEGIES:
+                model = models.build_batch_model(inst, x, batch, strat)
+                report = models.check_model_conditions(inst, model, 30,
+                                                       np.random.default_rng(m))
+                scale = np.linalg.norm(x) + 1.0
+                probes = x + scale * np.random.default_rng(m).standard_normal((30, 5))
+                fvals = _batch_average_loop(inst, probes, batch)
+                # The full-prox model is the batch average itself.
+                mvals = (fvals if strat == models.full_prox()
+                         else models.evaluate_model(model, probes))
+                assert report.lower_bound_violation == float(np.max(mvals - fvals))
 
 
 class TestConditions:

@@ -529,7 +529,7 @@ class TestLockstep:
                 x = np.zeros(inst.n) if k == 0 else optimizers.run_base(
                     inst, models.pma(), schedules[i], 1, int(k),
                     rng=np.random.default_rng(70 + i), **kw).x_final
-                assert d == problems.distance_to_optimum(inst, x)
+                assert d == problems.distances_to_optimum(inst, x[np.newaxis])[0]
                 assert d == np.linalg.norm(x - x_star)
 
 

@@ -105,7 +105,7 @@ def test_twopoint_sign_is_the_generated_sign():
 class TestLossEval:
     def test_linreg_at_optimum(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.0, seed=5)
-        v, g = problems.loss_eval(inst, inst.x_planted, 4)
+        (v,), (g,) = problems.batch_losses(inst, inst.x_planted, [4])
         assert v == pytest.approx(0.0, abs=1e-24)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
@@ -113,7 +113,7 @@ class TestLossEval:
         # Half-weighted convention: F = |a x - b| / 2.
         inst = problems.make_custom_linreg(np.array([[2.0]]), np.array([0.0]))
         inst.kind = problems.ABSREG
-        v, g = problems.loss_eval(inst, np.array([3.0]), 0)
+        (v,), (g,) = problems.batch_losses(inst, np.array([3.0]), [0])
         assert v == pytest.approx(3.0)
         np.testing.assert_allclose(g, [1.0])
 
@@ -124,12 +124,12 @@ class TestLossEval:
             for _ in range(5):
                 x = rng.standard_normal(inst.n)
                 i = int(rng.integers(inst.N))
-                v, g = problems.loss_eval(inst, x, i)
+                (v,), (g,) = problems.batch_losses(inst, x, [i])
                 d = rng.standard_normal(inst.n)
                 d /= np.linalg.norm(d)
                 h = 1e-6
-                vp, _ = problems.loss_eval(inst, x + h * d, i)
-                vm, _ = problems.loss_eval(inst, x - h * d, i)
+                (vp,), _ = problems.batch_losses(inst, x + h * d, [i])
+                (vm,), _ = problems.batch_losses(inst, x - h * d, [i])
                 fd = (vp - vm) / (2 * h)
                 # Skip near-kink evaluations where the derivative jumps.
                 if abs(vp - 2 * v + vm) > 1e-7:
@@ -148,22 +148,22 @@ class TestLossEval:
         np.testing.assert_array_equal(inst.b, [0.0, inst.sign * 1.7])
         x = np.array([0.4])
         r = 0.4 - inst.sign * 1.7
-        v0, g0 = problems.loss_eval(inst, x, 0)
-        v1, g1 = problems.loss_eval(inst, x, 1)
+        (v0,), (g0,) = problems.batch_losses(inst, x, [0])
+        (v1,), (g1,) = problems.batch_losses(inst, x, [1])
         assert (v0, g0.tolist()) == (0.0, [0.0])
         assert v1 == abs(r) ** 1.5 / 1.5
         assert g1.tolist() == [np.sign(r) * abs(r) ** 0.5]
 
     def test_halfspace_inside_is_zero(self):
         inst = problems.generate_problem("halfspace", N=20, n=4, seed=6)
-        v, g = problems.loss_eval(inst, inst.x_planted, 3)
+        (v,), (g,) = problems.batch_losses(inst, inst.x_planted, [3])
         assert v == 0.0
         np.testing.assert_array_equal(g, np.zeros(4))
 
     def test_index_out_of_range(self):
         inst = problems.generate_problem("linreg", N=10, n=2, seed=0)
         with pytest.raises(IndexError):
-            problems.loss_eval(inst, np.zeros(2), 10)
+            problems.batch_losses(inst, np.zeros(2), [10])
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -174,9 +174,9 @@ class TestLossEval:
             y = rng.standard_normal(inst.n)
             t = float(rng.random())
             i = int(rng.integers(inst.N))
-            vx, _ = problems.loss_eval(inst, x, i)
-            vy, _ = problems.loss_eval(inst, y, i)
-            vm, _ = problems.loss_eval(inst, t * x + (1 - t) * y, i)
+            (vx,), _ = problems.batch_losses(inst, x, [i])
+            (vy,), _ = problems.batch_losses(inst, y, [i])
+            (vm,), _ = problems.batch_losses(inst, t * x + (1 - t) * y, [i])
             assert vm <= t * vx + (1 - t) * vy + 1e-10
 
     @given(st.integers(0, 1000))
@@ -187,8 +187,8 @@ class TestLossEval:
             x = rng.standard_normal(inst.n)
             y = rng.standard_normal(inst.n)
             i = int(rng.integers(inst.N))
-            vx, gx = problems.loss_eval(inst, x, i)
-            vy, _ = problems.loss_eval(inst, y, i)
+            (vx,), (gx,) = problems.batch_losses(inst, x, [i])
+            (vy,), _ = problems.batch_losses(inst, y, [i])
             assert vy >= vx + float(gx @ (y - x)) - 1e-10
 
     def test_interpolation_definition(self):
@@ -214,7 +214,7 @@ class TestObjective:
         rng = np.random.default_rng(3)
         for inst in small_instances(2):
             x = rng.standard_normal(inst.n)
-            vals = [problems.loss_eval(inst, x, i)[0] for i in range(inst.N)]
+            vals, _ = problems.batch_losses(inst, x, np.arange(inst.N))
             # The mean under the sampling law (uniform for a dataset).
             assert problems.objective_value(inst, x) == pytest.approx(
                 float(np.average(vals, weights=inst.sample_probabilities)), rel=1e-14
@@ -579,42 +579,11 @@ class TestReferenceOptimum:
         assert problems.reference_optimum(inst) is problems.reference_optimum(inst)
 
 
-class TestOrthCol:
-    def test_m_equals_n_identifies(self):
-        gen = problems.make_orthcol_regression(4, 4, R=1.0, seed=0)
-        A, b, idx = gen.draw_round(np.random.default_rng(0))
-        x_hat = np.linalg.solve(A, b)
-        np.testing.assert_allclose(x_hat, gen.x_star, atol=1e-10)
-
-    def test_identity_basis_reveals_coordinates(self):
-        gen = problems.make_orthcol_regression(4, 1, R=1.0, seed=0,
-                                               use_identity=True)
-        A, b, idx = gen.draw_round(np.random.default_rng(3))
-        assert A.shape == (1, 4)
-        np.testing.assert_allclose(A[0, idx[0]], 2.0)  # sqrt(n/m) = 2
-        assert b[0] == pytest.approx(2.0 * gen.x_star[idx[0]])
-
-    def test_second_moment_identity(self):
-        gen = problems.make_orthcol_regression(6, 2, R=1.0, seed=1)
-        rng = np.random.default_rng(5)
-        acc = np.zeros((6, 6))
-        draws = 10_000
-        for _ in range(draws):
-            A, _, _ = gen.draw_round(rng)
-            acc += A.T @ A
-        acc /= draws
-        assert np.abs(acc - np.eye(6)).max() < 0.02 * 6
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            problems.make_orthcol_regression(4, 5, R=1.0, seed=0)
-
-
 class TestDistanceToOptimum:
     def test_twopoint(self):
         inst = problems.generate_problem("twopoint", delta=0.2, radius=3.0,
                                          seed=2)
-        d = problems.distance_to_optimum(inst, np.array([0.0]))
+        (d,) = problems.distances_to_optimum(inst, np.array([[0.0]]))
         assert d == pytest.approx(3.0)
 
     def test_rows_match_lone_distances(self):
@@ -625,16 +594,16 @@ class TestDistanceToOptimum:
             X = 3.0 * rng.standard_normal((4, inst.n))
             dists = problems.distances_to_optimum(inst, X)
             for c in range(4):
-                assert dists[c] == problems.distance_to_optimum(inst, X[c])
+                assert dists[c] == problems.distances_to_optimum(inst, X[c:c + 1])[0]
                 if inst.kind != problems.HALFSPACE:
                     x_star = problems.reference_optimum(inst).x_star
                     assert dists[c] == np.linalg.norm(X[c] - x_star)
 
     def test_halfspace_uses_projection(self):
         inst = problems.generate_problem("halfspace", N=25, n=3, seed=3)
-        assert problems.distance_to_optimum(inst, inst.x_planted) == 0.0
+        assert problems.distances_to_optimum(inst, inst.x_planted[np.newaxis]).tolist() == [0.0]
         x = inst.x_planted + 10.0 * np.ones(3)
-        d = problems.distance_to_optimum(inst, x)
+        (d,) = problems.distances_to_optimum(inst, x[np.newaxis])
         assert d > 0.0
         # Projection feasibility: the projected point satisfies every halfspace.
         from batchprox.prox import project_polyhedron

@@ -511,6 +511,21 @@ class TestBoxDualRework:
         _, iters, res = _assert_reference_bytes(Q, v, alpha, lo, hi)
         assert np.all(res <= 1e-9) and len(set(iters.tolist())) > 1
 
+    def test_all_nan_dual_does_not_read_converged(self):
+        # NaN compares false with both bounds, so a NaN coordinate of lam
+        # takes |g| (NaN), and the cell fails with residual inf.
+        lam, iters, res = prox.solve_box_qps(np.ones((1, 1, 1)), np.array([[np.nan]]),
+                                             np.ones(1), 0.0, 1.0)
+        _, info = prox.solve_box_qp(prox.BoxQP(np.ones((1, 1)), [np.nan], 1.0, 0.0, 1.0))
+        assert np.isnan(lam[0, 0]) and iters.tolist() == [0] and res.tolist() == [np.inf]
+        assert info.residual == np.inf and not info.converged
+        inst = problems.generate_problem("absreg", N=20, n=3, sigma=0.5, seed=1)
+        x = np.ones(3)
+        model = models.build_batch_model(inst, x, np.array([2, 5, 7]), models.pam())
+        model.values = np.full(3, np.nan)
+        with pytest.raises(prox.InnerSolveError):
+            prox.pam_step(x, model, 1.0)
+
     def test_one_cell_gaps_keep_the_reference_formula(self):
         rng = np.random.default_rng(8)
         inst = problems.generate_problem("absreg", N=60, n=5, sigma=0.5, seed=3)
@@ -926,11 +941,8 @@ class TestDispatcherAndPia:
             a = inst.A[i]
             ts = np.arange(-2.0, 2.0, 1e-6)
             pts = x[np.newaxis, :] - ts[:, np.newaxis] * a[np.newaxis, :]
-            vals = np.array(
-                [problems.loss_eval(inst, p, i)[0] for p in
-                 pts[:: len(pts) // 4001]]
-            )
             sub = pts[:: len(pts) // 4001]
+            vals = np.array([problems.batch_losses(inst, p, [i])[0][0] for p in sub])
             obj = vals + ((sub - x) ** 2).sum(axis=1) / 1.8
             best = sub[np.argmin(obj)]
             np.testing.assert_allclose(out, best, atol=2e-3)
