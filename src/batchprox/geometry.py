@@ -1,11 +1,9 @@
-"""Distance-generating functions, mirror steps and domain projections.
+"""Feasible domains and their Euclidean projection.
 
-Two geometries are provided: the Euclidean half-squared-norm potential on
-(subsets of) R^n, and the negative-entropy potential on the probability
-simplex.  Both are 1-strongly convex with respect to their reference norm
-(l2 and l1 respectively).  The linear model's prox step in either geometry
-is the exact mirror step; every other step is Euclidean, followed by a
-projection onto the domain.
+Every prox subproblem is Euclidean, with a ||x - center||^2 / (2 alpha)
+term.  The feasible set is all of R^n or a Euclidean ball; on a ball the
+unconstrained prox step is followed by a projection, which takes one point
+or a whole stack of cells' points in one call.
 """
 
 from __future__ import annotations
@@ -14,50 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EUCLIDEAN = "euclidean_half_sq"
-NEG_ENTROPY = "neg_entropy_simplex"
-
 ALL_SPACE = "all_space"
 BALL = "euclidean_ball"
-SIMPLEX = "simplex"
-
-# Iterates are clamped away from the simplex boundary before taking logs;
-# the entropy gradient is unbounded there.
-_ENTROPY_FLOOR = 1e-15
-
-
-@dataclass(frozen=True)
-class DistanceGenerator:
-    """A strongly convex potential h defining the proximal geometry."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, NEG_ENTROPY):
-            raise ValueError(f"unknown distance generator kind: {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be a positive integer")
-
-
-def euclidean(dim: int) -> DistanceGenerator:
-    return DistanceGenerator(EUCLIDEAN, dim)
-
-
-def entropy_simplex(dim: int) -> DistanceGenerator:
-    return DistanceGenerator(NEG_ENTROPY, dim)
 
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Feasible set: all of R^n, a Euclidean ball, or the simplex."""
+    """Feasible set: all of R^n or a Euclidean ball."""
 
     kind: str
     center: np.ndarray | None = None
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (ALL_SPACE, BALL, SIMPLEX):
+        if self.kind not in (ALL_SPACE, BALL):
             raise ValueError(f"unknown domain kind: {self.kind!r}")
         if self.kind == BALL:
             if self.center is None or self.radius <= 0:
@@ -72,74 +40,31 @@ def ball(center, radius: float) -> Domain:
     return Domain(BALL, center=np.asarray(center, dtype=float), radius=float(radius))
 
 
-def simplex() -> Domain:
-    return Domain(SIMPLEX)
-
-
-def check_compatible(h: DistanceGenerator, dom: Domain) -> None:
-    """The entropy potential only pairs with the simplex, and vice versa."""
-    entropy = h.kind == NEG_ENTROPY
-    simplex_dom = dom.kind == SIMPLEX
-    if entropy != simplex_dom:
-        raise ValueError(
-            f"incompatible geometry: {h.kind} with domain {dom.kind}"
-        )
-
-
-def mirror_linear_step(
-    h: DistanceGenerator,
-    dom: Domain,
-    z: np.ndarray,
-    g: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """argmin over the domain of <g, x> + D_h(x, z) / alpha, D_h the Bregman
-    divergence h(x) - h(z) - <grad h(z), x - z>.
-
-    Euclidean geometry gives the projected gradient step; the entropy
-    geometry gives the multiplicative-weights update.
-    """
+def mirror_linear_step(dom: Domain, z: np.ndarray, g: np.ndarray,
+                       alpha: float) -> np.ndarray:
+    """argmin over the domain of <g, x> + ||x - z||^2 / (2 alpha): the
+    projected gradient step.  Nothing in ``src/`` calls it; it goes when
+    ROADMAP item 4 retires the benchmark's ``perfbench/layers.py`` WRAPS."""
     if not alpha > 0:
         raise ValueError("stepsize must be positive")
-    check_compatible(h, dom)
-    z = _check_dim(z, h.dim)
-    g = _check_dim(g, h.dim)
-    if h.kind == EUCLIDEAN:
-        return project_domain(dom, z - alpha * g)
-    logw = np.log(np.maximum(z, _ENTROPY_FLOOR)) - alpha * g
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
+    return project_domain(dom, np.asarray(z, dtype=float) - alpha * np.asarray(g, dtype=float))
 
 
 def project_domain(dom: Domain, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the domain."""
+    """Euclidean projection onto the domain of one point (n,) or of every
+    row of a stack (C, n).  A row's distance to the ball's center is one
+    BLAS dot per row, the value ``np.linalg.norm`` gives the row alone; a
+    row inside the ball is returned untouched, and only the rows outside it
+    are rescaled onto the sphere, so a zero distance divides nothing."""
     x = np.asarray(x, dtype=float)
     if dom.kind == ALL_SPACE:
         return x
-    if dom.kind == BALL:
-        d = x - dom.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= dom.radius:
-            return x
-        return dom.center + (dom.radius / nrm) * d
-    return project_simplex(x)
-
-
-def project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex (sort-based, O(n log n))."""
-    x = np.asarray(x, dtype=float)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, x.size + 1)
-    cond = u - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
-
-
-def _check_dim(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"expected vector of dimension {dim}, got shape {x.shape}")
-    return x
+    X = np.atleast_2d(x)
+    D = X - dom.center
+    nrm = np.sqrt(np.matmul(D[:, np.newaxis, :], D[:, :, np.newaxis])[:, 0, 0])
+    out = ~(nrm <= dom.radius)  # a NaN distance rescales, as a lone row's does
+    if not out.any():
+        return x
+    X = X.copy()
+    X[out] = dom.center + (dom.radius / nrm[out])[:, np.newaxis] * D[out]
+    return X.reshape(x.shape)

@@ -198,24 +198,21 @@ def run_base(
     rng: np.random.Generator,
     record: RecordOptions | None = None,
     x0=None,
-    h: geometry.DistanceGenerator | None = None,
     full_batch: bool = False,
 ) -> RunRecord:
     """Base model-based loop: sample a batch, build the model at x_k, solve
     the prox subproblem with alpha_k, and record the objective gap.
 
-    Non-Euclidean geometries are supported for the linear model (the exact
-    mirror step); other models require the Euclidean geometry, and on
-    constrained domains their unconstrained prox solve is followed by a
-    projection.  Iterate averaging (``models.pia``) solves the m
-    single-sample subproblems from x_k and averages them.
+    On a ball domain the unconstrained prox solve is followed by a
+    projection onto the ball.  Iterate averaging (``models.pia``) solves the
+    m single-sample subproblems from x_k and averages them.
 
     Batches are drawn from rng in blocks of consecutive batches on the same
     stream, so the run reads the batches that one draw per step would give;
     rng may be left advanced past the last batch used.
     """
     return _run_lockstep(inst, strategy, [schedule], m, n_steps, epsilon, [rng],
-                         record=record, x0=x0, h=h, full_batch=full_batch)[0]
+                         record=record, x0=x0, full_batch=full_batch)[0]
 
 
 def run_pia(
@@ -267,8 +264,7 @@ def run_accelerated(
 
 
 def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
-                  accelerated=False, record=None, x0=None, h=None,
-                  full_batch=False) -> list:
+                  accelerated=False, record=None, x0=None, full_batch=False) -> list:
     """Run C cells that share the instance, strategy, m and starting point
     and differ in their schedule and generator (cell c uses schedules[c]
     and rngs[c]); returns one RunRecord per cell.
@@ -289,26 +285,15 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     x = np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     x = geometry.project_domain(inst.domain, x)
     f_star = problems.reference_optimum(inst).f_star
-    hgen = h if h is not None else geometry.euclidean(inst.n)
-    if accelerated:
-        if any(s.kind == POLY_DECAY and math.isinf(s.alpha0) for s in schedules):
-            raise ValueError("the accelerated loop requires finite stepsizes")
-    else:
-        geometry.check_compatible(hgen, inst.domain)
-        if hgen.kind != geometry.EUCLIDEAN and not (
-            strategy.scheme == models.MODEL_OF_AVERAGE and strategy.kind == models.LINEAR
-        ):
-            raise ValueError("non-Euclidean geometry requires the linear model")
-        for s in schedules:
-            _check_infinite_alpha(strategy, s)
+    for s in schedules:
+        _check_infinite_alpha(strategy, s, accelerated)
     config = {"method": strategy.method_id, "accelerated": accelerated, "m": m_eff,
               "epsilon": epsilon, "full_batch": full}
     if strategy.scheme == models.ITERATE_AVERAGE:
         config["pia_kind"] = strategy.kind
     configs = [dict(config, schedule=s) for s in schedules]
     step = _stepper(inst, m, n_steps, full, rngs,
-                    prox.stacked_step(inst, strategy, m_eff, _INNER_TOL, hgen),
-                    project=hgen.kind == geometry.EUCLIDEAN)
+                    prox.stacked_step(inst, strategy, m_eff, _INNER_TOL))
 
     C = len(schedules)
     XX = np.repeat(x[np.newaxis], (1 + opts.record_average) * C, axis=0)
@@ -413,18 +398,19 @@ def _settle(cells, k, gaps, epsilon, limit, status, k_conv):
 _SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
 
 
-def _stepper(inst, m, n_steps, full, rngs, kernel, project):
+def _stepper(inst, m, n_steps, full, rngs, kernel):
     """step(cells, anchors, centers, alpha) -> (new points, ok) for the
     running cells: take each cell's next batch, apply the stacked kernel
-    (a ``prox.stacked_step``), project, and redraw up to ``_INNER_RETRIES``
-    times for the cells whose solve failed.  ok is None when the first
-    stacked attempt succeeded, else a mask that is False for a cell whose
-    every attempt failed (its row is then meaningless).
+    (a ``prox.stacked_step``), project the stack onto the domain in one
+    call, and redraw up to ``_INNER_RETRIES`` times for the cells whose
+    solve failed.  ok is None when the first stacked attempt succeeded, else
+    a mask that is False for a cell whose every attempt failed (its row is
+    then meaningless).
 
     A cell's batches come from a (rows, m) block drawn from its generator in
     one call and refilled when used up; the rows are the batches that one
     draw per attempt would give, so the block size does not change a run."""
-    project = project and inst.domain.kind != geometry.ALL_SPACE
+    project = inst.domain.kind != geometry.ALL_SPACE
     C = len(rngs)
     if full:
         everything = np.tile(np.arange(inst.N), (C, 1))
@@ -449,7 +435,7 @@ def _stepper(inst, m, n_steps, full, rngs, kernel, project):
         idx = batches(cells)
         out, good = _apply(kernel, A, Zc, alpha, idx)
         if project:
-            out = np.array([geometry.project_domain(inst.domain, x) for x in out])
+            out = geometry.project_domain(inst.domain, out)
         return out, good
 
     def step(cells, anchors, centers, alpha):
@@ -489,8 +475,10 @@ def _apply(kernel, A, Zc, alpha, idx):
     return out, good
 
 
-def _check_infinite_alpha(strategy, schedule):
+def _check_infinite_alpha(strategy, schedule, accelerated):
     if schedule.kind == POLY_DECAY and math.isinf(schedule.alpha0):
+        if accelerated:
+            raise ValueError("the accelerated loop requires finite stepsizes")
         truncated = (
             strategy.kind == models.TRUNCATED
             and strategy.scheme in (models.MODEL_OF_AVERAGE, models.ITERATE_AVERAGE)
@@ -501,18 +489,6 @@ def _check_infinite_alpha(strategy, schedule):
             )
         if schedule.beta != 0.0:
             raise ValueError("infinite stepsize requires beta = 0")
-
-
-def time_to_epsilon(record: RunRecord, epsilon: float):
-    """Samples consumed at the first recorded gap <= epsilon (None if the
-    trace never crosses; granularity is the record stride).  A trace that
-    starts converged reports one batch."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    hit = np.nonzero(record.gaps <= epsilon)[0]
-    if hit.size == 0:
-        return None
-    return samples_used(int(record.ks[hit[0]]), int(record.config.get("m", 1)))
 
 
 def samples_used(k: int, m: int) -> int:

@@ -122,6 +122,11 @@ class ProblemInstance:
     _reference: OptimumInfo | None = field(default=None, repr=False)
     _cdf: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        center = self.domain.center
+        if self.domain.kind == geometry.BALL and center.shape != (self.n,):
+            raise ValueError(f"ball center has shape {center.shape}, expected ({self.n},)")
+
     @property
     def sample_probabilities(self) -> np.ndarray | None:
         """Categorical sampling law; None means uniform over the dataset."""
@@ -391,13 +396,32 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
     ReferenceSolveError when that dual point leaves its box by more than
     1e-12 relative or leaves a duality gap above 1e-10 * max(1, f*), or when
     the Newton solve stops with a gradient norm above 1e-8, so that no gap
-    is ever measured against an inexact f*.  No reference solve loads SciPy.
+    is ever measured against an inexact f*.  Raises ValueError on a ball
+    domain that does not hold the point attaining f*.  No reference solve
+    loads SciPy.
     """
     if inst._reference is not None:
         return inst._reference
     info = _compute_reference(inst)
+    _check_attained_in_domain(inst, info)
     inst._reference = info
     return info
+
+
+def _check_attained_in_domain(inst, info):
+    """f* is computed over all of R^n, so on a ball it is the ball's f* only
+    when the point that attains it lies in the ball: x*, or the planted
+    point of an interpolation instance.  A separable logistic instance's
+    f* = 0 is approached at infinity, so no ball serves it."""
+    dom = inst.domain
+    if dom.kind != geometry.BALL:
+        return
+    x = info.x_star
+    if x is None and inst.kind != LOGISTIC:
+        x = inst.x_planted
+    if x is None or not np.linalg.norm(x - dom.center) <= dom.radius:
+        raise ValueError("the reference optimum lies outside the ball domain, "
+                         "so the gaps would be measured against the wrong f*")
 
 
 def _compute_reference(inst: ProblemInstance) -> OptimumInfo:

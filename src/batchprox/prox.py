@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, models, problems
+from . import models, problems
 
 
 class InnerSolveError(RuntimeError):
@@ -414,7 +414,7 @@ def logistic_prox_steps(centers, A, b, alpha, tol: float = 1e-9, max_newton: int
 # for one model
 
 
-def stacked_step(inst, strategy, m: int, tol: float, h):
+def stacked_step(inst, strategy, m: int, tol: float):
     """The step of a strategy on a stack of cells: step(A, Zc, alpha, idx)
     takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
     and batches idx (C, m), and returns the new points before projection or
@@ -426,8 +426,7 @@ def stacked_step(inst, strategy, m: int, tol: float, h):
     scheme, kind = strategy.scheme, strategy.kind
     if scheme == models.ITERATE_AVERAGE:
         # Built here, once per factory call, rather than in every step.
-        single = stacked_step(inst, models.BatchStrategy(models.MODEL_OF_AVERAGE, kind), 1,
-                              tol, h)
+        single = stacked_step(inst, models.BatchStrategy(models.MODEL_OF_AVERAGE, kind), 1, tol)
 
         def pia(A, Zc, alpha, idx):
             C, m = idx.shape
@@ -454,9 +453,6 @@ def stacked_step(inst, strategy, m: int, tol: float, h):
         vals, grads = problems.stacked_losses(inst, A, idx)
         inv_m = 1.0 / idx.shape[1]
         gbar = np.add.reduce(grads, axis=1) * inv_m
-        if linear and h.kind != geometry.EUCLIDEAN:
-            return np.array([geometry.mirror_linear_step(h, inst.domain, Zc[i], gbar[i], alpha[i])
-                             for i in range(alpha.size)])
         if linear:
             return Zc - alpha[:, np.newaxis] * gbar
         fbar = np.add.reduce(vals, axis=1) * inv_m
@@ -476,8 +472,7 @@ def solve_model_prox(model: models.BatchModel, center, alpha,
     """
     anchor = model.anchor[np.newaxis]
     center = np.asarray(center, dtype=float)[np.newaxis]
-    step = stacked_step(model.inst, model.strategy, model.m, tol,
-                        geometry.euclidean(model.anchor.size))
+    step = stacked_step(model.inst, model.strategy, model.m, tol)
     return ProxResult(step(anchor, anchor if np.array_equal(center, anchor) else center,
                            np.array([alpha], dtype=float), model.batch[np.newaxis])[0])
 
@@ -618,7 +613,7 @@ def pia_step(inst, x_k, idx, kind: str, alpha) -> np.ndarray:
         raise ValueError("linear model needs a finite positive stepsize")
     x_k = np.asarray(x_k, dtype=float)[np.newaxis]
     idx = np.asarray(idx, dtype=int)[np.newaxis]
-    step = stacked_step(inst, models.pia(kind), idx.shape[1], 1e-9, geometry.euclidean(inst.n))
+    step = stacked_step(inst, models.pia(kind), idx.shape[1], 1e-9)
     return step(x_k, x_k, np.array([alpha], dtype=float), idx)[0]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from batchprox import geometry, models, optimizers, problems, prox
+from batchprox import analysis, geometry, models, optimizers, problems, prox
 
 
 def noisy_linreg(seed=0, **kw):
@@ -60,7 +60,7 @@ class TestRunBase:
                                   rng=np.random.default_rng(0),
                                   x0=inst.x_planted)
         assert rec.status == "converged" and rec.k_converged == 0
-        assert optimizers.time_to_epsilon(rec, 1e-10) == 2  # one batch
+        assert _time_to_epsilon(rec, 2) == 2  # one batch
 
     def test_bitwise_determinism(self):
         inst = noisy_linreg(3)
@@ -163,22 +163,6 @@ class TestRunBase:
                                        "schedule"} | ({"pia_kind"} if pia else set())
             assert rec.config["accelerated"] is accelerated
             assert rec.config.get("pia_kind") == (models.LINEAR if pia else None)
-
-    def test_simplex_geometry_linear_model(self):
-        dom = geometry.simplex()
-        inst = problems.generate_problem("linreg", N=40, n=5, sigma=0.2,
-                                         seed=12, domain=dom)
-        h = geometry.entropy_simplex(5)
-        rec = optimizers.run_base(inst, models.sgm(),
-                                  optimizers.poly_decay(0.5), m=4, n_steps=200,
-                                  epsilon=1e-12, rng=np.random.default_rng(6),
-                                  x0=np.full(5, 0.2), h=h)
-        assert abs(rec.x_final.sum() - 1.0) < 1e-9
-        assert np.all(rec.x_final >= 0)
-        with pytest.raises(ValueError):
-            optimizers.run_base(inst, models.pam(), optimizers.poly_decay(0.5),
-                                m=4, n_steps=5, epsilon=1e-12,
-                                rng=np.random.default_rng(0), h=h)
 
 
 class TestRunPia:
@@ -533,6 +517,52 @@ class TestLockstep:
                 assert d == np.linalg.norm(x - x_star)
 
 
+def _tight_ball_linreg():
+    """Noisy linreg on a ball that holds x* with little room: large steps
+    overshoot it."""
+    base = noisy_linreg(41)
+    r = 1.05 * float(np.linalg.norm(problems.reference_optimum(base).x_star))
+    return noisy_linreg(41, domain=geometry.ball(np.zeros(base.n), r))
+
+
+class TestLockstepOnABall:
+    """The stacked projection of C > 1 cells gives every cell its lone run."""
+
+    @pytest.mark.parametrize("method", ["sgm", "pma", "pam", "prox", "pia"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_projected_stack_rows_are_lone_runs(self, method, accelerated):
+        inst = _tight_ball_linreg()
+        alphas = [0.05, 1.0, 40.0]
+        group = _group(inst, method, alphas, 4, accelerated)
+        run = optimizers.run_accelerated if accelerated else optimizers.run_base
+        kw = _lockstep_kwargs(inst, 4, accelerated)
+        del kw["accelerated"]
+        for i, (a, rec) in enumerate(zip(alphas, group)):
+            alone = run(inst, models.strategy_from_id(method), optimizers.poly_decay(a),
+                        rng=np.random.default_rng(40 + i), **kw)
+            _assert_same_record(rec, alone)
+
+    def test_large_steps_land_on_the_sphere(self, monkeypatch):
+        # Every step projects a stack of more than one cell in which a row
+        # is rescaled onto the sphere and another is left inside the ball.
+        inst = _tight_ball_linreg()
+        dom, real, mixed = inst.domain, geometry.project_domain, []
+
+        def project(d, X):
+            out = real(d, X)
+            if out.ndim == 2 and out.shape[0] > 1:
+                dist = np.linalg.norm(out - dom.center, axis=1)
+                on = np.abs(dist - dom.radius) <= 1e-12 * dom.radius
+                mixed.append(on.any() and not on.all())
+            return out
+
+        monkeypatch.setattr(geometry, "project_domain", project)
+        group = _group(inst, "sgm", [0.05, 1.0, 40.0], 4, False)
+        assert len(mixed) == 30 and all(mixed)
+        assert abs(np.linalg.norm(group[2].x_final) - dom.radius) <= 1e-12 * dom.radius
+        assert all(np.linalg.norm(r.x_final) <= dom.radius * (1 + 1e-15) for r in group)
+
+
 class TestRecorder:
     """The recorder's tables: each cell's columns are its lone run's records."""
 
@@ -640,27 +670,52 @@ class TestOneCellApi:
             np.testing.assert_array_equal(rec.x_final, expected)
 
 
-class TestTimeToEpsilon:
-    def _rec(self, ks, gaps, m=2):
-        ks = np.array(ks)
-        return optimizers.RunRecord(
-            ks=ks, gaps=np.array(gaps, dtype=float), avg_gaps=None, dists=None,
-            samples=ks * m, status="budget", k_converged=None,
-            x_final=np.zeros(1), x_avg_final=None, f_star=0.0,
-            initial_gap=float(gaps[0]), config={"m": m},
-        )
+def _time_to_epsilon(rec, m):
+    """Time to epsilon as a sweep row reports it: samples_used at the
+    converged step, inf for a run that did not converge."""
+    k = rec.k_converged
+    return analysis.cell_time({
+        "status": rec.status,
+        "samples_to_eps": None if k is None else optimizers.samples_used(k, m)})
 
+
+class TestTimeToEpsilon:
     def test_start_below(self):
-        rec = self._rec([0, 1, 2], [0.5, 0.4, 0.3])
-        assert optimizers.time_to_epsilon(rec, 1.0) == 2  # one batch of m=2
+        inst = noisy_linreg(11)
+        gap0 = problems.objective_value(inst, np.zeros(inst.n)) \
+            - problems.reference_optimum(inst).f_star
+        rec = optimizers.run_base(inst, models.sgm(), optimizers.poly_decay(0.5), m=2,
+                                  n_steps=10, epsilon=2.0 * gap0,
+                                  rng=np.random.default_rng(0))
+        assert rec.k_converged == 0
+        assert _time_to_epsilon(rec, 2) == 2  # one batch of m=2
 
     def test_crossing(self):
-        rec = self._rec([0, 5, 10], [1.0, 0.5, 0.05])
-        assert optimizers.time_to_epsilon(rec, 0.1) == 20
+        # A cell stops at the first recorded gap <= epsilon, so the time is a
+        # multiple of the stride: the first multiple at which the stride-1
+        # trace of the same stream is at or below epsilon.
+        inst = noisy_linreg(12)
+        gap0 = problems.objective_value(inst, np.zeros(inst.n)) \
+            - problems.reference_optimum(inst).f_star
+        eps = 0.1 * gap0
+
+        def run(epsilon, stride):
+            return optimizers.run_base(inst, models.pma(), optimizers.poly_decay(0.5),
+                                       m=2, n_steps=200, epsilon=epsilon,
+                                       rng=np.random.default_rng(3),
+                                       record=optimizers.RecordOptions(stride=stride))
+        trace, rec = run(1e-300, 1), run(eps, 5)
+        assert np.flatnonzero(trace.gaps <= eps)[0] % 5 != 0  # crosses between records
+        hits = [k for k in range(5, 201, 5) if trace.gaps[k] <= eps]
+        assert rec.status == "converged" and rec.k_converged == hits[0]
+        assert _time_to_epsilon(rec, 2) == 2 * hits[0]
 
     def test_never(self):
-        rec = self._rec([0, 1], [1.0, 0.9])
-        assert optimizers.time_to_epsilon(rec, 1e-3) is None
+        rec = optimizers.run_base(noisy_linreg(13), models.sgm(),
+                                  optimizers.poly_decay(1e-6), m=2, n_steps=20,
+                                  epsilon=1e-12, rng=np.random.default_rng(1))
+        assert rec.status == "budget" and rec.k_converged is None
+        assert _time_to_epsilon(rec, 2) == math.inf
 
 
 class TestSmoothness:

@@ -10,7 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchprox import problems
+from batchprox import geometry, models, optimizers, problems
 
 ALL_DATASET_KINDS = ["linreg", "absreg", "logistic", "halfspace", "power"]
 
@@ -577,6 +577,48 @@ class TestReferenceOptimum:
     def test_cached(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.3, seed=1)
         assert problems.reference_optimum(inst) is problems.reference_optimum(inst)
+
+
+class TestBallDomain:
+    def test_center_must_be_a_point_of_the_space(self):
+        for center in (np.zeros(3), np.zeros((1, 5))):
+            dom = geometry.ball(center, 1.0)
+            with pytest.raises(ValueError, match="ball center"):
+                problems.generate_problem("linreg", N=20, n=5, seed=0, domain=dom)
+            with pytest.raises(ValueError, match="ball center"):
+                problems.make_custom_linreg(np.ones((4, 5)), np.ones(4), domain=dom)
+
+    def test_reference_optimum_outside_the_ball_is_rejected(self):
+        # A noiseless instance certifies f* = 0 at its planted point, a noisy
+        # one at x*; on a ball that misses that point f* over the ball is
+        # larger, and every gap would be measured against the wrong value.
+        x_planted = problems.generate_problem("linreg", N=300, n=15, seed=31).x_planted
+        noisy = problems.generate_problem("linreg", N=300, n=15, sigma=0.5, seed=31)
+        x_star = problems.reference_optimum(noisy).x_star
+        for sigma, x in ((0.0, x_planted), (0.5, x_star)):
+            small = geometry.ball(np.zeros(15), 0.3 * float(np.linalg.norm(x)))
+            inst = problems.generate_problem("linreg", N=300, n=15, sigma=sigma, seed=31,
+                                             domain=small)
+            with pytest.raises(ValueError, match="outside the ball"):
+                problems.reference_optimum(inst)
+            with pytest.raises(ValueError, match="outside the ball"):
+                optimizers.run_base(inst, models.pam(), optimizers.poly_decay(1.0), m=8,
+                                    n_steps=10, epsilon=1e-6, rng=np.random.default_rng(0))
+        # The acceptance suite's ball, 1.5 ||x*||, serves the unconstrained f*.
+        dom = geometry.ball(np.zeros(15), 1.5 * float(np.linalg.norm(x_star)))
+        inst = problems.generate_problem("linreg", N=300, n=15, sigma=0.5, seed=31, domain=dom)
+        assert problems.reference_optimum(inst).f_star == problems.reference_optimum(noisy).f_star
+
+    def test_separable_logistic_has_no_ball(self):
+        # f* = 0 is approached along t * x_planted as t grows: no point of a
+        # ball attains it, however large the ball.
+        inst = problems.generate_problem("logistic", N=50, n=5, seed=3)
+        assert problems.reference_optimum(inst).x_star is None
+        big = problems.generate_problem(
+            "logistic", N=50, n=5, seed=3,
+            domain=geometry.ball(np.zeros(5), 1e3 * float(np.linalg.norm(inst.x_planted))))
+        with pytest.raises(ValueError, match="outside the ball"):
+            problems.reference_optimum(big)
 
 
 class TestDistanceToOptimum:

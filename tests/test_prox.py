@@ -7,7 +7,7 @@ from helpers import grid_minimize, primal_fn
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchprox import geometry, models, optimizers, problems, prox
+from batchprox import models, optimizers, problems, prox
 
 
 class TestTruncatedStep:
@@ -888,7 +888,7 @@ class TestStackedLogisticNewton:
                             newton(A, b, X0, alpha, tol, 10))
         with pytest.raises(prox.InnerSolveError):
             prox.full_prox_steps(inst, Z, idx, alpha)
-        kernel = prox.stacked_step(inst, models.full_prox(), 25, 1e-9, geometry.euclidean(6))
+        kernel = prox.stacked_step(inst, models.full_prox(), 25, 1e-9)
         out, good = optimizers._apply(kernel, Z, Z, alpha, idx)
         np.testing.assert_array_equal(good, np.arange(6) != 4)
         np.testing.assert_array_equal(out[good], X[good])
