@@ -263,7 +263,7 @@ def _cmd_lbtest(args) -> int:
         for i, k in enumerate(rep.rounds):
             print(f"{k},{rep.mean_sq_dist[i]:.6e},{rep.envelope[i]:.6e}")
         print(f"# per-step log factors: empirical {rep.empirical_log_factor:.5f}"
-              f" envelope {rep.envelope_log_factor:.5f}"
+              f" +- {rep.log_factor_se:.5f} envelope {rep.envelope_log_factor:.5f}"
               f" respects_lower_bound={rep.respects_lower_bound}")
     return 0
 

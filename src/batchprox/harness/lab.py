@@ -104,12 +104,13 @@ class TwoPointReport:
     envelope: np.ndarray            # R^2 (1 - delta)^k lower-bound decay
     empirical_log_factor: float     # fitted per-step log decay of E[dist^2]
     envelope_log_factor: float      # log(1 - delta)
+    log_factor_se: float            # Monte Carlo standard error of the fit
 
     @property
     def respects_lower_bound(self) -> bool:
-        """An algorithm cannot decay faster than the envelope (within MC
-        slack checked by the caller)."""
-        return self.empirical_log_factor >= self.envelope_log_factor
+        """An algorithm cannot decay faster than the envelope: the fitted
+        decay is not below it by more than three standard errors."""
+        return self.empirical_log_factor >= self.envelope_log_factor - 3.0 * self.log_factor_se
 
 
 def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
@@ -154,13 +155,22 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     ks = np.arange(rounds + 1)
     envelope = R**2 * (1.0 - delta) ** ks
     positive = mean_sq > 0
-    slope = (analysis.loglinear_fit(ks[positive], mean_sq[positive])[0]
-             if np.count_nonzero(positive) >= 2 else 0.0)
+    slope = se = 0.0
+    if np.count_nonzero(positive) >= 2:
+        kp, mp = ks[positive], mean_sq[positive]
+        slope = analysis.loglinear_fit(kp, mp)[0]
+        # Delta method: the slope is c . log(mean), c the OLS weights, so its
+        # gradient in the means is g = c / mean and its variance g' Cov(sq) g
+        # / trials, that of the trials' sq . g.  One trial has no spread.
+        c = (kp - kp.mean()) / ((kp - kp.mean()) ** 2).sum()
+        se = (float(np.std(sq[:, positive] @ (c / mp), ddof=1) / math.sqrt(trials))
+              if trials > 1 else math.inf)
     return TwoPointReport(
         delta=delta, gamma=gamma, R=R, trials=trials, rounds=ks,
         mean_sq_dist=mean_sq, envelope=envelope,
         empirical_log_factor=slope,
         envelope_log_factor=math.log(1.0 - delta),
+        log_factor_se=se,
     )
 
 

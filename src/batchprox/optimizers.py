@@ -3,19 +3,21 @@ accelerated three-term loop, with stepsize schedules and run recording.
 
 One lockstep engine runs all three loops.  It advances C cells that share an
 instance, a strategy, a batch size and a starting point and differ in their
-schedule and generator: the stacked iterates X, Z (C, n), a per-cell
-stepsize vector and a running set.  Converged, diverged and inner-failed
-cells stop while the others go on.  Each cell draws its batches from its own
-generator in blocks of consecutive batches on the same stream a lone run
-reads one batch at a time; an attempt takes the cell's next batch and a
-redraw after a solver failure the one after it.  Every stacked product is per
-cell, so a cell's record does not depend on C or on the other cells.  The
-step of a strategy is ``prox.stacked_step``, which ``prox.solve_model_prox``
-also calls for one model; iterate averaging is the m = 1 step of its
-per-sample model, averaged, inside it.  ``run_base``, ``run_pia`` and
-``run_accelerated`` are one-cell calls; sweeps step the alpha0 cells of a
-(method, m) group together, and the two-point lab steps the trials that share
-an instance together.
+schedule and generator: a running set, a per-cell stepsize vector and the
+stacked iterates X, Z and running averages X_avg, dense over the running
+cells.  Converged, diverged and inner-failed cells stop while the others go
+on; a stopped cell's rows are written out once and the stacks compacted, so
+a step touches only the cells still running.  Each cell draws its batches
+from its own generator in blocks of consecutive batches on the same stream a
+lone run reads one batch at a time; an attempt takes the cell's next batch
+and a redraw after a solver failure the one after it.  Every stacked product
+is per cell, so a cell's record does not depend on C or on the other cells.
+The step of a strategy is ``prox.stacked_step``, which
+``prox.solve_model_prox`` also calls for one model; iterate averaging is the
+m = 1 step of its per-sample model, averaged, inside it.  ``run_base``,
+``run_pia`` and ``run_accelerated`` are one-cell calls; sweeps step the
+alpha0 cells of a (method, m) group together, and the two-point lab steps the
+trials that share an instance together.
 
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
@@ -81,13 +83,6 @@ class StepSchedule:
         """alpha_k: the one-cell call of the engine's ``_stepsizes``."""
         return float(_stepsizes([self], False)(k, None)[0])
 
-    def eta(self, k: int) -> float:
-        if self.kind == POLY_DECAY:
-            raise ValueError("eta is defined for smoothness-adaptive schedules")
-        if self.power == 0.0:
-            return self.eta0
-        return self.eta0 * math.sqrt(k)
-
 
 def poly_decay(alpha0: float, beta: float = 0.5) -> StepSchedule:
     return StepSchedule(POLY_DECAY, alpha0=alpha0, beta=beta)
@@ -133,47 +128,48 @@ class _Recorder:
     gaps (with ``record_average``) and the next C the distances (with
     ``record_distance``).  A record covers the cells still running and
     leaves NaN in the others' columns, so cell c's records are the first
-    count[c] rows.  The engine keeps X and X_avg as the two halves of one
-    (2C, n) stack, so one ``objective_values`` call on it evaluates the gaps
-    and the averaged gaps, in the table's column order, without a copy."""
+    count[c] rows.  The engine keeps X and X_avg of the running cells as the
+    two halves of one dense stack, so one ``objective_values`` call on it
+    evaluates the gaps and the averaged gaps without a copy; they are
+    written to the running cells' columns."""
 
     def __init__(self, inst, opts: RecordOptions, C: int, f_star: float):
         self.inst = inst
         self.opts = opts
         self.f_star = f_star
-        self.stacked = (1 + opts.record_average) * C  # rows of the X stack
+        self.stacked = (1 + opts.record_average) * C  # columns of the X stack
         self.ks = np.zeros(64, dtype=int)
         self.table = np.full((64, self.stacked + opts.record_distance * C), np.nan)
         self.rows = 0
-        self.count = np.zeros(C, dtype=int)
+        self.count = np.full(C, -1)  # records of a stopped cell; -1 while running
+        self.cols, self.dcols = slice(0, self.stacked), slice(self.stacked, None)
 
-    def record(self, k: int, cells, XX) -> np.ndarray:
-        """Record the cells' gaps at step k, XX the (X; X_avg) stack;
-        returns them."""
-        i, C = self.rows, self.count.size
+    def record(self, k: int, XX) -> np.ndarray:
+        """Record the running cells' gaps at step k, XX the dense (X; X_avg)
+        stack (halves, running cells, n); returns the gaps."""
+        i = self.rows
         if i == self.ks.size:
             self.ks = np.concatenate([self.ks, self.ks])
             self.table = np.concatenate([self.table, np.full_like(self.table, np.nan)])
-        if cells.size == C:
-            cols = slice(0, self.stacked)
-            vals = problems.objective_values(self.inst, XX) - self.f_star
-            self.count += 1
-        else:
-            cols = np.concatenate([cells, cells + C]) if self.stacked > C else cells
-            vals = problems.objective_values(self.inst, XX[cols]) - self.f_star
-            self.count[cells] += 1
-        self.table[i, cols] = vals
+        vals = problems.objective_values(self.inst, XX.reshape(-1, XX.shape[2])) - self.f_star
+        self.table[i, self.cols] = vals
         if self.opts.record_distance:
-            self.table[i, self.stacked + cells] = problems.distances_to_optimum(
-                self.inst, XX[cells])
+            self.table[i, self.dcols] = problems.distances_to_optimum(self.inst, XX[0])
         self.ks[i] = k
         self.rows += 1
-        return vals[:cells.size]
+        return vals[:XX.shape[1]]
+
+    def stop(self, gone, cells):
+        """Close the records of the cells gone; cells are those still running."""
+        self.count[gone] = self.rows
+        C = self.count.size
+        self.cols = np.concatenate([cells, cells + C]) if self.stacked > C else cells
+        self.dcols = self.stacked + cells
 
     def finish(self, m_eff, status, k_conv, X, X_avg, gap0, configs) -> list:
         ks, C = self.ks[:self.rows], self.count.size
         out = []
-        for c, n in enumerate(self.count):
+        for c, n in enumerate(np.where(self.count < 0, self.rows, self.count).tolist()):
             col = self.table[:n]
             out.append(RunRecord(
                 ks=ks[:n], gaps=col[:, c],
@@ -253,7 +249,7 @@ def run_accelerated(
 
     with theta_k = theta(k) = 2/(k+2).  With a smoothness-adaptive schedule
     the stepsize is alpha_k = 1/(L theta_k + eta(k+1)), eta(j) = eta0 j^power
-    the schedule's eta (the tightest admissible choice).
+    (the tightest admissible choice).
 
     Iterate averaging composes with this wrapper but does not enjoy the
     accelerated guarantee.  Batches are drawn from rng as in ``run_base``.
@@ -270,7 +266,10 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     and rngs[c]); returns one RunRecord per cell.
 
     The cells advance together, one step of every running cell per
-    iteration, and a cell stops on its own status.  Each cell draws its
+    iteration, and a cell stops on its own status.  X, Z and X_avg hold the
+    running cells only, in the order of ``cells``; a cell that stops has its
+    rows written to the (C, n) finals once, and the stacks are compacted, so
+    no step gathers or scatters them by cell index.  Each cell draws its
     batches from its own generator in blocks on the same stream as a lone
     run, and every stacked product is per cell, so a cell's record does not
     depend on C or on the other cells.
@@ -296,16 +295,20 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
                     prox.stacked_step(inst, strategy, m_eff, _INNER_TOL))
 
     C = len(schedules)
-    XX = np.repeat(x[np.newaxis], (1 + opts.record_average) * C, axis=0)
-    X, X_avg = XX[:C], XX[C:] if opts.record_average else None
-    Z = X.copy() if accelerated else None
+    # The (X; X_avg) rows: finals[:, c] holds cell c's once it stops, and
+    # XX those of the running cells, dense in the order of cells.
+    finals = np.tile(x, (1 + opts.record_average, C, 1))
+    XX = finals.copy()
+    Z = XX[0].copy() if accelerated else None
     rec = _Recorder(inst, opts, C, f_star)
     cells = np.arange(C)  # the cells still running
-    gap0 = rec.record(0, cells, XX)
+    gap0 = rec.record(0, XX)
     limit = _DIVERGENCE_FACTOR * np.maximum(gap0, 1e-12)
     status = [STATUS_BUDGET] * C
     k_conv = [None] * C
-    cells = _settle(cells, 0, gap0, epsilon, limit, status, k_conv)
+    running = _settle(cells, 0, gap0, epsilon, limit, status, k_conv)
+    if running.size != cells.size:
+        cells, XX, Z = _drop(np.isin(cells, running), cells, XX, Z, finals, rec)
 
     stepsizes = _stepsizes(schedules, accelerated)
     stride = max(opts.stride, 1)
@@ -314,31 +317,44 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
             break
         th = theta(k - 1) if accelerated else None
         alpha = stepsizes(k, th)
-        run = slice(None) if cells.size == C else cells  # rows of the running cells
         if cells.size != C:
             alpha = alpha[cells]
+        X = XX[0]
         if accelerated:
-            anchors = (1.0 - th) * X[run] + th * Z[run]
-            centers = Z[run]
+            anchors, centers = (1.0 - th) * X + th * Z, Z
         else:
-            anchors = centers = X[run]
+            anchors = centers = X
         new, ok = step(cells, anchors, centers, alpha)
         if ok is not None and not ok.all():
-            for c in cells[~ok]:
+            for c in cells[~ok].tolist():
                 status[c] = STATUS_INNERFAIL
-            cells, new = cells[ok], new[ok]
-            run = cells
+            cells, XX, Z = _drop(ok, cells, XX, Z, finals, rec)
+            X, new = XX[0], new[ok]
         if accelerated:
-            Z[run] = new
-            X[run] = (1.0 - th) * X[run] + th * new
+            Z[:] = new
+            X[:] = (1.0 - th) * X + th * new
         else:
-            X[run] = new
-        if X_avg is not None:
-            X_avg[run] += (X[run] - X_avg[run]) / k  # mean of x_1 .. x_k
+            X[:] = new
+        if opts.record_average:
+            XX[1] += (X - XX[1]) / k  # mean of x_1 .. x_k
         if k % stride == 0 or k == n_steps:
-            gaps = rec.record(k, cells, XX)
-            cells = _settle(cells, k, gaps, epsilon, limit, status, k_conv)
-    return rec.finish(m_eff, status, k_conv, X, X_avg, gap0, configs)
+            gaps = rec.record(k, XX)
+            running = _settle(cells, k, gaps, epsilon, limit, status, k_conv)
+            if running.size != cells.size:
+                cells, XX, Z = _drop(np.isin(cells, running), cells, XX, Z, finals, rec)
+    finals[:, cells] = XX
+    return rec.finish(m_eff, status, k_conv, finals[0],
+                      finals[1] if opts.record_average else None, gap0, configs)
+
+
+def _drop(keep, cells, XX, Z, finals, rec):
+    """Stop the running cells whose keep is False: write their (X; X_avg)
+    rows to finals, close their records, and compact the dense stacks;
+    returns the running (cells, XX, Z)."""
+    gone = ~keep
+    finals[:, cells[gone]] = XX[:, gone]
+    rec.stop(cells[gone], cells[keep])
+    return cells[keep], XX.compress(keep, axis=1), None if Z is None else Z[keep]
 
 
 def _stepsizes(schedules, accelerated):
@@ -360,6 +376,9 @@ def _stepsizes(schedules, accelerated):
     sm = rows(lambda s: s.kind == SMOOTHNESS_ADAPTIVE)
     L, eta0 = np.array([s.L for s in smooth]), np.array([s.eta0 for s in smooth])
     root = np.array([s.power == 0.5 for s in smooth])
+    if not smooth and len(decays) == 1 and isinstance(decays[0][1], slice):
+        beta = decays[0][0]  # every cell decays with one beta: one product, same bits
+        return lambda k, theta_k: alpha0 * k ** (-beta)
 
     def alphas(k, theta_k):
         out = alpha0.copy()  # constant poly schedules (beta = 0) keep alpha0
@@ -409,7 +428,9 @@ def _stepper(inst, m, n_steps, full, rngs, kernel):
 
     A cell's batches come from a (rows, m) block drawn from its generator in
     one call and refilled when used up; the rows are the batches that one
-    draw per attempt would give, so the block size does not change a run."""
+    draw per attempt would give, so the block size does not change a run.
+    The running cells read one shared block row, a single slice of the
+    blocks, until a redraw puts a cell ahead; then each keeps its own."""
     project = inst.domain.kind != geometry.ALL_SPACE
     C = len(rngs)
     if full:
@@ -417,11 +438,22 @@ def _stepper(inst, m, n_steps, full, rngs, kernel):
     else:
         rows = max(1, min(n_steps, _BLOCK_INDICES // m))
         blocks = np.empty((C, rows, m), dtype=np.int64)
-        pos = np.full(C, rows)  # each cell's next unread row; rows means spent
+        shared = rows  # every cell's next unread row; rows means spent
+        pos = None  # each cell's own next row, once a redraw puts it ahead
 
-    def batches(cells):
+    def batches(cells, redraw):
+        nonlocal shared, pos
         if full:
             return everything[:cells.size]
+        if pos is None and not redraw:
+            if shared == rows:
+                for c in cells.tolist():
+                    blocks[c] = problems.sample_batches(inst, rows, m, rngs[c])
+                shared = 0
+            shared += 1
+            return blocks[:, shared - 1] if cells.size == C else blocks[cells, shared - 1]
+        if pos is None:
+            pos = np.full(C, shared)
         at = pos[cells]
         spent = at == rows
         if spent.any():
@@ -431,8 +463,8 @@ def _stepper(inst, m, n_steps, full, rngs, kernel):
         pos[cells] = at + 1
         return blocks[cells, at]
 
-    def attempt(cells, A, Zc, alpha):
-        idx = batches(cells)
+    def attempt(cells, A, Zc, alpha, redraw=False):
+        idx = batches(cells, redraw)
         out, good = _apply(kernel, A, Zc, alpha, idx)
         if project:
             out = geometry.project_domain(inst.domain, out)
@@ -446,7 +478,7 @@ def _stepper(inst, m, n_steps, full, rngs, kernel):
             bad = np.flatnonzero(~ok)
             A = anchors[bad]
             out, good = attempt(cells[bad], A, A if centers is anchors else centers[bad],
-                                alpha[bad])
+                                alpha[bad], redraw=True)
             good = slice(None) if good is None else good
             new[bad[good]] = out[good]
             ok[bad[good]] = True

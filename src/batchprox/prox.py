@@ -190,7 +190,8 @@ def solve_box_qps(Q, v, alpha, lo, hi, tol: float = 1e-9, max_iter: int = 500):
                 d[b] = db = _newton(shifted[b], lone[b], g[b], free[b] & ~blocked)
             t = _arc_max(aQ[b], v[b], lob, hib, lb, g[b], db)
             trial[b] = np.minimum(np.maximum(lb + t[:, np.newaxis] * db, lob), hib)
-            g_t[b] = _ascent(aQ[b], v[b], trial[b])
+            with np.errstate(invalid="ignore"):  # an unbounded arc: infinite trial, failed cell
+                g_t[b] = _ascent(aQ[b], v[b], trial[b])
             # No increase along the arc would repeat forever: the cell fails.
             r_t[b] = np.where((t > 0.0) & np.isfinite(t),
                               _kkt(g_t[b], trial[b], lob, hib), np.nan)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -369,6 +370,20 @@ class TestLab:
         # than sampling noise.
         assert rep.empirical_log_factor >= rep.envelope_log_factor - 0.01
 
+    def test_twopoint_verdict_holds_at_the_defaults_and_seeds_0_to_19(self):
+        # The CLI defaults: lambda1 = 0.05, gamma = 0, 20 rounds, 500 trials.
+        for seed in range(20):
+            rep = lab.twopoint_lab(0.05, 0.0, rounds=20, trials=500, seed=seed)
+            assert 0.0 < rep.log_factor_se < 0.01
+            assert rep.respects_lower_bound, seed
+
+    def test_twopoint_decay_five_se_faster_than_the_envelope_fails(self):
+        rep = lab.twopoint_lab(0.05, 0.0, rounds=20, trials=500, seed=0)
+        se, envelope = rep.log_factor_se, rep.envelope_log_factor
+        for z, verdict in ((5.0, False), (3.5, False), (2.5, True), (-5.0, True)):
+            moved = dataclasses.replace(rep, empirical_log_factor=envelope - z * se)
+            assert moved.respects_lower_bound is verdict, z
+
     def test_twopoint_gamma_one_decays_slower(self):
         rep = lab.twopoint_lab(0.05, 1.0, rounds=15, trials=800, seed=3)
         assert rep.empirical_log_factor >= rep.envelope_log_factor - 0.01
@@ -425,6 +440,12 @@ class TestLab:
         ks, positive = np.arange(rounds + 1), mean_sq > 0
         assert rep.empirical_log_factor == analysis.loglinear_fit(ks[positive],
                                                                   mean_sq[positive])[0]
+        # The delta method on the OLS slope of log(mean): g = c / mean.
+        c = ks[positive] - ks[positive].mean()
+        g = c / (c @ c) / mean_sq[positive]
+        cov = np.atleast_2d(np.cov(sq[:, positive], rowvar=False))
+        assert rep.log_factor_se == pytest.approx(math.sqrt(g @ cov @ g / trials),
+                                                  rel=1e-10)
 
     @pytest.mark.parametrize("rounds, trials", [(0, 5), (5, 0), (-1, 5)])
     def test_labs_reject_empty_runs(self, rounds, trials):
@@ -520,6 +541,10 @@ class TestCli:
         assert cli.main(["lbtest", "--kind", "twopoint", "--rounds", "10",
                          "--trials", "50", "--lambda1", "0.05", "--out",
                          str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["lbtest", "--kind", "twopoint", "--out", str(tmp_path)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert " +- 0.003" in last and last.endswith("respects_lower_bound=True")
         for bad in (["--trials", "0"], ["--rounds", "0"], ["--radius", "0"]):
             for kind in ("twopoint", "orthcol"):
                 assert cli.main(["lbtest", "--kind", kind, *bad,

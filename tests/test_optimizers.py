@@ -12,6 +12,14 @@ def noisy_linreg(seed=0, **kw):
     return problems.generate_problem("linreg", **defaults)
 
 
+def eta(schedule, k):
+    """eta(k) = eta0 k^power of a smoothness-adaptive schedule: the oracle
+    of the engine's smoothness-adaptive stepsizes."""
+    if schedule.power == 0.0:
+        return schedule.eta0
+    return schedule.eta0 * math.sqrt(k)
+
+
 class TestSchedules:
     def test_poly_decay_values(self):
         s = optimizers.poly_decay(2.0, 0.5)
@@ -25,7 +33,7 @@ class TestSchedules:
     def test_smooth_schedule(self):
         s = optimizers.smoothness_adaptive(2.0, 1.0, power=0.5)
         assert s.alpha(4) == pytest.approx(1.0 / 4.0)
-        assert s.eta(9) == pytest.approx(3.0)
+        assert eta(s, 9) == pytest.approx(3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -439,6 +447,61 @@ class TestLockstep:
             for a, b in zip(runs[0], other):
                 _assert_same_record(a, b)
 
+    @pytest.mark.parametrize("method", ["sgm", "pma", "pam", "prox"])
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_a_redraw_that_succeeds_puts_one_cell_ahead(self, monkeypatch, method,
+                                                        accelerated):
+        # The alpha0 = 2 cell fails only the first attempt of its fifth step
+        # (the stacked call and its lone redo), and its redraw succeeds: from
+        # then on it reads its batches one ahead of the other cells.
+        real, doomed = prox.stacked_step, 2.0 * 5 ** -0.5
+        failed = []
+
+        def stacked_step(*args):
+            kernel, first = real(*args), []
+
+            def step(A, Zc, alpha, idx):
+                hit = np.flatnonzero(alpha == doomed)
+                if hit.size and not first:
+                    first.append(idx[hit[0]].copy())
+                if hit.size and np.array_equal(idx[hit[0]], first[0]):
+                    failed.append(alpha.size)
+                    raise prox.InnerSolveError("forced")
+                return kernel(A, Zc, alpha, idx)
+            return step
+
+        monkeypatch.setattr(prox, "stacked_step", stacked_step)
+        inst, m, alphas = noisy_linreg(30), 4, [0.5, 2.0, 8.0]
+        kw = dict(m=m, n_steps=30, epsilon=1e-300, accelerated=accelerated,
+                  record=optimizers.RecordOptions(stride=1, record_average=True,
+                                                  record_distance=True))
+        strategy = models.strategy_from_id(method)
+
+        def lone(i):
+            return optimizers._run_lockstep(
+                inst, strategy, [optimizers.poly_decay(alphas[i])],
+                rngs=[np.random.default_rng(40 + i)], **kw)[0]
+
+        # One batch per draw reads the plain stream: the reference.
+        blocks = (optimizers._BLOCK_INDICES, 5 * m, 1)
+        monkeypatch.setattr(optimizers, "_BLOCK_INDICES", 1)
+        reference = [lone(i) for i in range(3)]
+        for block in blocks:
+            monkeypatch.setattr(optimizers, "_BLOCK_INDICES", block)
+            failed.clear()
+            group = optimizers._run_lockstep(
+                inst, strategy, [optimizers.poly_decay(a) for a in alphas],
+                rngs=[np.random.default_rng(40 + i) for i in range(3)], **kw)
+            assert failed == [3, 1]
+            assert group[1].status != optimizers.STATUS_INNERFAIL
+            assert group[1].ks[-1] == 30
+            for i, (rec, ref) in enumerate(zip(group, reference)):
+                for run in (rec, lone(i)):
+                    assert (run.status, run.k_converged) == (ref.status, ref.k_converged)
+                    for name in ("ks", "gaps", "avg_gaps", "dists", "x_final",
+                                 "x_avg_final"):
+                        assert getattr(run, name).tobytes() == getattr(ref, name).tobytes()
+
     def test_settle_statuses(self):
         cells = np.array([0, 2, 3, 5, 6, 7])
         gaps = np.array([0.05, np.nan, np.inf, 5.0, 1.0, -np.inf])
@@ -486,7 +549,7 @@ class TestLockstep:
             alphas = optimizers._stepsizes(schedules, accelerated)
             for k in ks:
                 th = optimizers.theta(k - 1) if accelerated else None
-                expected = [1.0 / (s.L * th + s.eta(k))
+                expected = [1.0 / (s.L * th + eta(s, k))
                             if accelerated and s.kind == optimizers.SMOOTHNESS_ADAPTIVE
                             else s.alpha(k) for s in schedules]
                 assert alphas(k, th).tolist() == expected

@@ -238,6 +238,29 @@ class TestObjective:
                     ** (1.0 + gamma) / (1.0 + gamma) for x in X]
         np.testing.assert_array_equal(problems.objective_values(inst, X), expected)
 
+    def test_values_do_not_depend_on_blas_threads(self):
+        # N-sized reductions of 20 rows, in one- and two-thread processes.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from batchprox import problems\n"
+            "X = np.random.default_rng(1).standard_normal((20, 40))\n"
+            "for kind, kw in [('logistic', {'p': 0.1}), ('absreg', {'sigma': 0.5}),\n"
+            "                 ('linreg', {'sigma': 0.5})]:\n"
+            "    for N in (1000, 10000):\n"
+            "        inst = problems.generate_problem(kind, N=N, n=40, seed=3, **kw)\n"
+            "        vals = problems.objective_values(inst, X)\n"
+            "        print(kind, N, vals.size, hashlib.sha256(vals.tobytes()).hexdigest())\n")
+        out = [subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                              capture_output=True, env=dict(env, **{k: t for k in threads})
+                              ).stdout for t in ("1", "2")]
+        assert out[0].count(" 20 ") == 6
+        assert out[0] == out[1]
+
 
 class TestStacked:
     def test_rows_match_single_evaluations_bit_for_bit(self):

@@ -351,7 +351,8 @@ def _reference_solve_box_qps(Q, v, alpha, lo, hi, tol, max_iter=500):
                 d[b] = db = newton(shifted[b], lone[b], g[b], free[b] & ~blocked)
             t = _reference_arc_max(aQ[b], v[b], lo[b], hi[b], lb, g[b], db)
             trial[b] = np.minimum(np.maximum(lb + t[:, np.newaxis] * db, lo[b]), hi[b])
-            g_t[b] = prox._ascent(aQ[b], v[b], trial[b])
+            with np.errstate(invalid="ignore"):  # an unbounded arc: infinite trial, failed cell
+                g_t[b] = prox._ascent(aQ[b], v[b], trial[b])
             r_t[b] = np.where((t > 0.0) & np.isfinite(t),
                               prox._kkt(g_t[b], trial[b], lo[b], hi[b]), np.nan)
         lam, g, r = trial, g_t, r_t
@@ -432,6 +433,33 @@ class TestBoxDualRework:
         qps.insert(where, qp)
         _assert_reference_bytes(*(np.stack([getattr(q, f) for q in qps])
                                for f in ("Q", "v", "alpha", "lo", "hi")))
+
+    def test_unbounded_arc_fails_its_cell_without_a_warning(self):
+        # A case Hypothesis found: on [0, inf) the dual of (Q, v) is
+        # unbounded, the arc search leaves an infinite trial point, and its
+        # gradient took an "invalid value" warning from the matmul.
+        Q = np.array([
+            [0.08239658964793184, -0.04693492004517425, 0.2909105571940927,
+             0.03285661188757113, -0.3670713935094176],
+            [-0.04693492004517425, 0.02673516864058939, -0.1657090882103583,
+             -0.018715852907113376, 0.2090919852247507],
+            [0.2909105571940927, -0.1657090882103583, 1.027092900914761,
+             0.1160040156099262, -1.2959874197720154],
+            [0.03285661188757113, -0.018715852907113376, 0.1160040156099262,
+             0.013101961493106258, -0.14637404731315304],
+            [-0.3670713935094176, 0.2090919852247507, -1.2959874197720154,
+             -0.14637404731315304, 1.6352789418673195]])
+        v = np.array([1.5396338853038305, -0.49315374957462976, 1.6435106914689235,
+                      -0.4160360617363391, 1.32413861607486])
+        lo, hi = np.zeros(5), np.full(5, np.inf)
+        lam, iters, res = _assert_reference_bytes(Q[np.newaxis], v[np.newaxis],
+                                                  np.array([1.0]), lo[np.newaxis],
+                                                  hi[np.newaxis])
+        assert res.tolist() == [np.inf] and np.isinf(lam).all()
+        stack = _assert_reference_bytes(np.stack([Q] * 3), np.stack([-v, v, -v]),
+                                        np.array([1.0, 1.0, 7.0]), np.stack([lo] * 3),
+                                        np.stack([hi] * 3))
+        assert stack[2][1] == np.inf and np.isfinite(stack[2][::2]).all()
 
     def test_shuffled_stacks_keep_the_reference_bytes(self, monkeypatch):
         # Stacks that mix cells passing at the start, Newton cells, arc-search
