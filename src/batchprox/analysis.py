@@ -220,6 +220,15 @@ def cell_time(row):
     return float(t)
 
 
+def median_times(rows):
+    """(method, m, alpha0) -> the median over the rows (the seeds, and any
+    other cells that share the key) of the time to epsilon."""
+    times: dict = {}
+    for row in rows:
+        times.setdefault((row["method"], row["m"], row["alpha0"]), []).append(cell_time(row))
+    return {key: float(np.median(t)) for key, t in times.items()}
+
+
 def _experiment_key(row):
     # Rows without the flag are base-loop rows.
     return (row["problem"], row["noise"], row["cond"], row["m"],
@@ -277,17 +286,11 @@ def speedup_table(rows, method: str, units: str = "samples"):
     """
     if units not in ("samples", "iterations"):
         raise ValueError("units must be 'samples' or 'iterations'")
-    by_m: dict = {}
-    for row in rows:
-        if row["method"] != method:
-            continue
-        key = (row["m"], row["alpha0"])
-        by_m.setdefault(key, []).append(cell_time(row))
-    if not by_m:
+    medians = median_times(row for row in rows if row["method"] == method)
+    if not medians:
         raise ValueError(f"no rows for method {method!r}")
     t_star: dict = {}
-    for (m, _alpha0), times in sorted(by_m.items()):
-        med = float(np.median(times))
+    for (_method, m, _alpha0), med in medians.items():
         if units == "iterations":
             med = med / m
         cur = t_star.get(m, math.inf)

@@ -21,10 +21,10 @@ import sys
 
 import numpy as np
 
-from .. import analysis, models, optimizers, problems
+from .. import analysis, problems
 from . import config as config_mod
 from . import lab, results, svg
-from .sweep import _cell_seed, _initial_gap, _instance_seed, execute_sweep
+from .sweep import _instance_seed, execute_sweep, run_cells
 
 
 def _parse_bool(text: str) -> bool:
@@ -35,58 +35,69 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="batchprox", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", help="JSON config path or inline JSON")
-            sp.add_argument("--preset", choices=sorted(config_mod.PRESETS),
-                            help="built-in configuration")
-        sp.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-        sp.add_argument("--out", default=".", help="output directory")
+    shared = {
+        "--config": dict(help="JSON config path or inline JSON"),
+        "--preset": dict(choices=sorted(config_mod.PRESETS),
+                         help="built-in configuration"),
+        "--seed": dict(type=int, default=0, help="master seed (u64)"),
+        "--out": dict(default=".", help="output directory"),
+    }
+
+    def common(sp, *flags):  # the shared flags a command reads
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("run", help="run one trajectory and print the gap trace")
-    common(sp)
+    common(sp, "--config", "--preset", "--seed")
     sp.add_argument("--method", default="pma",
                     choices=sorted(config_mod.DEFAULT_METHODS))
-    sp.add_argument("--m", type=int, default=8)
+    sp.add_argument("--m", type=_positive_int, default=8)
     sp.add_argument("--alpha0", type=float, default=1.0)
     sp.add_argument("--beta", type=float, default=0.5)
-    sp.add_argument("--steps", type=int, default=1000)
+    sp.add_argument("--steps", type=_positive_int, default=1000)
     sp.add_argument("--accelerated", type=_parse_bool, default=False)
 
     sp = sub.add_parser("sweep", help="execute the full grid and write CSV")
-    common(sp)
+    common(sp, "--config", "--preset", "--seed", "--out")
     sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("profile", help="performance profiles from a sweep CSV")
-    common(sp, config=False)
+    common(sp, "--out")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--accelerated", type=_parse_bool, default=None,
                     help="restrict to (non-)accelerated rows")
 
     sp = sub.add_parser("speedup", help="best-speedup table from a sweep CSV")
-    common(sp, config=False)
+    common(sp, "--out")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--method", default="pma")
     sp.add_argument("--units", choices=("samples", "iterations"),
                     default="samples")
 
     sp = sub.add_parser("growth", help="estimate problem constants")
-    common(sp, config=False)
+    common(sp, "--seed")
     sp.add_argument("--kind", default="power", choices=sorted(problems.KINDS))
-    sp.add_argument("--N", type=int, default=500)
-    sp.add_argument("--n", type=int, default=10)
+    sp.add_argument("--N", type=_positive_int, default=500)
+    sp.add_argument("--n", type=_positive_int, default=10)
     sp.add_argument("--gamma", type=float, default=0.0)
     sp.add_argument("--alpha", type=float, default=0.02)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--draws", type=int, default=2000)
+    sp.add_argument("--m", type=_positive_int, default=1)
+    sp.add_argument("--draws", type=_positive_int, default=2000)
 
     sp = sub.add_parser("lbtest", help="lower-bound laboratory")
-    common(sp, config=False)
+    common(sp, "--seed", "--out")
     sp.add_argument("--kind", required=True, choices=("orthcol", "twopoint"))
     sp.add_argument("--n", type=int, default=32)
     sp.add_argument("--m", type=int, default=4)
@@ -114,26 +125,17 @@ def _cmd_run(args) -> int:
     prob = cfg.problems[0]
     cond = cfg.cond_grid[0]
     # The sweep's seed-0 cell of the first (problem, cond) with this method,
-    # m and alpha0: its instance, batch stream, target and record stride, so
-    # at sample_budget // m steps the run ends as that sweep row does.
+    # m and alpha0, run by the sweep's own cell runner, so at
+    # sample_budget // m steps the run ends as that sweep row does.
     inst = prob.instantiate(cond, _instance_seed(args.seed, prob, cond, 0))
     spec = config_mod.MethodSpec(args.method, args.accelerated, "poly", args.beta)
-    rng = np.random.default_rng(
-        _cell_seed(args.seed, prob, cond, 0, spec, args.m, args.alpha0))
-    strategy = models.strategy_from_id(args.method)
-    schedule = optimizers.poly_decay(args.alpha0, args.beta)
-    eps = cfg.epsilon * _initial_gap(inst)
-    runner = optimizers.run_accelerated if args.accelerated else optimizers.run_base
-    rec = runner(inst, strategy, schedule, m=args.m, n_steps=args.steps,
-                 epsilon=eps, rng=rng,
-                 record=optimizers.RecordOptions(stride=cfg.record_stride,
-                                                 record_average=False))
+    rec, = run_cells(prob, spec, inst, cond, args.m, 0, cfg, [args.alpha0], args.steps)
     print(f"# {prob.kind} N={prob.N} n={prob.n} method={args.method} "
           f"m={args.m} alpha0={args.alpha0:g} accelerated={args.accelerated}")
     print("k,samples,gap")
     for k, s, g in zip(rec.ks, rec.samples, rec.gaps):
         print(f"{k},{s},{g:.10e}")
-    print(f"# status={rec.status} target_eps={eps:.4e}")
+    print(f"# status={rec.status} target_eps={rec.config['epsilon']:.4e}")
     return 0
 
 
@@ -169,19 +171,13 @@ def _cmd_profile(args) -> int:
 def _emit_time_vs_stepsize(dicts, methods, out_dir):
     """Log-log time-to-epsilon against the initial stepsize, one chart per
     batch size (failures are omitted from the curves)."""
-    ms = sorted({r["m"] for r in dicts})
+    medians = analysis.median_times(dicts)
     paths = []
-    for m in ms:
+    for m in sorted({key[1] for key in medians}):
         series = []
         for method in methods:
-            pts = {}
-            for r in dicts:
-                if r["method"] != method or r["m"] != m:
-                    continue
-                pts.setdefault(float(r["alpha0"]), []).append(analysis.cell_time(r))
-            alphas = sorted(pts)
-            med = [float(np.median(pts[a])) for a in alphas]
-            series.append(svg.Series(method, alphas, med))
+            alphas = sorted(a for (meth, mm, a) in medians if (meth, mm) == (method, m))
+            series.append(svg.Series(method, alphas, [medians[method, m, a] for a in alphas]))
         if not any(math.isfinite(y) for s in series for y in s.y):
             continue  # nothing converged at this batch size
         path = os.path.join(out_dir, f"time_vs_stepsize_m{m}.svg")

@@ -1,21 +1,26 @@
 """Sweep configuration: JSON schema, validation, and built-in presets.
 
 A config is a JSON object with exactly these keys (all optional except
-``problems``):
+``problems``), each of the JSON type shown:
 
-    problems       list of {kind, N, n, sigma, p, gamma, delta, radius}
-    methods        list of {method, accelerated, schedule: {kind, beta|power}}
-    alpha0_grid    positive floats
-    m_grid         positive ints
-    cond_grid      floats >= 1
-    seeds          trial count (int >= 1)
-    epsilon        relative accuracy target (gap / initial gap)
-    sample_budget  per-run total-sample budget
-    record_stride  gap-recording stride (iterations)
-    master_seed    base seed for the per-cell stream derivation
+    problems       list of {kind: string, N, n: integers,
+                            sigma, p, gamma, delta, radius: numbers}
+    methods        list of {method: string, accelerated: boolean,
+                            schedule: {kind: string, beta, power: numbers}}
+    alpha0_grid    list of positive numbers
+    m_grid         list of integers >= 1
+    cond_grid      list of numbers >= 1
+    seeds          trial count, integer >= 1
+    epsilon        relative accuracy target (gap / initial gap), positive number
+    sample_budget  per-run total-sample budget, integer >= 1
+    record_stride  gap-recording stride (iterations), integer >= 1
+    master_seed    base seed for the per-cell stream derivation, integer
 
-Unknown keys are errors.  Grid defaults mirror the benchmark protocol:
-alpha0 in {10^(i/2) : i = -4..5}, m in {1,4,8,16,32,64}, 30 seeds.
+A problem needs its ``kind`` and a method its ``method``; a schedule's kind
+is poly or smooth.  A number is a JSON integer or float, and a boolean is
+neither.  Unknown keys and values of another type are errors.  Grid defaults
+mirror the benchmark protocol: alpha0 in {10^(i/2) : i = -4..5}, m in
+{1,4,8,16,32,64}, 30 seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .. import problems
 
@@ -57,11 +62,8 @@ class ProblemSpec:
         return f"sigma{self.sigma:g}" if self.sigma > 0 else "none"
 
     def instantiate(self, cond: float, seed: int):
-        return problems.generate_problem(
-            self.kind, N=self.N, n=self.n, sigma=self.sigma, p=self.p,
-            cond=cond, gamma=self.gamma, delta=self.delta, radius=self.radius,
-            seed=seed,
-        )
+        # The spec's fields are generate_problem's parameters, by name.
+        return problems.generate_problem(**vars(self), cond=cond, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,6 @@ class MethodSpec:
     schedule_kind: str = "poly"      # poly | smooth
     beta: float = 0.5
     power: float = 0.5
-
-    def label(self) -> str:
-        return self.method
 
 
 @dataclass
@@ -92,26 +91,22 @@ class SweepConfig:
     master_seed: int = 0
 
     def validate(self):
-        if not self.problems:
-            raise ConfigError("problems list is empty")
-        if not self.methods:
-            raise ConfigError("methods list is empty")
-        for grid, name in ((self.alpha0_grid, "alpha0_grid"),
-                           (self.m_grid, "m_grid"), (self.cond_grid, "cond_grid")):
-            if not grid:
-                raise ConfigError(f"{name} is empty")
-            _reject_duplicates(grid, f"{name} entry")
+        for name in ("problems", "methods", "alpha0_grid", "m_grid", "cond_grid"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} list is empty")
+        for name in ("alpha0_grid", "m_grid", "cond_grid"):
+            _reject_duplicates(getattr(self, name), f"{name} entry")
         # Specs with the same row keys would write colliding sweep rows and
         # share cell streams.
         _reject_duplicates([(ps.label(), ps.noise_label()) for ps in self.problems],
                            "problem spec (kind, noise)")
         _reject_duplicates([(ms.method, ms.accelerated) for ms in self.methods],
                            "method spec (method, accelerated)")
-        if any(a <= 0 for a in self.alpha0_grid):
+        if not all(a > 0 for a in self.alpha0_grid):  # NaN too
             raise ConfigError("alpha0_grid entries must be positive")
         if any(m < 1 for m in self.m_grid):
             raise ConfigError("m_grid entries must be >= 1")
-        if any(c < 1 for c in self.cond_grid):
+        if not all(c >= 1 for c in self.cond_grid):
             raise ConfigError("condition numbers must be >= 1")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
@@ -143,67 +138,75 @@ def _reject_duplicates(keys: list, what: str):
         raise ConfigError(f"duplicate {what}: {dup}")
 
 
-_PROBLEM_KEYS = {"kind", "N", "n", "sigma", "p", "gamma", "delta", "radius"}
-_METHOD_KEYS = {"method", "accelerated", "schedule"}
-_SCHEDULE_KEYS = {"kind", "beta", "power"}
-_TOP_KEYS = {"problems", "methods", "alpha0_grid", "m_grid", "cond_grid",
-             "seeds", "epsilon", "sample_budget", "record_stride", "master_seed"}
+# Each key's JSON type, at every level of a config.
+_TYPES = {
+    "problems": "list of objects", "methods": "list of objects",
+    "alpha0_grid": "list of numbers", "m_grid": "list of integers",
+    "cond_grid": "list of numbers", "seeds": "integer", "epsilon": "number",
+    "sample_budget": "integer", "record_stride": "integer", "master_seed": "integer",
+    "kind": "string", "N": "integer", "n": "integer", "sigma": "number", "p": "number",
+    "gamma": "number", "delta": "number", "radius": "number",
+    "method": "string", "accelerated": "boolean", "schedule": "object",
+    "beta": "number", "power": "number",
+}
+_PYTHON_TYPES = {"object": dict, "number": (int, float), "integer": int,
+                 "string": str, "boolean": bool}
 
 
-def _problem_from_dict(d: dict) -> ProblemSpec:
-    unknown = set(d) - _PROBLEM_KEYS
+def _has_type(value, json_type: str) -> bool:
+    if json_type.startswith("list of "):
+        entry = json_type[len("list of "):-1]
+        return isinstance(value, list) and all(_has_type(v, entry) for v in value)
+    kind = _PYTHON_TYPES[json_type]
+    # JSON booleans load as Python bools, which are ints: no number is a bool.
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
+def _checked(data, keys, required, what: str) -> dict:
+    """A copy of the JSON object ``data`` after checking that its keys are
+    among ``keys``, that it has the ``required`` ones, and that each value has
+    its key's JSON type.  Its lists are copied too, so a config shares no
+    list with its source (a preset, say)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown problem keys: {sorted(unknown)}")
-    if "kind" not in d:
-        raise ConfigError("problem entry needs a 'kind'")
-    return ProblemSpec(**d)
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{what} needs a {key!r}")
+    for key, value in data.items():
+        if not _has_type(value, _TYPES[key]):
+            raise ConfigError(f"{what} key {key!r} must be a JSON {_TYPES[key]}, "
+                              f"not {value!r}")
+    return {key: list(value) if isinstance(value, list) else value
+            for key, value in data.items()}
 
 
-def _method_from_dict(d: dict) -> MethodSpec:
-    unknown = set(d) - _METHOD_KEYS
-    if unknown:
-        raise ConfigError(f"unknown method keys: {sorted(unknown)}")
-    if "method" not in d:
-        raise ConfigError("method entry needs a 'method'")
-    sched = d.get("schedule", {})
-    unknown = set(sched) - _SCHEDULE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
-    return MethodSpec(
-        method=d["method"],
-        accelerated=bool(d.get("accelerated", False)),
-        schedule_kind=sched.get("kind", "poly"),
-        beta=float(sched.get("beta", 0.5)),
-        power=float(sched.get("power", 0.5)),
-    )
+def _method_from_dict(d) -> MethodSpec:
+    """A method object as a MethodSpec: its schedule's keys become fields,
+    the schedule's kind as schedule_kind, and keys it leaves out take the
+    MethodSpec defaults."""
+    d = _checked(d, ("method", "accelerated", "schedule"), ("method",), "method")
+    sched = _checked(d.pop("schedule", {}), ("kind", "beta", "power"), (), "schedule")
+    if "kind" in sched:
+        sched["schedule_kind"] = sched.pop("kind")
+    return MethodSpec(**d, **sched)
 
 
 def config_from_dict(data: dict) -> SweepConfig:
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "problems" not in data:
-        raise ConfigError("config needs a 'problems' list")
-    kwargs = {
-        "problems": [_problem_from_dict(p) for p in data["problems"]],
-    }
+    data = _checked(data, [f.name for f in fields(SweepConfig)], ("problems",),
+                    "config")
+    problem_keys = [f.name for f in fields(ProblemSpec)]
+    data["problems"] = [ProblemSpec(**_checked(p, problem_keys, ("kind",), "problem"))
+                        for p in data["problems"]]
     if "methods" in data:
-        kwargs["methods"] = [_method_from_dict(m) for m in data["methods"]]
-    for key in ("alpha0_grid", "m_grid", "cond_grid"):
-        if key in data:
-            kwargs[key] = list(data[key])
-    for key in ("seeds", "sample_budget", "record_stride", "master_seed"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    if "epsilon" in data:
-        kwargs["epsilon"] = float(data["epsilon"])
-    return SweepConfig(**kwargs).validate()
+        data["methods"] = [_method_from_dict(m) for m in data["methods"]]
+    return SweepConfig(**data).validate()
 
 
 def load_config(source: str) -> SweepConfig:
-    """Parse a config from a file path, inline JSON text, or preset name."""
-    if source in PRESETS:
-        return preset(source)
+    """Parse a config from a file path or inline JSON text."""
     if os.path.exists(source):
         with open(source) as fh:
             text = fh.read()
@@ -213,13 +216,15 @@ def load_config(source: str) -> SweepConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
     return config_from_dict(data)
 
 
-def _desk(overrides: dict) -> dict:
-    base = {
+def _paper(problem: dict) -> dict:
+    return {"problems": [problem], "cond_grid": [1.0, 10.0], "sample_budget": 200_000}
+
+
+def _desk(problem: dict) -> dict:
+    return {
         "alpha0_grid": DEFAULT_ALPHA0_GRID,
         "m_grid": [1, 4, 16],
         "cond_grid": [1.0],
@@ -227,44 +232,21 @@ def _desk(overrides: dict) -> dict:
         "epsilon": DEFAULT_EPSILON,
         "sample_budget": 30_000,
         "record_stride": 10,
+        "problems": [problem],
     }
-    base.update(overrides)
-    return base
 
 
 # The desk presets run the full protocol at reduced scale; desk-absreg is
 # noiseless (the interpolation regime, where truncated methods converge at
 # every stepsize -- the setting behind the robustness comparison).
 PRESETS = {
-    "paper-linreg": {
-        "problems": [{"kind": "linreg", "N": 1000, "n": 40, "sigma": 0.5}],
-        "cond_grid": [1.0, 10.0],
-        "sample_budget": 200_000,
-    },
-    "paper-absreg": {
-        "problems": [{"kind": "absreg", "N": 1000, "n": 40, "sigma": 0.5}],
-        "cond_grid": [1.0, 10.0],
-        "sample_budget": 200_000,
-    },
-    "paper-absreg-noiseless": {
-        "problems": [{"kind": "absreg", "N": 1000, "n": 40, "sigma": 0.0}],
-        "cond_grid": [1.0, 10.0],
-        "sample_budget": 200_000,
-    },
-    "paper-logistic": {
-        "problems": [{"kind": "logistic", "N": 1000, "n": 40, "p": 0.01}],
-        "cond_grid": [1.0, 10.0],
-        "sample_budget": 200_000,
-    },
-    "desk-linreg": _desk(
-        {"problems": [{"kind": "linreg", "N": 200, "n": 20, "sigma": 0.5}]}
-    ),
-    "desk-absreg": _desk(
-        {"problems": [{"kind": "absreg", "N": 200, "n": 20, "sigma": 0.0}]}
-    ),
-    "desk-logistic": _desk(
-        {"problems": [{"kind": "logistic", "N": 200, "n": 20, "p": 0.01}]}
-    ),
+    "paper-linreg": _paper({"kind": "linreg", "N": 1000, "n": 40, "sigma": 0.5}),
+    "paper-absreg": _paper({"kind": "absreg", "N": 1000, "n": 40, "sigma": 0.5}),
+    "paper-absreg-noiseless": _paper({"kind": "absreg", "N": 1000, "n": 40, "sigma": 0.0}),
+    "paper-logistic": _paper({"kind": "logistic", "N": 1000, "n": 40, "p": 0.01}),
+    "desk-linreg": _desk({"kind": "linreg", "N": 200, "n": 20, "sigma": 0.5}),
+    "desk-absreg": _desk({"kind": "absreg", "N": 200, "n": 20, "sigma": 0.0}),
+    "desk-logistic": _desk({"kind": "logistic", "N": 200, "n": 20, "p": 0.01}),
 }
 
 

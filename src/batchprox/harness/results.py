@@ -1,27 +1,22 @@
 """Sweep result rows and their CSV serialization.
 
-The sweep CSV is the authoritative artifact.  Header:
+The sweep CSV is the authoritative artifact.  Its columns are the fields of
+``CellResult``, in order:
 
     problem,noise,cond,method,accelerated,m,alpha0,seed,k_to_eps,samples_to_eps,final_gap,status
 
 Floats are written with 17 significant digits so a round-trip reproduces
 the table exactly; a run that never reaches epsilon leaves k_to_eps and
-samples_to_eps empty.  Rows are sorted by all key columns before writing,
-making the file a pure function of (config, master seed).
+samples_to_eps empty.  Rows are sorted by the first eight columns, the
+cell's key, before writing, making the file a pure function of (config,
+master seed).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-
-CSV_HEADER = [
-    "problem", "noise", "cond", "method", "accelerated", "m", "alpha0",
-    "seed", "k_to_eps", "samples_to_eps", "final_gap", "status",
-]
-
-KEY_COLUMNS = ["problem", "noise", "cond", "method", "accelerated", "m",
-               "alpha0", "seed"]
+from operator import attrgetter
 
 
 @dataclass
@@ -40,11 +35,16 @@ class CellResult:
     status: str
 
     def sort_key(self):
-        return (self.problem, self.noise, self.cond, self.method,
-                self.accelerated, self.m, self.alpha0, self.seed)
+        return _key(self)
 
-    def to_row(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+CSV_HEADER = [f.name for f in fields(CellResult)]
+KEY_COLUMNS = CSV_HEADER[:8]
+_key = attrgetter(*KEY_COLUMNS)
+
+# A CSV field's parser, by its column's annotation; _fmt is the inverse.
+_PARSE = {"str": str, "float": float, "int": int, "bool": "true".__eq__,
+          "int | None": lambda text: int(text) if text else None}
 
 
 def _fmt(value):
@@ -57,64 +57,42 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(results, path):
-    rows = sorted(results, key=lambda r: r.sort_key())
+def _write(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([_fmt(getattr(r, col)) for col in CSV_HEADER])
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def write_csv(results, path):
+    rows = sorted(results, key=_key)
+    _write(path, CSV_HEADER, ([getattr(r, col) for col in CSV_HEADER] for r in rows))
 
 
 def read_csv(path):
     """Round-trip reader; returns CellResult rows."""
-    out = []
+    parsers = [(f.name, _PARSE[f.type]) for f in fields(CellResult)]
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        for rec in reader:
-            out.append(CellResult(
-                problem=rec["problem"],
-                noise=rec["noise"],
-                cond=float(rec["cond"]),
-                method=rec["method"],
-                accelerated=rec["accelerated"] == "true",
-                m=int(rec["m"]),
-                alpha0=float(rec["alpha0"]),
-                seed=int(rec["seed"]),
-                k_to_eps=int(rec["k_to_eps"]) if rec["k_to_eps"] else None,
-                samples_to_eps=(int(rec["samples_to_eps"])
-                                if rec["samples_to_eps"] else None),
-                final_gap=float(rec["final_gap"]),
-                status=rec["status"],
-            ))
-    return out
+        return [CellResult(**{name: parse(rec[name]) for name, parse in parsers})
+                for rec in reader]
 
 
 def rows_as_dicts(results, accelerated: bool | None = None):
     """Plain-dict view for the analysis summarizers, optionally filtered by
     the accelerated flag."""
-    out = []
-    for r in results:
-        if accelerated is not None and r.accelerated != accelerated:
-            continue
-        out.append(r.to_row())
-    return out
+    return [dict(vars(r)) for r in results
+            if accelerated is None or r.accelerated == accelerated]
 
 
 def write_profile_csv(curves, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "r", "fraction"])
-        for curve in curves:
-            for r, frac in zip(curve.r, curve.fraction):
-                writer.writerow([curve.method, _fmt(float(r)), _fmt(float(frac))])
+    _write(path, ["method", "r", "fraction"],
+           ((curve.method, float(r), float(frac))
+            for curve in curves for r, frac in zip(curve.r, curve.fraction)))
 
 
 def write_speedup_csv(table, method, path, units="samples"):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "units", "m", "speedup"])
-        for m in sorted(table):
-            writer.writerow([method, units, m, _fmt(float(table[m]))])
+    _write(path, ["method", "units", "m", "speedup"],
+           ((method, units, m, float(table[m])) for m in sorted(table)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -32,9 +33,7 @@ def stable_seed(*parts) -> int:
 
 
 def _instance_seed(master: int, prob: ProblemSpec, cond: float, seed: int) -> int:
-    return stable_seed("instance", master, prob.kind, prob.N, prob.n,
-                       prob.sigma, prob.p, prob.gamma, prob.delta, prob.radius,
-                       cond, seed)
+    return stable_seed("instance", master, *astuple(prob), cond, seed)
 
 
 def _cell_seed(master: int, prob: ProblemSpec, cond: float, seed: int,
@@ -51,19 +50,20 @@ def _schedule(ms: MethodSpec, alpha0: float, inst):
     return optimizers.smoothness_adaptive(L, eta0=1.0 / alpha0, power=ms.power)
 
 
-def run_group(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
-              seed: int, config: SweepConfig) -> list:
-    """The cells of one (instance, method spec, m) group, one per alpha0,
-    run in lockstep.  Solver failures end as per-cell innerfail statuses;
-    any other exception propagates, noted with the group's coordinates."""
+def run_cells(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
+              seed: int, config: SweepConfig, alpha0s, n_steps: int) -> list:
+    """The records of the sweep cells of one (instance, method spec, m)
+    group at alpha0s, run in lockstep for n_steps: each cell with its own
+    stream, schedule, target and record stride.  Solver failures end as
+    per-cell innerfail statuses; any other exception propagates, noted with
+    the group's coordinates."""
     try:
         rngs = [np.random.default_rng(
                     _cell_seed(config.master_seed, prob, cond, seed, ms, m, a0))
-                for a0 in config.alpha0_grid]
-        recs = optimizers._run_lockstep(
+                for a0 in alpha0s]
+        return optimizers._run_lockstep(
             inst, models.strategy_from_id(ms.method),
-            [_schedule(ms, a0, inst) for a0 in config.alpha0_grid],
-            m=m, n_steps=max(1, config.sample_budget // m),
+            [_schedule(ms, a0, inst) for a0 in alpha0s], m=m, n_steps=n_steps,
             epsilon=config.epsilon * _initial_gap(inst), rngs=rngs,
             accelerated=ms.accelerated,
             record=optimizers.RecordOptions(stride=config.record_stride,
@@ -73,6 +73,14 @@ def run_group(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
                      f"seed={seed} method={ms.method} "
                      f"accelerated={ms.accelerated} m={m}")
         raise
+
+
+def run_group(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
+              seed: int, config: SweepConfig) -> list:
+    """The rows of one (instance, method spec, m) group, one per alpha0 of
+    the grid, each run to the sample budget."""
+    recs = run_cells(prob, ms, inst, cond, m, seed, config, config.alpha0_grid,
+                     max(1, config.sample_budget // m))
     return [_row(prob, ms, cond, m, a0, seed, rec)
             for a0, rec in zip(config.alpha0_grid, recs)]
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -30,6 +31,9 @@ from batchprox.harness import (
     write_csv,
 )
 from batchprox.harness import results as results_mod
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 TINY_CONFIG = {
     "problems": [{"kind": "linreg", "N": 30, "n": 3, "sigma": 0.5}],
@@ -70,6 +74,13 @@ class TestConfig:
         data = dict(TINY_CONFIG, alpha0_grid=[0.0, 1.0])
         with pytest.raises(ConfigError):
             config_mod.config_from_dict(data)
+
+    @pytest.mark.parametrize("text", ['"alpha0_grid": [NaN]', '"cond_grid": [NaN]',
+                                      '"epsilon": NaN'])
+    def test_nan_values_rejected(self, text):
+        # Python's JSON reader takes NaN, which fails every comparison.
+        with pytest.raises(ConfigError):
+            load_config('{"problems": [{"kind": "linreg", "N": 30, "n": 3}], ' + text + "}")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -140,6 +151,78 @@ class TestConfig:
         assert a.problems[0] == b.problems[0]
         with pytest.raises(ConfigError):
             load_config("{not json")
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config("[1, 2]")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config("desk-linreg")  # a preset name is no config text
+
+    @pytest.mark.parametrize("change", [
+        {"methods": [{"method": "pma", "accelerated": "false"}]},
+        {"seeds": 2.7},
+        {"m_grid": [2.5]},
+        {"problems": [{"kind": "linreg", "N": "50", "n": 3}]},
+        {"alpha0_grid": ["x"]},
+        {"alpha0_grid": [1.0, True]},
+        {"epsilon": True},
+        {"sample_budget": 400.0},
+        {"master_seed": None},
+        {"cond_grid": 1.0},
+        {"problems": ["linreg"]},
+        {"problems": [{"kind": "linreg", "sigma": "0.5"}]},
+        {"methods": {"method": "pma"}},
+        {"methods": [{"method": 3}]},
+        {"methods": [{"method": "pma", "schedule": "smooth"}]},
+        {"methods": [{"method": "pma", "schedule": {"beta": "0.5"}}]},
+    ])
+    def test_values_of_another_json_type_rejected(self, change):
+        with pytest.raises(ConfigError, match="must be a JSON"):
+            config_mod.config_from_dict(dict(TINY_CONFIG, **change))
+
+    def test_numbers_take_json_integers(self):
+        cfg = config_mod.config_from_dict(dict(
+            TINY_CONFIG, alpha0_grid=[1, 2.5], cond_grid=[1], epsilon=1,
+            problems=[{"kind": "linreg", "N": 30, "n": 3, "sigma": 1}],
+            methods=[{"method": "pma", "schedule": {"beta": 1}}]))
+        assert cfg.alpha0_grid == [1, 2.5] and cfg.cond_grid == [1]
+        assert cfg.epsilon == 1 and cfg.problems[0].sigma == 1
+        assert cfg.methods[0] == config_mod.MethodSpec("pma", beta=1.0)
+
+    def test_config_shares_no_list_with_its_source(self):
+        cfg = preset("desk-linreg")
+        cfg.alpha0_grid.append(123.0)
+        cfg.m_grid.append(99)
+        assert preset("desk-linreg").alpha0_grid == config_mod.DEFAULT_ALPHA0_GRID
+        assert config_mod.PRESETS["desk-linreg"]["m_grid"] == [1, 4, 16]
+
+    def test_presets_and_benchmark_configs_load_unchanged(self):
+        # Every preset and benchmark config has JSON-typed values, so each
+        # loads to the SweepConfig that its values build directly.
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(PERFBENCH)
+        sources = list(config_mod.PRESETS.values())
+        for name, wl in workloads.WORKLOADS.items():
+            if wl.kind == "sweep":
+                sources += [wl.config, workloads.workload(name, tiny=True).config,
+                            dataclasses.asdict(wl)["config"]]
+                for rnd in range(2):
+                    cfg = workloads.sweep_config(wl, 0, rnd)
+                    assert cfg.master_seed == workloads.derive_seed(name, 0, rnd)
+        assert len(sources) == 7 + 3 * 3
+        for data in sources:
+            rest = {k: v for k, v in data.items() if k != "problems"}
+            if "methods" in rest:
+                rest["methods"] = [config_mod.MethodSpec(d["method"],
+                                                         d.get("accelerated", False))
+                                   for d in rest["methods"]]
+            expected = config_mod.SweepConfig(
+                [config_mod.ProblemSpec(**p) for p in data["problems"]], **rest)
+            assert load_config(json.dumps(data)) == expected
+            assert config_mod.config_from_dict(data) == expected
+        for name, data in config_mod.PRESETS.items():
+            assert preset(name) == load_config(json.dumps(data))
 
 
 class TestSweep:
@@ -507,9 +590,11 @@ class TestCli:
         data = dict(TINY_CONFIG, sample_budget=600, m_grid=[1, 4],
                     alpha0_grid=[0.1, 3.0],
                     methods=[{"method": "pma"}, {"method": "sgm"},
-                             {"method": "prox", "accelerated": True}])
+                             {"method": "prox", "accelerated": True},
+                             {"method": "pia"}, {"method": "pam"}])
         rows = execute_sweep(config_mod.config_from_dict(data), progress=quiet)
         assert {r.status for r in rows} == {"converged", "budget"}
+        assert {r.method for r in rows if r.status == "converged"} >= {"pia", "pam"}
         for r in rows:
             assert cli.main(["run", "--config", json.dumps(data),
                              "--method", r.method, "--m", str(r.m),
@@ -526,6 +611,70 @@ class TestCli:
         assert cli.main(["profile", "--csv",
                          str(tmp_path / "missing.csv")]) == 1
         assert cli.main(["nope"]) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"methods": [{"method": "pma", "accelerated": "false"}]},
+        {"seeds": 2.7},
+        {"m_grid": [2.5]},
+        {"problems": [{"kind": "linreg", "N": "50", "n": 3}]},
+        {"alpha0_grid": ["x"]},
+    ])
+    def test_config_of_another_json_type_is_a_usage_error(self, change, tmp_path, capsys):
+        data = json.dumps(dict(TINY_CONFIG, **change))
+        assert cli.main(["sweep", "--config", data, "--out", str(tmp_path)]) == 1
+        assert cli.main(["run", "--config", data, "--steps", "5"]) == 1
+        assert "must be a JSON" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "desk-linreg", "--m", "0"],
+        ["run", "--preset", "desk-linreg", "--m", "-2"],
+        ["run", "--preset", "desk-linreg", "--steps", "0"],
+        ["run", "--preset", "desk-linreg", "--steps", "1.5"],
+        ["growth", "--N", "0"],
+        ["growth", "--n", "0"],
+        ["growth", "--m", "0"],
+        ["growth", "--draws", "0"],
+    ])
+    def test_nonpositive_counts_are_usage_errors(self, argv, capsys):
+        assert cli.main(argv) == 1
+        flag = argv[-2]
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(opt for action in sp._actions
+                              for opt in action.option_strings if opt not in ("-h", "--help"))
+                 for name, sp in sub.choices.items()}
+        assert flags == {
+            "run": ["--accelerated", "--alpha0", "--beta", "--config", "--m",
+                    "--method", "--preset", "--seed", "--steps"],
+            "sweep": ["--config", "--jobs", "--out", "--preset", "--seed"],
+            "profile": ["--accelerated", "--csv", "--out"],
+            "speedup": ["--csv", "--method", "--out", "--units"],
+            "growth": ["--N", "--alpha", "--draws", "--gamma", "--kind", "--m", "--n",
+                       "--seed"],
+            "lbtest": ["--gamma", "--kind", "--lambda1", "--m", "--n", "--out",
+                       "--radius", "--rounds", "--seed", "--trials"],
+        }
+        assert sum(map(len, flags.values())) == 39
+
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, capsys):
+        csv_path = tmp_path / "sweep.csv"
+        write_csv([CellResult("linreg", "none", 1.0, "pma", False, 1, 1.0, 0, 3, 3,
+                              0.1, "converged")], csv_path)
+        out = ["--out", str(tmp_path)]
+        for argv, unread in (
+                (["profile", "--csv", str(csv_path), *out], ["--seed", "1"]),
+                (["speedup", "--csv", str(csv_path), *out], ["--seed", "1"]),
+                (["run", "--preset", "desk-linreg", "--steps", "5"], ["--out", "."]),
+                (["growth", "--N", "40", "--n", "3", "--draws", "20"], ["--out", "."])):
+            assert cli.main(argv) == 0
+            assert cli.main(argv + unread) == 1
+        capsys.readouterr()
+        assert cli.main(["run", "--config", "desk-linreg", "--steps", "5"]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_growth_command(self, capsys):
         assert cli.main(["growth", "--kind", "power", "--N", "100", "--n",
