@@ -25,26 +25,11 @@ class Sigma0Estimate:
     per_probe: np.ndarray
 
 
-def estimate_sigma0(inst, probes, draws: int | None = None,
-                    rng: np.random.Generator | None = None) -> Sigma0Estimate:
-    """sup over probes of E||F'(x;S) - f'(x)||^2 (the gradient variance).
-
-    With ``draws=None`` the expectation is computed exactly by enumerating
-    the dataset; otherwise by ``draws`` iid samples around the exact mean
-    gradient (unbiased since the mean is known).
-    """
+def estimate_sigma0(inst, probes) -> Sigma0Estimate:
+    """sup over probes of E||F'(x;S) - f'(x)||^2 (the gradient variance),
+    each expectation computed exactly by enumerating the dataset."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    per_probe = np.empty(probes.shape[0])
-    for j, x in enumerate(probes):
-        gbar, per_probe[j] = _gradient_moments(inst, x)
-        if draws is not None:
-            if draws < 2:
-                raise ValueError("need at least 2 draws")
-            if rng is None:
-                raise ValueError("Monte Carlo estimation needs an rng")
-            idx = problems.sample_batch(inst, draws, rng)
-            _, gs = problems.batch_losses(inst, x, idx)
-            per_probe[j] = float(((gs - gbar) ** 2).sum(axis=1).mean())
+    per_probe = np.array([_gradient_moments(inst, x)[1] for x in probes])
     j = int(np.argmax(per_probe))
     return Sigma0Estimate(float(per_probe[j]), probes[j].copy(), per_probe)
 

@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": dict(help="JSON config path or inline JSON"),
         "--preset": dict(choices=sorted(config_mod.PRESETS),
                          help="built-in configuration"),
-        "--seed": dict(type=int, default=0, help="master seed (u64)"),
+        "--seed": dict(type=int, default=None,
+                       help="master seed, in place of the config's master_seed"),
         "--out": dict(default=".", help="output directory"),
     }
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="samples")
 
     sp = sub.add_parser("growth", help="estimate problem constants")
-    common(sp, "--seed")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the instance and probes")
     sp.add_argument("--kind", default="power", choices=sorted(problems.KINDS))
     sp.add_argument("--N", type=_positive_int, default=500)
     sp.add_argument("--n", type=_positive_int, default=10)
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--draws", type=_positive_int, default=2000)
 
     sp = sub.add_parser("lbtest", help="lower-bound laboratory")
-    common(sp, "--seed", "--out")
+    common(sp, "--out")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the lab's draws")
     sp.add_argument("--kind", required=True, choices=("orthcol", "twopoint"))
     sp.add_argument("--n", type=int, default=32)
     sp.add_argument("--m", type=int, default=4)
@@ -116,7 +118,8 @@ def _load_config(args) -> config_mod.SweepConfig:
         cfg = config_mod.load_config(args.config)
     else:
         raise config_mod.ConfigError("provide --config or --preset")
-    cfg.master_seed = args.seed
+    if args.seed is not None:
+        cfg.master_seed = args.seed
     return cfg
 
 
@@ -127,7 +130,7 @@ def _cmd_run(args) -> int:
     # The sweep's seed-0 cell of the first (problem, cond) with this method,
     # m and alpha0, run by the sweep's own cell runner, so at
     # sample_budget // m steps the run ends as that sweep row does.
-    inst = prob.instantiate(cond, _instance_seed(args.seed, prob, cond, 0))
+    inst = prob.instantiate(cond, _instance_seed(cfg.master_seed, prob, cond, 0))
     spec = config_mod.MethodSpec(args.method, args.accelerated, "poly", args.beta)
     rec, = run_cells(prob, spec, inst, cond, args.m, 0, cfg, [args.alpha0], args.steps)
     print(f"# {prob.kind} N={prob.N} n={prob.n} method={args.method} "
@@ -243,15 +246,9 @@ def _cmd_lbtest(args) -> int:
             print(f"{k},{rep.empirical_risk[i]:.6e},{rep.closed_form_risk[i]:.6e},"
                   f"{rep.mean_rank[i]:.3f},{rep.predicted_rank[i]:.3f}")
         print(f"# max relative risk error: {rep.max_relative_error():.4f}")
-        series = [
-            svg.Series("empirical", list(rep.rounds), list(rep.empirical_risk)),
-            svg.Series("closed form", list(rep.rounds),
-                       list(rep.closed_form_risk), dashed=True),
-        ]
-        svg.emit_svg(svg.Plot(series, title="Posterior-mean risk",
-                              xlabel="round k", ylabel="risk",
-                              ylog=bool(np.all(rep.closed_form_risk > 0))),
-                     os.path.join(args.out, "orthcol.svg"))
+        # (title, y label, measured curve, dashed reference curve)
+        chart = ("Posterior-mean risk", "risk", ("empirical", rep.empirical_risk),
+                 ("closed form", rep.closed_form_risk))
     else:
         rep = lab.twopoint_lab(args.lambda1, args.gamma, args.rounds,
                                args.trials, R=args.radius, seed=args.seed)
@@ -261,6 +258,15 @@ def _cmd_lbtest(args) -> int:
         print(f"# per-step log factors: empirical {rep.empirical_log_factor:.5f}"
               f" +- {rep.log_factor_se:.5f} envelope {rep.envelope_log_factor:.5f}"
               f" respects_lower_bound={rep.respects_lower_bound}")
+        chart = ("Two-point lower bound", "mean squared distance",
+                 ("mean squared distance", rep.mean_sq_dist), ("envelope", rep.envelope))
+    title, ylabel, (name, y), (ref_name, ref) = chart
+    series = [svg.Series(name, list(rep.rounds), list(y)),
+              svg.Series(ref_name, list(rep.rounds), list(ref), dashed=True)]
+    # A log axis unless the reference reaches 0 (orthcol at m = n).
+    svg.emit_svg(svg.Plot(series, title=title, xlabel="round k", ylabel=ylabel,
+                          ylog=bool(np.all(ref > 0))),
+                 os.path.join(args.out, f"{args.kind}.svg"))
     return 0
 
 

@@ -5,6 +5,7 @@ A config is a JSON object with exactly these keys (all optional except
 
     problems       list of {kind: string, N, n: integers,
                             sigma, p, gamma, delta, radius: numbers}
+                   (sigma only for linreg and absreg, p only for logistic)
     methods        list of {method: string, accelerated: boolean,
                             schedule: {kind: string, beta, power: numbers}}
     alpha0_grid    list of positive numbers
@@ -117,6 +118,13 @@ class SweepConfig:
         for ps in self.problems:
             if ps.kind not in problems.KINDS:
                 raise ConfigError(f"unknown problem kind: {ps.kind!r}")
+            # A kind ignores another's noise parameter, which would still
+            # name noise in the row's noise label.
+            for name in ("sigma", "p"):
+                if getattr(ps, name) != 0 and problems.NOISE_PARAMETERS.get(ps.kind) != name:
+                    raise ConfigError(f"a {ps.kind!r} problem takes no {name!r}")
+            if not (ps.sigma >= 0 and 0 <= ps.p <= 1):  # NaN too
+                raise ConfigError("sigma must be >= 0 and p must lie in [0, 1]")
         for ms in self.methods:
             if ms.method not in DEFAULT_METHODS:
                 raise ConfigError(f"unknown method: {ms.method!r}")

@@ -22,7 +22,8 @@ trials that share an instance together.
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
 ``full_batch=True`` (or m equal to the dataset size) uses the whole dataset
-deterministically each step, which is the noiseless sigma_0 = 0 regime.
+deterministically each step, which is the noiseless sigma_0 = 0 regime; it
+needs a uniform sampling law.
 """
 
 from __future__ import annotations
@@ -278,8 +279,11 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
         raise ValueError("need n_steps >= 1 and epsilon > 0")
     if m < 1:
         raise ValueError("batch size must be at least 1")
+    uniform = inst.sample_probabilities is None
+    if full_batch and not uniform:  # a full batch weighs the samples alike
+        raise ValueError("full_batch needs a uniform sampling law")
     opts = record if record is not None else RecordOptions()
-    full = full_batch or (inst.sample_probabilities is None and m == inst.N)
+    full = full_batch or (uniform and m == inst.N)
     m_eff = inst.N if full else m
     x = np.zeros(inst.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     x = geometry.project_domain(inst.domain, x)

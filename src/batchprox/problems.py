@@ -9,7 +9,8 @@ scalar (per-sample; the objective averages them over the sampling law):
 * ``absreg``     F(x; (a,b)) = (1/2)|<a,x> - b|
 * ``logistic``   F(x; (a,b)) = (1/2) log(1 + exp(-b <a,x>)),  b in {-1,+1}
 * ``halfspace``  F(x; i)     = dist(x, {y : <a_i,y> <= b_i})
-                             = max(<a_i,x> - b_i, 0) / ||a_i||
+                             = max(<a_i,x> - b_i, 0), the rows a_i having
+                             unit norm (normalized once, at generation)
 * ``power``      F(x; (a,b)) = |<a,x> - b|^(1+gamma) / (1+gamma)
 * ``twopoint``   the power loss on two one-dimensional atoms, a = 0, b = 0
   (zero loss) with probability 1-delta and a = 1, b = v*R with probability
@@ -70,25 +71,9 @@ LOSSES = {
 }
 LOSSES[TWOPOINT] = LOSSES[POWER]
 
-NOISE_NONE = "none"
-NOISE_GAUSSIAN = "gaussian"
-NOISE_LAPLACE = "laplace"
-NOISE_FLIP = "flip"
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str = NOISE_NONE
-    sigma: float = 0.0
-    p: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (NOISE_NONE, NOISE_GAUSSIAN, NOISE_LAPLACE, NOISE_FLIP):
-            raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("flip probability must lie in [0, 1]")
+# The noise parameter of each noisy kind: the scale of Gaussian (linreg) or
+# Laplace (absreg) label noise, or the label-flip probability (logistic).
+NOISE_PARAMETERS = {LINREG: "sigma", ABSREG: "sigma", LOGISTIC: "p"}
 
 
 @dataclass
@@ -108,7 +93,7 @@ class ProblemInstance:
     kind: str
     A: np.ndarray  # N x n data matrix (the two atoms for twopoint)
     b: np.ndarray
-    noise: NoiseSpec
+    noiseless: bool  # no label noise, so f* = 0
     domain: geometry.Domain
     n: int
     N: int
@@ -117,8 +102,6 @@ class ProblemInstance:
     delta: float = 0.0
     radius: float = 0.0
     sign: int = 1  # twopoint atom sign v
-    row_norms: np.ndarray | None = None  # halfspace losses divide by these
-    flips_applied: int = 0
     _reference: OptimumInfo | None = field(default=None, repr=False)
     _cdf: np.ndarray | None = field(default=None, repr=False)
 
@@ -150,9 +133,12 @@ def generate_problem(
 ) -> ProblemInstance:
     """Draw a synthetic instance; rows of A and the planted point are iid
     standard normal, with post-hoc singular-value rescaling to a geometric
-    ramp spanning the requested condition number."""
+    ramp spanning the requested condition number.  A kind reads only its own
+    noise parameter (``NOISE_PARAMETERS``) and ignores the other."""
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind: {kind!r}")
+    if not (sigma >= 0.0 and 0.0 <= p <= 1.0):  # NaN too
+        raise ValueError("sigma must be >= 0 and p must lie in [0, 1]")
     if kind == TWOPOINT:
         return _generate_twopoint(delta, radius, gamma, seed)
     if N < 1 or n < 1:
@@ -169,45 +155,32 @@ def generate_problem(
         A = _rescale_condition(A, cond)
 
     dom = domain if domain is not None else geometry.all_space()
-    flips = 0
 
-    if kind == LINREG:
-        noise = NoiseSpec(NOISE_GAUSSIAN, sigma=sigma) if sigma > 0 else NoiseSpec()
-        b = A @ x_star
-        if sigma > 0:
-            b = b + sigma * rng.standard_normal(N)
-    elif kind == ABSREG:
-        noise = NoiseSpec(NOISE_LAPLACE, sigma=sigma) if sigma > 0 else NoiseSpec()
-        b = A @ x_star
-        if sigma > 0:
-            b = b + sigma * rng.laplace(0.0, 1.0, N)
+    b = A @ x_star  # every kind's labels start from the planted responses
+    if kind == LINREG and sigma > 0:
+        b = b + sigma * rng.standard_normal(N)
+    elif kind == ABSREG and sigma > 0:
+        b = b + sigma * rng.laplace(0.0, 1.0, N)
     elif kind == LOGISTIC:
-        noise = NoiseSpec(NOISE_FLIP, p=p) if p > 0 else NoiseSpec()
-        b = np.sign(A @ x_star)
+        b = np.sign(b)
         b[b == 0] = 1.0
         if p > 0:
-            flip = rng.random(N) < p
-            b = np.where(flip, -b, b)
-            flips = int(flip.sum())
+            b = np.where(rng.random(N) < p, -b, b)
     elif kind == HALFSPACE:
         # Margins keep the planted point in the interior of every halfspace,
         # certifying a nonempty intersection.
-        noise = NoiseSpec()
         margins = rng.uniform(0.1, 1.0, N)
-        b = A @ x_star + margins
-    elif kind == POWER:
-        noise = NoiseSpec()
-        b = A @ x_star
-    else:  # pragma: no cover
-        raise AssertionError(kind)
+        b = b + margins
+        # Scaling a row and its b leaves the halfspace as it is; on unit rows
+        # the loss max(<a,x> - b, 0) is the distance itself.
+        norms = np.linalg.norm(A, axis=1)
+        A, b = A / norms[:, np.newaxis], b / norms
 
-    inst = ProblemInstance(
-        kind=kind, A=A, b=b, noise=noise, domain=dom, n=n, N=N,
-        x_planted=x_star, gamma=gamma, flips_applied=flips,
+    level = {"sigma": sigma, "p": p, None: 0.0}[NOISE_PARAMETERS.get(kind)]
+    return ProblemInstance(
+        kind=kind, A=A, b=b, noiseless=level == 0.0, domain=dom, n=n, N=N,
+        x_planted=x_star, gamma=gamma,
     )
-    if kind == HALFSPACE:
-        inst.row_norms = np.linalg.norm(A, axis=1)
-    return inst
 
 
 def make_custom_linreg(A, b, x_planted=None,
@@ -219,15 +192,14 @@ def make_custom_linreg(A, b, x_planted=None,
     N, n = A.shape
     if b.shape != (N,):
         raise ValueError("b must have one entry per row of A")
-    # Marking the noise kind routes reference_optimum to the solver path
-    # unless the planted point certifies interpolation.
-    noise = NoiseSpec(NOISE_GAUSSIAN, sigma=0.0)
+    # reference_optimum takes the solver path unless the planted point
+    # certifies interpolation.
+    noiseless = False
     if x_planted is not None:
         x_planted = np.asarray(x_planted, dtype=float)
-        if np.allclose(A @ x_planted, b, atol=1e-12):
-            noise = NoiseSpec()
+        noiseless = bool(np.allclose(A @ x_planted, b, atol=1e-12))
     return ProblemInstance(
-        kind=LINREG, A=A, b=b, noise=noise,
+        kind=LINREG, A=A, b=b, noiseless=noiseless,
         domain=domain if domain is not None else geometry.all_space(),
         n=n, N=N, x_planted=x_planted,
     )
@@ -244,8 +216,7 @@ def _generate_twopoint(delta: float, radius: float, gamma: float, seed: int) -> 
     # Atom 0 carries zero loss; atom 1 is the informative sample v.
     return ProblemInstance(
         kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
-        noise=NoiseSpec(),
-        domain=geometry.all_space(), n=1, N=2,
+        noiseless=True, domain=geometry.all_space(), n=1, N=2,
         x_planted=np.array([v * radius], dtype=float),
         gamma=gamma, delta=delta, radius=radius, sign=v,
     )
@@ -310,9 +281,6 @@ def stacked_losses(inst: ProblemInstance, X: np.ndarray, idx: np.ndarray):
     vals, slope = loss.value(r, inst.gamma), loss.slope(r, inst.gamma)
     if loss.margin:
         slope = b * slope
-    if inst.row_norms is not None:
-        nrm = inst.row_norms[idx]
-        vals, slope = vals / nrm, slope / nrm
     return vals, rows * slope[..., np.newaxis]
 
 
@@ -336,10 +304,7 @@ def objective_values(inst: ProblemInstance, X: np.ndarray) -> np.ndarray:
         # exponent 2), and a row's value should be the one a lone point gets.
         e = 1.0 + inst.gamma
         return inst.delta * np.array([abs(v) ** e for v in r[:, 1].tolist()]) / e
-    vals = loss.value(r, inst.gamma)
-    if inst.row_norms is not None:
-        vals = vals / inst.row_norms
-    return np.add.reduce(vals, axis=1) / inst.N
+    return np.add.reduce(loss.value(r, inst.gamma), axis=1) / inst.N
 
 
 def sample_batch(inst: ProblemInstance, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -427,7 +392,7 @@ def _check_attained_in_domain(inst, info):
 def _compute_reference(inst: ProblemInstance) -> OptimumInfo:
     if inst.kind == LOGISTIC:
         return _logistic_reference(inst)
-    if inst.noise.kind == NOISE_NONE:
+    if inst.noiseless:
         # Interpolation: every per-sample loss is 0 at the planted point (on
         # the whole feasible polyhedron for halfspace, so no single x*).
         x = None if inst.kind == HALFSPACE else inst.x_planted.copy()

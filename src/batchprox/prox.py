@@ -498,9 +498,7 @@ def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
     if inst.kind == problems.ABSREG:
         return box_dual_steps(centers, rows, r, alpha, -0.5 / m, 0.5 / m, tol)[0]
     if inst.kind == problems.HALFSPACE:
-        nrm = inst.row_norms[idx]
-        return box_dual_steps(centers, rows / nrm[..., np.newaxis], r / nrm, alpha,
-                              0.0, 1.0 / m, tol)[0]
+        return box_dual_steps(centers, rows, r, alpha, 0.0, 1.0 / m, tol)[0]
     raise ValueError(
         f"no batch full-prox solver for {inst.kind!r}; use m=1 or another model"
     )
@@ -538,9 +536,9 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
         lam = np.clip(r / (alpha * safe_asq), -0.5, 0.5)
         t = alpha * lam
     elif inst.kind == problems.HALFSPACE:
-        nrm = np.sqrt(safe_asq)
-        d0 = np.maximum(r, 0.0) / nrm
-        t = np.minimum(alpha, d0) / nrm  # an infinite alpha projects
+        # The clipped Polyak step, exact for the hinge max(r, 0) on any row;
+        # an infinite alpha projects.
+        t = np.minimum(alpha, np.maximum(r, 0.0) / safe_asq)
     elif inst.kind == problems.LOGISTIC:
         t = _logistic_single_prox_t(b, az, asq, alpha)
     elif inst.kind in (problems.POWER, problems.TWOPOINT):

@@ -38,14 +38,6 @@ class TestSigma0:
         b = analysis.estimate_sigma0(shuffled, probes).sigma0_sq
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_monte_carlo_close_to_exact(self):
-        inst = problems.generate_problem("linreg", N=50, n=4, sigma=0.5, seed=4)
-        probes = np.random.default_rng(2).standard_normal((2, 4))
-        exact = analysis.estimate_sigma0(inst, probes).sigma0_sq
-        mc = analysis.estimate_sigma0(inst, probes, draws=20_000,
-                                      rng=np.random.default_rng(3)).sigma0_sq
-        assert mc == pytest.approx(exact, rel=0.1)
-
 
 class TestNoiseToSignal:
     def test_single_sample_is_zero(self):

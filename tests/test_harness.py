@@ -134,6 +134,33 @@ class TestConfig:
         data["problems"][1]["sigma"] = 0.25
         assert len(config_mod.config_from_dict(data).problems) == 2
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "power", "N": 20, "n": 2, "sigma": 0.5},
+        {"kind": "halfspace", "N": 20, "n": 2, "p": 0.1},
+        {"kind": "logistic", "N": 20, "n": 2, "sigma": 0.5},
+        {"kind": "linreg", "N": 20, "n": 2, "p": 0.1},
+        {"kind": "twopoint", "sigma": 0.5},
+    ])
+    def test_noise_parameter_of_another_kind_rejected(self, problem):
+        # The kind would ignore it, and the row's noise label would name it.
+        with pytest.raises(ConfigError, match="problem takes no"):
+            config_mod.config_from_dict(dict(TINY_CONFIG, problems=[problem]))
+        problem = dict(problem, **{k: 0.0 for k in ("sigma", "p") if k in problem})
+        config_mod.config_from_dict(dict(TINY_CONFIG, problems=[problem]))
+
+    @pytest.mark.parametrize("text", ['"sigma": -0.5', '"sigma": NaN',
+                                      '"p": 1.5', '"p": -0.1', '"p": NaN'])
+    def test_noise_parameter_out_of_range_rejected(self, text):
+        # The parent took a negative or NaN value as noiseless.
+        kind = "logistic" if text.startswith('"p"') else "absreg"
+        with pytest.raises(ConfigError, match="sigma must be >= 0 and p"):
+            load_config('{"problems": [{"kind": "%s", "N": 30, "n": 3, %s}]}' % (kind, text))
+
+    @pytest.mark.parametrize("name", sorted(config_mod.PRESETS))
+    def test_every_preset_loads(self, name):
+        # validate rejects another kind's noise parameter; no preset sets one.
+        assert preset(name).problems
+
     def test_colliding_method_specs_rejected(self):
         data = dict(TINY_CONFIG, methods=[
             {"method": "pma"},
@@ -605,6 +632,34 @@ class TestCli:
             assert lines[-2].split(",")[2] == f"{r.final_gap:.10e}"
             assert lines[-1].startswith(f"# status={r.status} ")
 
+    def test_config_master_seed_holds_unless_seed_is_given(self, tmp_path, capsys):
+        data = json.dumps(dict(TINY_CONFIG, master_seed=5))
+        csv = {}
+        for name, extra in (("config", []), ("flag", ["--seed", "5"]),
+                            ("flag0", ["--seed", "0"])):
+            out = tmp_path / name
+            assert cli.main(["sweep", "--config", data, "--out", str(out), *extra]) == 0
+            csv[name] = (out / "sweep.csv").read_bytes()
+        assert csv["config"] == csv["flag"] != csv["flag0"]
+        capsys.readouterr()
+        runs = {}
+        for name, extra in (("config", []), ("flag", ["--seed", "5"]),
+                            ("flag0", ["--seed", "0"])):
+            assert cli.main(["run", "--config", data, "--steps", "30", *extra]) == 0
+            runs[name] = capsys.readouterr().out
+        assert runs["config"] == runs["flag"] != runs["flag0"]
+
+    @pytest.mark.parametrize("problem", [
+        {"kind": "power", "N": 20, "n": 2, "sigma": 0.5},
+        {"kind": "halfspace", "N": 20, "n": 2, "p": 0.1},
+        {"kind": "logistic", "N": 20, "n": 2, "sigma": 0.5},
+    ])
+    def test_noise_parameter_of_another_kind_is_a_usage_error(self, problem, tmp_path, capsys):
+        data = json.dumps({"problems": [problem]})
+        assert cli.main(["sweep", "--config", data, "--out", str(tmp_path)]) == 1
+        assert "problem takes no" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_exit_codes(self, tmp_path, capsys):
         assert cli.main(["sweep"]) == 1  # no config
         assert cli.main(["sweep", "--config", "{bad json"]) == 1
@@ -691,7 +746,10 @@ class TestCli:
                          "--trials", "50", "--lambda1", "0.05", "--out",
                          str(tmp_path)]) == 0
         capsys.readouterr()
-        assert cli.main(["lbtest", "--kind", "twopoint", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "twopoint"
+        assert cli.main(["lbtest", "--kind", "twopoint", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["twopoint.svg"]
+        ET.parse(out / "twopoint.svg")  # well-formed
         last = capsys.readouterr().out.splitlines()[-1]
         assert " +- 0.003" in last and last.endswith("respects_lower_bound=True")
         for bad in (["--trials", "0"], ["--rounds", "0"], ["--radius", "0"]):

@@ -109,6 +109,20 @@ class TestRunBase:
         assert rec.config["full_batch"]
         assert np.all(np.diff(rec.gaps) <= 1e-12)
 
+    def test_full_batch_needs_a_uniform_law(self):
+        # On the two-point family a full batch would weigh both atoms alike,
+        # not by the sampling law (1 - delta, delta).
+        inst = problems.generate_problem("twopoint", delta=0.1, radius=1.0, seed=1)
+        for run in (optimizers.run_base, optimizers.run_accelerated):
+            with pytest.raises(ValueError, match="uniform sampling law"):
+                run(inst, models.sgm(), optimizers.poly_decay(0.5, 0.0), m=2,
+                    n_steps=5, epsilon=1e-12, rng=np.random.default_rng(0),
+                    full_batch=True)
+        rec = optimizers.run_base(inst, models.sgm(), optimizers.poly_decay(0.5, 0.0),
+                                  m=2, n_steps=5, epsilon=1e-12,
+                                  rng=np.random.default_rng(0))
+        assert not rec.config["full_batch"]
+
     def test_infinite_alpha_restricted_to_truncated(self):
         inst = noisy_linreg(8)
         sched = optimizers.poly_decay(math.inf, 0.0)
@@ -214,9 +228,10 @@ class TestRunPia:
         A = rng.standard_normal((2, 3))
         x_star = rng.standard_normal(3)
         b = A @ x_star + rng.uniform(0.1, 1.0, 2)
+        norms = np.linalg.norm(A, axis=1)  # instances carry unit rows
+        A, b = A / norms[:, np.newaxis], b / norms
         inst = problems.generate_problem("halfspace", N=2, n=3, seed=0)
         inst.A, inst.b, inst.x_planted = A, b, x_star
-        inst.row_norms = np.linalg.norm(A, axis=1)
 
         # A point violating both halfspaces: push along d with A d = (1, 1).
         d, *_ = np.linalg.lstsq(A, np.ones(2), rcond=None)

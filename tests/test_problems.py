@@ -49,14 +49,15 @@ class TestGeneration:
         inst = problems.generate_problem("linreg", N=1000, n=40, sigma=0.5, seed=7)
         assert inst.A.shape == (1000, 40)
         assert inst.b.shape == (1000,)
-        assert inst.noise.sigma == 0.5
+        assert not inst.noiseless
 
     def test_label_flip_rate(self):
         flips, total = 0, 0
         for seed in range(40):
             inst = problems.generate_problem("logistic", N=500, n=5, p=0.01,
                                              seed=seed)
-            flips += inst.flips_applied
+            # The flipped labels are those the planted point misclassifies.
+            flips += int(np.count_nonzero(inst.b * (inst.A @ inst.x_planted) < 0))
             total += inst.N
         rate = flips / total
         assert abs(rate - 0.01) < 3 * np.sqrt(0.01 * 0.99 / total)
@@ -67,19 +68,41 @@ class TestGeneration:
         assert ref.f_star == 0.0
         assert problems.objective_value(inst, ref.x_star) < 1e-24
 
+    def test_noiseless_flag_reads_the_kinds_own_parameter(self):
+        # Each kind reads only its NOISE_PARAMETERS entry, and ignores the other.
+        for kind in problems.KINDS:
+            own = problems.NOISE_PARAMETERS.get(kind)
+            for sigma, p in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.2), (0.5, 0.2)):
+                inst = problems.generate_problem(kind, N=20, n=3, sigma=sigma, p=p, seed=1)
+                level = {"sigma": sigma, "p": p, None: 0.0}[own]
+                assert inst.noiseless == (level == 0.0)
+                if own is not None:
+                    ref = problems.generate_problem(kind, N=20, n=3, seed=1,
+                                                    **{own: level})
+                    np.testing.assert_array_equal(inst.b, ref.b)
+        assert problems.make_custom_linreg([[1.0], [2.0]], [1.0, 2.0], [1.0]).noiseless
+        assert not problems.make_custom_linreg([[1.0], [2.0]], [1.0, 2.5], [1.0]).noiseless
+        assert not problems.make_custom_linreg([[1.0], [2.0]], [1.0, 2.0]).noiseless
+
     def test_condition_number_ramp(self):
         inst = problems.generate_problem("linreg", N=100, n=10, cond=50.0, seed=1)
         s = np.linalg.svd(inst.A, compute_uv=False)
         assert s[0] / s[-1] == pytest.approx(50.0, rel=1e-9)
 
     def test_halfspace_planted_interior(self):
-        inst = problems.generate_problem("halfspace", N=60, n=6, seed=2)
-        slack = inst.b - inst.A @ inst.x_planted
-        assert np.all(slack >= 0.1 - 1e-12) and np.all(slack <= 1.0 + 1e-12)
+        # Unit rows, and the planted point strictly inside every halfspace.
+        for cond in (1.0, 10.0):
+            inst = problems.generate_problem("halfspace", N=60, n=6, cond=cond, seed=2)
+            np.testing.assert_allclose(np.linalg.norm(inst.A, axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.all(inst.b - inst.A @ inst.x_planted > 0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             problems.generate_problem("linreg", N=0, n=3)
+        for kind in problems.KINDS:
+            for noise in (dict(sigma=-0.5), dict(sigma=np.nan), dict(p=1.5), dict(p=-0.1)):
+                with pytest.raises(ValueError, match="sigma must be >= 0 and p"):
+                    problems.generate_problem(kind, N=5, n=2, **noise)
         with pytest.raises(ValueError):
             problems.generate_problem("power", N=5, n=2, gamma=1.5)
         with pytest.raises(ValueError):
@@ -153,6 +176,34 @@ class TestLossEval:
         assert (v0, g0.tolist()) == (0.0, [0.0])
         assert v1 == abs(r) ** 1.5 / 1.5
         assert g1.tolist() == [np.sign(r) * abs(r) ** 0.5]
+
+    def test_halfspace_losses_are_distances_on_any_row_scale(self):
+        # Scaling a row and its b keeps the halfspace.  On such scaled data,
+        # max(<a,x> - b, 0) / ||a|| and its gradient match the losses of the
+        # unit-row instance, and so does the distance to each halfspace.
+        from batchprox.prox import project_polyhedron
+
+        rng = np.random.default_rng(21)
+        for seed in range(3):
+            inst = problems.generate_problem("halfspace", N=30, n=4, seed=seed)
+            scale = np.exp(rng.uniform(-3.0, 3.0, inst.N))
+            A, b = inst.A * scale[:, np.newaxis], inst.b * scale
+            X = inst.x_planted + 2.0 * rng.standard_normal((5, inst.n))
+            idx = np.tile(np.arange(inst.N), (5, 1))
+            vals, grads = problems.stacked_losses(inst, X, idx)
+            norms = np.linalg.norm(A, axis=1)
+            r = X @ A.T - b
+            # Relative to the terms of <a,x> - b, whose difference cancels.
+            terms = (np.abs(X) @ np.abs(A).T + np.abs(b)) / norms
+            assert np.all(np.abs(vals - np.maximum(r, 0.0) / norms) <= 1e-14 * terms)
+            np.testing.assert_allclose(
+                grads, np.where(r > 0, 1.0, 0.0)[..., np.newaxis] * (A / norms[:, np.newaxis]),
+                rtol=1e-14, atol=0)
+            assert (vals > 0).any() and (vals == 0).any()
+            for c, x in enumerate(X):
+                for i in range(inst.N):
+                    d = np.linalg.norm(x - project_polyhedron(A[i:i + 1], b[i:i + 1], x))
+                    assert vals[c, i] == pytest.approx(d, rel=1e-12, abs=1e-15)
 
     def test_halfspace_inside_is_zero(self):
         inst = problems.generate_problem("halfspace", N=20, n=4, seed=6)
@@ -579,8 +630,7 @@ class TestReferenceOptimum:
         # A flipped label that the planted point misclassifies, but another
         # direction still separates every sample: inf f = 0, unattained.
         inst = problems.generate_problem("logistic", N=200, n=20, p=0.01, seed=2)
-        assert inst.flips_applied > 0
-        assert not np.all(inst.b * (inst.A @ inst.x_planted) > 0)
+        assert not np.all(inst.b * (inst.A @ inst.x_planted) > 0)  # a flip
         ref = problems.reference_optimum(inst)
         assert ref.f_star == 0.0 and ref.x_star is None
 
