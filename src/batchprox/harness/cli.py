@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("growth", help="estimate problem constants")
     sp.add_argument("--seed", type=int, default=0, help="seed of the instance and probes")
-    sp.add_argument("--kind", default="power", choices=sorted(problems.KINDS))
+    # Kinds with a point optimum (logistic, drawn at p = 0, is separable).
+    sp.add_argument("--kind", default="power", choices=sorted(
+        (problems.ABSREG, problems.LINREG, problems.POWER, problems.TWOPOINT)))
     sp.add_argument("--N", type=_positive_int, default=500)
     sp.add_argument("--n", type=_positive_int, default=10)
     sp.add_argument("--gamma", type=float, default=0.0)
@@ -199,12 +201,11 @@ def _cmd_speedup(args) -> int:
     csv_path = os.path.join(args.out, "speedup.csv")
     results.write_speedup_csv(table, args.method, csv_path, units=args.units)
     ms = sorted(table)
-    series = [svg.Series(args.method, ms, [table[m] for m in ms])]
-    guides = [("linear", ms, ms)]
+    series = [svg.Series(args.method, ms, [table[m] for m in ms]),
+              svg.Series("linear", ms, ms, dashed=True)]  # the ideal speedup m
     svg_path = os.path.join(args.out, "speedup.svg")
     svg.emit_svg(svg.Plot(series, title=f"Best speedup ({args.units})",
-                          xlabel="minibatch size m", ylabel="speedup",
-                          extra_lines=guides), svg_path)
+                          xlabel="minibatch size m", ylabel="speedup"), svg_path)
     for m in ms:
         print(f"m={m}: speedup {table[m]:.3f}")
     print(f"wrote {csv_path} and {svg_path}")

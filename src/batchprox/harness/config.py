@@ -19,9 +19,10 @@ A config is a JSON object with exactly these keys (all optional except
 
 A problem needs its ``kind`` and a method its ``method``; a schedule's kind
 is poly or smooth.  A number is a JSON integer or float, and a boolean is
-neither.  Unknown keys and values of another type are errors.  Grid defaults
-mirror the benchmark protocol: alpha0 in {10^(i/2) : i = -4..5}, m in
-{1,4,8,16,32,64}, 30 seeds.
+neither.  Unknown keys and values of another type are errors, and so is a
+problem that ``problems.check_parameters`` rejects at a cond of the grid,
+the check ``generate_problem`` makes.  Grid defaults mirror the benchmark
+protocol: alpha0 in {10^(i/2) : i = -4..5}, m in {1,4,8,16,32,64}, 30 seeds.
 """
 
 from __future__ import annotations
@@ -116,15 +117,16 @@ class SweepConfig:
         if self.sample_budget < 1 or self.record_stride < 1:
             raise ConfigError("sample_budget and record_stride must be >= 1")
         for ps in self.problems:
-            if ps.kind not in problems.KINDS:
-                raise ConfigError(f"unknown problem kind: {ps.kind!r}")
+            for cond in self.cond_grid:  # what instantiate would reject
+                try:
+                    problems.check_parameters(**vars(ps), cond=cond)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
             # A kind ignores another's noise parameter, which would still
             # name noise in the row's noise label.
             for name in ("sigma", "p"):
                 if getattr(ps, name) != 0 and problems.NOISE_PARAMETERS.get(ps.kind) != name:
                     raise ConfigError(f"a {ps.kind!r} problem takes no {name!r}")
-            if not (ps.sigma >= 0 and 0 <= ps.p <= 1):  # NaN too
-                raise ConfigError("sigma must be >= 0 and p must lie in [0, 1]")
         for ms in self.methods:
             if ms.method not in DEFAULT_METHODS:
                 raise ConfigError(f"unknown method: {ms.method!r}")

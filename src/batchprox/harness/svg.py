@@ -8,7 +8,7 @@ log axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
@@ -33,21 +33,17 @@ class Plot:
     ylabel: str = ""
     xlog: bool = False
     ylog: bool = False
-    extra_lines: list = field(default_factory=list)  # (name, x, y) guides
 
 
 def emit_svg(plot: Plot, path: str):
     if not plot.series:
         raise ValueError("nothing to plot")
-    xs, ys = [], []
-    for s in plot.series:
-        for x, y in zip(s.x, s.y):
-            if _plottable(x, plot.xlog) and _plottable(y, plot.ylog):
-                xs.append(float(x))
-                ys.append(float(y))
-    for _, gx, gy in plot.extra_lines:
-        xs.extend(float(v) for v in gx if _plottable(v, plot.xlog))
-        ys.extend(float(v) for v in gy if _plottable(v, plot.ylog))
+    # Each series' points that its axes can show, in order.
+    points = [[(float(x), float(y)) for x, y in zip(s.x, s.y)
+               if _plottable(x, plot.xlog) and _plottable(y, plot.ylog)]
+              for s in plot.series]
+    xs = [x for pts in points for x, _ in pts]
+    ys = [y for pts in points for _, y in pts]
     if not xs:
         raise ValueError("no finite points to plot")
     x_lo, x_hi = _range(xs, plot.xlog)
@@ -85,20 +81,13 @@ def emit_svg(plot: Plot, path: str):
             f'transform="rotate(-90 16 {cy:.1f})">{_esc(plot.ylabel)}</text>'
         )
 
-    for name, gx, gy in plot.extra_lines:
-        pts = _polyline_points(gx, gy, plot, sx, sy)
-        if pts:
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="#999" '
-                f'stroke-dasharray="6 3"/>'
-            )
-    for i, s in enumerate(plot.series):
+    for i, (s, pts) in enumerate(zip(plot.series, points)):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = _polyline_points(s.x, s.y, plot, sx, sy)
         dash = ' stroke-dasharray="4 3"' if s.dashed else ""
         if pts:
+            line = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                f'<polyline points="{line}" fill="none" stroke="{color}" '
                 f'stroke-width="1.6"{dash}/>'
             )
         ly = _MT + 16 + 16 * i
@@ -119,26 +108,18 @@ def _plottable(v, log: bool) -> bool:
 
 def _range(vals, log: bool):
     lo, hi = min(vals), max(vals)
-    if lo == hi:
-        pad = abs(lo) * 0.1 + (0.5 if not log else 0.0)
-        if log:
-            return lo / 2, hi * 2
-        return lo - pad, hi + pad
-    return lo, hi
+    if lo != hi:
+        return lo, hi
+    if log:
+        return lo / 2, hi * 2
+    pad = abs(lo) * 0.1 + 0.5
+    return lo - pad, hi + pad
 
 
 def _frac(v, lo, hi, log: bool) -> float:
     if log:
         return (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
     return (v - lo) / (hi - lo)
-
-
-def _polyline_points(xv, yv, plot, sx, sy) -> str:
-    pts = []
-    for x, y in zip(xv, yv):
-        if _plottable(x, plot.xlog) and _plottable(y, plot.ylog):
-            pts.append(f"{sx(float(x)):.2f},{sy(float(y)):.2f}")
-    return " ".join(pts)
 
 
 def _axis_ticks(lo, hi, log: bool, scale, vertical: bool):

@@ -42,12 +42,14 @@ def _cell_seed(master: int, prob: ProblemSpec, cond: float, seed: int,
                        ms.accelerated, ms.schedule_kind, m, alpha0)
 
 
-def _schedule(ms: MethodSpec, alpha0: float, inst):
+def _schedules(ms: MethodSpec, alpha0s, inst) -> list:
+    """One law's schedules for a group's alpha0 cells (one stack, one L)."""
     if ms.schedule_kind == "poly":
-        return optimizers.poly_decay(alpha0, ms.beta)
+        return [optimizers.poly_decay(a0, ms.beta) for a0 in alpha0s]
     L = optimizers.smoothness_constant(inst)
     # alpha0 rescales the eta ramp so the grid still sweeps aggressiveness.
-    return optimizers.smoothness_adaptive(L, eta0=1.0 / alpha0, power=ms.power)
+    return [optimizers.smoothness_adaptive(L, eta0=1.0 / a0, power=ms.power)
+            for a0 in alpha0s]
 
 
 def run_cells(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
@@ -63,7 +65,7 @@ def run_cells(prob: ProblemSpec, ms: MethodSpec, inst, cond: float, m: int,
                 for a0 in alpha0s]
         return optimizers._run_lockstep(
             inst, models.strategy_from_id(ms.method),
-            [_schedule(ms, a0, inst) for a0 in alpha0s], m=m, n_steps=n_steps,
+            _schedules(ms, alpha0s, inst), m=m, n_steps=n_steps,
             epsilon=config.epsilon * _initial_gap(inst), rngs=rngs,
             accelerated=ms.accelerated,
             record=optimizers.RecordOptions(stride=config.record_stride,

@@ -2,22 +2,22 @@
 accelerated three-term loop, with stepsize schedules and run recording.
 
 One lockstep engine runs all three loops.  It advances C cells that share an
-instance, a strategy, a batch size and a starting point and differ in their
-schedule and generator: a running set, a per-cell stepsize vector and the
-stacked iterates X, Z and running averages X_avg, dense over the running
-cells.  Converged, diverged and inner-failed cells stop while the others go
-on; a stopped cell's rows are written out once and the stacks compacted, so
-a step touches only the cells still running.  Each cell draws its batches
-from its own generator in blocks of consecutive batches on the same stream a
-lone run reads one batch at a time; an attempt takes the cell's next batch
-and a redraw after a solver failure the one after it.  Every stacked product
-is per cell, so a cell's record does not depend on C or on the other cells.
-The step of a strategy is ``prox.stacked_step``, which
-``prox.solve_model_prox`` also calls for one model; iterate averaging is the
-m = 1 step of its per-sample model, averaged, inside it.  ``run_base``,
-``run_pia`` and ``run_accelerated`` are one-cell calls; sweeps step the
-alpha0 cells of a (method, m) group together, and the two-point lab steps the
-trials that share an instance together.
+instance, a strategy, a batch size, a starting point and a stepsize law and
+differ in its alpha0 (or eta0) and their generator: a running set, a
+per-cell stepsize vector and the stacked iterates X, Z and running averages
+X_avg, dense over the running cells.  Converged, diverged and inner-failed
+cells stop while the others go on; a stopped cell's rows are written out
+once and the stacks compacted, so a step touches only the cells still
+running.  Each cell draws its batches from its own generator in blocks of
+consecutive batches on the same stream a lone run reads one batch at a time;
+an attempt takes the cell's next batch and a redraw after a solver failure
+the one after it.  Every stacked product is per cell, so a cell's record
+does not depend on C or on the other cells.  The step of a strategy is
+``prox.stacked_step``, which ``prox.solve_model_prox`` also calls for one
+model; iterate averaging is the m = 1 step of its per-sample model,
+averaged, inside it.  ``run_base``, ``run_pia`` and ``run_accelerated`` are
+one-cell calls; sweeps step the alpha0 cells of a (method, m) group
+together, and the two-point lab the trials that share an instance.
 
 Every run is a pure function of (instance, configuration, RNG state); two
 runs with identical inputs produce bitwise-identical records.  Passing
@@ -262,9 +262,9 @@ def run_accelerated(
 
 def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
                   accelerated=False, record=None, x0=None, full_batch=False) -> list:
-    """Run C cells that share the instance, strategy, m and starting point
-    and differ in their schedule and generator (cell c uses schedules[c]
-    and rngs[c]); returns one RunRecord per cell.
+    """Run C cells that share the instance, strategy, m, starting point and
+    stepsize law and differ in their alpha0 (or eta0) and generator (cell c
+    uses schedules[c] and rngs[c]); returns one RunRecord per cell.
 
     The cells advance together, one step of every running cell per
     iteration, and a cell stops on its own status.  X, Z and X_avg hold the
@@ -290,6 +290,7 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     f_star = problems.reference_optimum(inst).f_star
     for s in schedules:
         _check_infinite_alpha(strategy, s, accelerated)
+    stepsizes = _stepsizes(schedules, accelerated)
     config = {"method": strategy.method_id, "accelerated": accelerated, "m": m_eff,
               "epsilon": epsilon, "full_batch": full}
     if strategy.scheme == models.ITERATE_AVERAGE:
@@ -314,7 +315,6 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     if running.size != cells.size:
         cells, XX, Z = _drop(np.isin(cells, running), cells, XX, Z, finals, rec)
 
-    stepsizes = _stepsizes(schedules, accelerated)
     stride = max(opts.stride, 1)
     for k in range(1, n_steps + 1):
         if cells.size == 0:
@@ -363,36 +363,19 @@ def _drop(keep, cells, XX, Z, finals, rec):
 
 def _stepsizes(schedules, accelerated):
     """alphas(k, theta_k) -> the (C,) stepsizes of the cells at step k, each
-    schedule's alpha(k), which is this call for one cell; the accelerated
-    loop takes the smoothness-adaptive stepsize 1/(L theta_k + eta(k)).
-    k^(-beta) is Python's float power, once per distinct beta, because
-    NumPy's vectorized power may differ from it in the last bit."""
-    C = len(schedules)
-
-    def rows(keep):
-        sel = [c for c, s in enumerate(schedules) if keep(s)]
-        return slice(None) if len(sel) == C else np.array(sel, dtype=int)
-
-    alpha0 = np.array([s.alpha0 for s in schedules])
-    decays = [(beta, rows(lambda s, b=beta: s.kind == POLY_DECAY and s.beta == b))
-              for beta in {s.beta for s in schedules if s.kind == POLY_DECAY} - {0.0}]
-    smooth = [s for s in schedules if s.kind == SMOOTHNESS_ADAPTIVE]
-    sm = rows(lambda s: s.kind == SMOOTHNESS_ADAPTIVE)
-    L, eta0 = np.array([s.L for s in smooth]), np.array([s.eta0 for s in smooth])
-    root = np.array([s.power == 0.5 for s in smooth])
-    if not smooth and len(decays) == 1 and isinstance(decays[0][1], slice):
-        beta = decays[0][0]  # every cell decays with one beta: one product, same bits
-        return lambda k, theta_k: alpha0 * k ** (-beta)
-
-    def alphas(k, theta_k):
-        out = alpha0.copy()  # constant poly schedules (beta = 0) keep alpha0
-        for beta, r in decays:
-            out[r] = alpha0[r] * k ** (-beta)
-        if smooth:
-            eta = eta0 * np.where(root, math.sqrt(k), 1.0)
-            out[sm] = 1.0 / ((L * theta_k if accelerated else L) + eta)
-        return out
-    return alphas
+    schedule's alpha(k), which is this call for one cell.  The cells share
+    one law and differ only in alpha0 or eta0.  k^(-beta) is Python's float
+    power (1 at beta = 0), because NumPy's vectorized power may differ from
+    it in the last bit; the accelerated loop takes 1/(L theta_k + eta(k))."""
+    law = schedules[0]
+    if len({(s.kind, s.beta, s.power, s.L) for s in schedules}) > 1:
+        raise ValueError("a lockstep stack needs one stepsize law (kind, beta, power, L)")
+    if law.kind == POLY_DECAY:
+        alpha0 = np.array([s.alpha0 for s in schedules])
+        return lambda k, theta_k: alpha0 * k ** (-law.beta)
+    eta0 = np.array([s.eta0 for s in schedules])
+    return lambda k, theta_k: 1.0 / ((law.L * theta_k if accelerated else law.L)
+                                     + eta0 * (math.sqrt(k) if law.power == 0.5 else 1.0))
 
 
 # Widest stack tested by the comparison chain: it takes ~1.2 us at C = 1 and

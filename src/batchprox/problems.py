@@ -15,13 +15,15 @@ scalar (per-sample; the objective averages them over the sampling law):
 * ``twopoint``   the power loss on two one-dimensional atoms, a = 0, b = 0
   (zero loss) with probability 1-delta and a = 1, b = v*R with probability
   delta, so that F(x; S) = |x - v*R|^(1+gamma) / (1+gamma) on the
-  informative atom; v in {-1,+1} is fixed at generation.
+  informative atom; v in {-1,+1} is fixed at generation, and the instance
+  holds v*R as b[1] and as its planted point.
 
 The 1/2 weight on linreg/absreg/logistic makes the empirical objective
 (1/2N)||Ax-b||^2, (1/2N)||Ax-b||_1, and (1/2N) sum log(1+exp(.)).  The
 weight rescales smoothness and gradient-variance constants but not the
 relative behavior of the methods.  All losses are nonnegative with
-per-sample infimum 0.
+per-sample infimum 0.  ``check_parameters`` holds the parameter ranges that
+``generate_problem`` takes, which sweep configs are validated against.
 """
 
 from __future__ import annotations
@@ -100,8 +102,6 @@ class ProblemInstance:
     x_planted: np.ndarray | None = None
     gamma: float = 0.0
     delta: float = 0.0
-    radius: float = 0.0
-    sign: int = 1  # twopoint atom sign v
     _reference: OptimumInfo | None = field(default=None, repr=False)
     _cdf: np.ndarray | None = field(default=None, repr=False)
 
@@ -135,18 +135,16 @@ def generate_problem(
     standard normal, with post-hoc singular-value rescaling to a geometric
     ramp spanning the requested condition number.  A kind reads only its own
     noise parameter (``NOISE_PARAMETERS``) and ignores the other."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind: {kind!r}")
-    if not (sigma >= 0.0 and 0.0 <= p <= 1.0):  # NaN too
-        raise ValueError("sigma must be >= 0 and p must lie in [0, 1]")
+    check_parameters(kind, N, n, sigma, p, cond, gamma, delta, radius)
     if kind == TWOPOINT:
-        return _generate_twopoint(delta, radius, gamma, seed)
-    if N < 1 or n < 1:
-        raise ValueError("N and n must be positive")
-    if cond < 1.0:
-        raise ValueError("condition number must be >= 1")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("power exponent gamma must lie in [0, 1]")
+        v = twopoint_sign(seed)
+        # Atom 0 carries zero loss; atom 1 is the informative sample v.
+        return ProblemInstance(
+            kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
+            noiseless=True, domain=geometry.all_space(), n=1, N=2,
+            x_planted=np.array([v * radius], dtype=float),
+            gamma=gamma, delta=delta,
+        )
 
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, n))
@@ -183,6 +181,28 @@ def generate_problem(
     )
 
 
+def check_parameters(kind: str, N: int, n: int, sigma: float, p: float, cond: float,
+                     gamma: float, delta: float, radius: float) -> None:
+    """ValueError unless ``generate_problem`` takes these: sigma >= 0, p and
+    gamma in [0, 1], and delta in (0, 1) and radius > 0 for twopoint (which
+    has no N, n or cond), else N, n >= 1 and cond >= 1.  NaN fails all."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    if not (sigma >= 0.0 and 0.0 <= p <= 1.0):
+        raise ValueError("sigma must be >= 0 and p must lie in [0, 1]")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("power exponent gamma must lie in [0, 1]")
+    if kind == TWOPOINT:
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if not radius > 0:
+            raise ValueError("radius must be positive")
+    elif N < 1 or n < 1:
+        raise ValueError("N and n must be positive")
+    elif not cond >= 1.0:
+        raise ValueError("condition number must be >= 1")
+
+
 def make_custom_linreg(A, b, x_planted=None,
                        domain: geometry.Domain | None = None) -> ProblemInstance:
     """Least-squares instance from explicit data (controlled spectra,
@@ -202,23 +222,6 @@ def make_custom_linreg(A, b, x_planted=None,
         kind=LINREG, A=A, b=b, noiseless=noiseless,
         domain=domain if domain is not None else geometry.all_space(),
         n=n, N=N, x_planted=x_planted,
-    )
-
-
-def _generate_twopoint(delta: float, radius: float, gamma: float, seed: int) -> ProblemInstance:
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    v = twopoint_sign(seed)
-    # Atom 0 carries zero loss; atom 1 is the informative sample v.
-    return ProblemInstance(
-        kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
-        noiseless=True, domain=geometry.all_space(), n=1, N=2,
-        x_planted=np.array([v * radius], dtype=float),
-        gamma=gamma, delta=delta, radius=radius, sign=v,
     )
 
 

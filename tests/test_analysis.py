@@ -80,7 +80,7 @@ class TestNoiseToSignal:
         # rho = (1 - delta) / delta at every x other than the optimum.
         inst = problems.generate_problem("twopoint", delta=delta, gamma=0.5,
                                          radius=1.0, seed=3)
-        x = np.array([inst.sign * 1.0 + 0.7])
+        x = np.array([inst.b[1] + 0.7])  # 0.7 past v * R
         rho, skipped = analysis.estimate_noise_to_signal(inst, x[np.newaxis, :])
         assert skipped == []
         assert rho == pytest.approx((1.0 - delta) / delta, rel=1e-14, abs=0.0)

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from batchprox import analysis, models, optimizers, problems, prox
@@ -46,6 +46,20 @@ TINY_CONFIG = {
     "sample_budget": 4000,
     "record_stride": 5,
 }
+
+# Problem parameters that generate_problem does not take: each config is
+# rejected at load, so the CLI exits 1 before any work.
+OUT_OF_RANGE_PROBLEMS = [
+    {"kind": "power", "N": 20, "n": 2, "gamma": 1.5},
+    {"kind": "power", "N": 20, "n": 2, "gamma": math.nan},
+    {"kind": "twopoint", "delta": 0.0},
+    {"kind": "twopoint", "delta": 1.0},
+    {"kind": "twopoint", "radius": 0.0},
+    {"kind": "linreg", "N": 0, "n": 2},
+    {"kind": "linreg", "N": 20, "n": 0},
+]
+_PROBE_IDS = ["gamma1.5", "gammaNaN", "delta0", "delta1", "radius0", "N0", "n0"]
+_PROBE_VALUES = st.sampled_from([0.0, 0.5, 1.0, -0.25, 1.5, math.nan])
 
 
 def quiet(done, total):
@@ -155,6 +169,39 @@ class TestConfig:
         kind = "logistic" if text.startswith('"p"') else "absreg"
         with pytest.raises(ConfigError, match="sigma must be >= 0 and p"):
             load_config('{"problems": [{"kind": "%s", "N": 30, "n": 3, %s}]}' % (kind, text))
+
+    @pytest.mark.parametrize("problem", OUT_OF_RANGE_PROBLEMS, ids=_PROBE_IDS)
+    def test_problem_parameter_out_of_range_rejected(self, problem):
+        with pytest.raises(ConfigError):
+            load_config(json.dumps({"problems": [problem]}))
+        with pytest.raises(ValueError):
+            problems.generate_problem(**problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(problems.KINDS), N=st.integers(-1, 4),
+           n=st.integers(-1, 3), level=_PROBE_VALUES, gamma=_PROBE_VALUES,
+           delta=_PROBE_VALUES, radius=_PROBE_VALUES,
+           cond=st.sampled_from([1.0, 10.0, 0.5, math.nan]))
+    def test_a_config_is_rejected_exactly_when_its_problem_is(
+            self, kind, N, n, level, gamma, delta, radius, cond):
+        # Both run problems.check_parameters.  Left out: what only the
+        # config rejects, another kind's noise parameter and a cond_grid
+        # entry below 1 for twopoint, which has no cond.
+        assume(kind != problems.TWOPOINT or cond >= 1.0)
+        noise = problems.NOISE_PARAMETERS.get(kind)
+        probe = dict(kind=kind, N=N, n=n, gamma=gamma, delta=delta, radius=radius,
+                     **({noise: level} if noise else {}))
+        try:
+            problems.generate_problem(**probe, cond=cond, seed=1)
+            generated = True
+        except ValueError:
+            generated = False
+        try:
+            config_mod.config_from_dict({"problems": [probe], "cond_grid": [cond]})
+            loaded = True
+        except ConfigError:
+            loaded = False
+        assert generated == loaded
 
     @pytest.mark.parametrize("name", sorted(config_mod.PRESETS))
     def test_every_preset_loads(self, name):
@@ -427,14 +474,20 @@ class TestSvg:
         assert sum(1 for el in root.iter() if el.tag.endswith("polyline")) == 1
 
     def test_profile_and_guides(self, tmp_path):
+        # A guide line is a dashed Series: its own colour and legend entry,
+        # and its points count in the axis ranges (y = 4 is the top).
         path = tmp_path / "p.svg"
         series = [svg.Series("a", [1, 2, 4], [0.2, 0.7, 1.0]),
-                  svg.Series("b", [1, 2, 4], [0.5, 0.8, 1.0])]
-        svg.emit_svg(svg.Plot(series, extra_lines=[("lin", [1, 4], [1, 4])]),
-                     str(path))
+                  svg.Series("b", [1, 2, 4], [0.5, 0.8, 1.0]),
+                  svg.Series("lin", [1, 4], [1, 4], dashed=True)]
+        svg.emit_svg(svg.Plot(series), str(path))
         root = ET.parse(path).getroot()
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 3
+        assert [el.get("stroke-dasharray") for el in polylines] == [None, None, "4 3"]
+        assert len({el.get("stroke") for el in polylines}) == 3
+        assert polylines[2].get("points").endswith(",36.00")
+        assert "lin" in [el.text for el in root.iter() if el.tag.endswith("text")]
 
     def test_log_axes(self, tmp_path):
         path = tmp_path / "log.svg"
@@ -507,7 +560,7 @@ class TestLab:
         for t in range(trials):  # one lone run per trial
             inst = problems.generate_problem("twopoint", delta=delta, gamma=gamma,
                                              seed=seed + 7 * t)
-            signs.add(inst.sign)
+            signs.add(int(np.sign(inst.b[1])))
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0])
             rec = optimizers.run_base(
@@ -531,7 +584,7 @@ class TestLab:
         for t in range(trials):
             inst = problems.generate_problem("twopoint", delta=lambda1, gamma=gamma,
                                              seed=seed + 7 * t)
-            stacks.setdefault(inst.sign, (inst, []))[1].append(t)
+            stacks.setdefault(float(inst.b[1]), (inst, []))[1].append(t)  # by sign v
         sq = np.zeros((trials, rounds + 1))
         record = optimizers.RecordOptions(stride=1, record_average=False,
                                           record_distance=True)
@@ -594,7 +647,8 @@ class TestCli:
         assert cli.main(["speedup", "--csv", str(sweep_csv), "--method", "pma",
                          "--units", "iterations", "--out", str(outdir)]) == 0
         assert (outdir / "speedup.csv").exists()
-        assert (outdir / "speedup.svg").exists()
+        root = ET.parse(outdir / "speedup.svg").getroot()
+        assert "linear" in [el.text for el in root.iter() if el.tag.endswith("text")]
 
     def test_run_uses_the_sweep_instance(self, capsys):
         assert cli.main(["run", "--preset", "desk-linreg", "--steps", "20"]) == 0
@@ -658,6 +712,16 @@ class TestCli:
         data = json.dumps({"problems": [problem]})
         assert cli.main(["sweep", "--config", data, "--out", str(tmp_path)]) == 1
         assert "problem takes no" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("problem", OUT_OF_RANGE_PROBLEMS, ids=_PROBE_IDS)
+    def test_problem_parameter_out_of_range_is_a_usage_error(self, problem, tmp_path,
+                                                               capsys):
+        data = json.dumps({"problems": [problem]})
+        assert cli.main(["sweep", "--config", data, "--out", str(tmp_path)]) == 1
+        assert cli.main(["run", "--config", data, "--steps", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error: ") == 2
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_exit_codes(self, tmp_path, capsys):
@@ -736,6 +800,14 @@ class TestCli:
                          "5", "--gamma", "0.0"]) == 0
         out = capsys.readouterr().out
         assert "lambda1_hat" in out
+
+    @pytest.mark.parametrize("kind", ["halfspace", "logistic"])
+    def test_growth_rejects_kinds_without_a_point_optimum(self, kind, capsys):
+        # Rejected at parsing, before any estimate is printed.
+        assert cli.main(["growth", "--kind", kind]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --kind" in captured.err
 
     def test_lbtest_commands(self, tmp_path, capsys):
         assert cli.main(["lbtest", "--kind", "orthcol", "--n", "8", "--m",

@@ -554,20 +554,52 @@ class TestLockstep:
         assert k_conv == [7, None, None, None, None, None, None, 7] * reps
 
     def test_array_stepsizes_are_the_schedules(self):
-        schedules = [optimizers.poly_decay(a, b) for a, b in (
-            (0.7, 0.0), (math.inf, 0.0), (3.0, 0.3), (0.05, 0.5), (40.0, 1.0),
-            (1.3, 0.5))]
-        schedules += [optimizers.smoothness_adaptive(L, eta0, power) for L, eta0, power in (
-            (2.0, 0.0, 0.0), (0.0, 0.3, 0.5), (1.7, 0.9, 0.0), (3.1, 0.25, 0.5))]
+        # One stack per law, and each of its cells alone, bit for bit against
+        # the closed forms in Python floats: alpha0 k^(-beta) (alpha0 at
+        # beta = 0), and 1/(L + eta0 k^power) with L theta_k when accelerated.
+        laws = [[optimizers.poly_decay(a, beta) for a in (0.7, 3.0, 0.05, 40.0)]
+                for beta in (0.0, 0.3, 0.5, 1.0)]
+        laws[0].append(optimizers.poly_decay(math.inf, 0.0))  # the engine's beta for it
+        laws += [[optimizers.smoothness_adaptive(L, eta0, power) for eta0 in eta0s]
+                 for L, power, eta0s in ((2.0, 0.0, (0.0, 0.9, 7.5)),
+                                         (0.0, 0.5, (0.3, 0.25, 4.0)),
+                                         (1.7, 0.0, (0.9,)),
+                                         (3.1, 0.5, (0.0, 0.25, 0.9)))]
         ks = list(range(1, 1001)) + list(range(1001, 10 ** 5, 97)) + [10 ** 5]
+
+        def closed_form(s, k, th):
+            if s.kind == optimizers.POLY_DECAY:
+                return s.alpha0 if s.beta == 0.0 else s.alpha0 * float(k) ** -s.beta
+            return 1.0 / ((s.L * th if th is not None else s.L) + eta(s, k))
+
+        for law in laws:
+            for accelerated in (False, True):
+                stack = optimizers._stepsizes(law, accelerated)
+                alone = [optimizers._stepsizes([s], accelerated) for s in law]
+                for k in ks:
+                    th = optimizers.theta(k - 1) if accelerated else None
+                    expected = [closed_form(s, k, th) for s in law]
+                    assert stack(k, th).tolist() == expected
+                    assert [a(k, th)[0] for a in alone] == expected
+            assert [s.alpha(k) for s in law for k in ks] == [
+                closed_form(s, k, None) for s in law for k in ks]
+
+    @pytest.mark.parametrize("schedules", [
+        [optimizers.poly_decay(1.0, 0.5), optimizers.poly_decay(2.0, 0.3)],
+        [optimizers.poly_decay(1.0, 0.5), optimizers.smoothness_adaptive(2.0, 1.0)],
+        [optimizers.smoothness_adaptive(2.0, 1.0), optimizers.smoothness_adaptive(3.0, 1.0)],
+        [optimizers.smoothness_adaptive(2.0, 1.0, 0.5),
+         optimizers.smoothness_adaptive(2.0, 1.0, 0.0)],
+    ], ids=["two-betas", "poly-and-smooth", "two-Ls", "two-powers"])
+    def test_a_stack_of_mixed_stepsize_laws_raises(self, schedules):
+        # The cells of a stack differ only in alpha0 or eta0.
+        inst = noisy_linreg(3)
         for accelerated in (False, True):
-            alphas = optimizers._stepsizes(schedules, accelerated)
-            for k in ks:
-                th = optimizers.theta(k - 1) if accelerated else None
-                expected = [1.0 / (s.L * th + eta(s, k))
-                            if accelerated and s.kind == optimizers.SMOOTHNESS_ADAPTIVE
-                            else s.alpha(k) for s in schedules]
-                assert alphas(k, th).tolist() == expected
+            with pytest.raises(ValueError, match="one stepsize law"):
+                optimizers._run_lockstep(
+                    inst, models.sgm(), schedules, 2, 5, 1e-3,
+                    [np.random.default_rng(i) for i in range(len(schedules))],
+                    accelerated=accelerated)
 
     @pytest.mark.parametrize("inst", [
         noisy_linreg(31, n=7),

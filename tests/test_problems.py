@@ -118,11 +118,13 @@ class TestGeneration:
 
 
 def test_twopoint_sign_is_the_generated_sign():
-    # The sign is the `choice([-1, 1])` draw of the same stream.
+    # The sign is the `choice([-1, 1])` draw of the same stream, and the
+    # instance holds v * R (R = 1) as its informative label and planted point.
     for seed in range(1000):
         inst = problems.generate_problem("twopoint", delta=0.1, seed=seed)
-        assert problems.twopoint_sign(seed) == inst.sign
-        assert inst.sign == int(np.random.default_rng(seed).choice([-1, 1]))
+        v = problems.twopoint_sign(seed)
+        assert v == int(np.random.default_rng(seed).choice([-1, 1]))
+        assert inst.b.tolist() == [0.0, v] and inst.x_planted.tolist() == [v]
 
 
 class TestLossEval:
@@ -168,9 +170,11 @@ class TestLossEval:
         inst = problems.generate_problem("twopoint", delta=0.3, radius=1.7,
                                          gamma=0.5, seed=5)
         np.testing.assert_array_equal(inst.A, [[0.0], [1.0]])
-        np.testing.assert_array_equal(inst.b, [0.0, inst.sign * 1.7])
+        v = problems.twopoint_sign(5)
+        np.testing.assert_array_equal(inst.b, [0.0, v * 1.7])
+        np.testing.assert_array_equal(inst.x_planted, [v * 1.7])
         x = np.array([0.4])
-        r = 0.4 - inst.sign * 1.7
+        r = 0.4 - v * 1.7
         (v0,), (g0,) = problems.batch_losses(inst, x, [0])
         (v1,), (g1,) = problems.batch_losses(inst, x, [1])
         assert (v0, g0.tolist()) == (0.0, [0.0])
@@ -275,7 +279,7 @@ class TestObjective:
         inst = problems.generate_problem("twopoint", delta=0.25, radius=2.0,
                                          gamma=1.0, seed=4)
         x = np.array([0.5])
-        r = abs(0.5 - inst.sign * 2.0)
+        r = abs(0.5 - inst.b[1])  # b[1] = v * R
         assert problems.objective_value(inst, x) == pytest.approx(
             0.25 * r**2 / 2.0
         )
@@ -285,7 +289,7 @@ class TestObjective:
         inst = problems.generate_problem("twopoint", delta=0.3, radius=1.7,
                                          gamma=gamma, seed=5)
         X = 3.0 * np.random.default_rng(6).standard_normal((500, 1))
-        expected = [inst.delta * abs(float(x[0]) - inst.sign * inst.radius)
+        expected = [inst.delta * abs(float(x[0]) - float(inst.b[1]))  # b[1] = v * R
                     ** (1.0 + gamma) / (1.0 + gamma) for x in X]
         np.testing.assert_array_equal(problems.objective_values(inst, X), expected)
 

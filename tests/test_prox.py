@@ -985,7 +985,7 @@ class TestDispatcherAndPia:
         alpha = rng.uniform(0.1, 5.0, 40)
         out = prox.single_sample_prox(inst, centers, idx, alpha)
         on = idx == 1
-        r = centers[on, 0] - inst.sign * 1.5
+        r = centers[on, 0] - inst.b[1]  # v * R
         t = prox._power_single_prox_t(r, np.ones_like(r), alpha[on], gamma)
         np.testing.assert_array_equal(out[on, 0], centers[on, 0] - t)
         np.testing.assert_array_equal(out[~on], centers[~on])
