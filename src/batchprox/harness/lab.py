@@ -64,7 +64,9 @@ def orthcol_lab(n: int, m: int, rounds: int, trials: int, R: float = 1.0,
     """
     if not 1 <= m <= n:
         raise ConfigError("need 1 <= m <= n")
-    _check_run_args(rounds, trials, R)
+    if not R > 0:
+        raise ConfigError("need R > 0")
+    _check_run_args(rounds, trials)
     rng = np.random.default_rng(seed + 1)
     # Posterior mean reveals observed coordinates exactly: their mass leaves.
     unseen = (R**2 / n) * rng.standard_normal((trials, n)) ** 2
@@ -126,11 +128,11 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     each trial's distances are those of a lone run.
     """
     delta = (1.0 + gamma) ** 2 * lambda1
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError("need gamma in [0, 1]")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("need (1+gamma)^2 * lambda1 in (0, 1)")
-    _check_run_args(rounds, trials, R)
+    try:
+        problems.check_parameters(problems.TWOPOINT, 1, 1, 0.0, 0.0, 1.0, gamma, delta, R)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, with delta = (1+gamma)^2 * lambda1 = {delta:g}") from exc
+    _check_run_args(rounds, trials)
     stacks: dict[int, list] = {}  # sign -> its trials
     for t in range(trials):
         stacks.setdefault(problems.twopoint_sign(seed + 7 * t), []).append(t)
@@ -174,8 +176,6 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     )
 
 
-def _check_run_args(rounds: int, trials: int, R: float) -> None:
+def _check_run_args(rounds: int, trials: int) -> None:
     if rounds < 1 or trials < 1:
         raise ConfigError("need rounds >= 1 and trials >= 1")
-    if not R > 0:
-        raise ConfigError("need R > 0")

@@ -46,6 +46,8 @@ class BatchStrategy:
             raise ValueError(f"unknown batching scheme: {self.scheme!r}")
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind: {self.kind!r}")
+        if self.scheme == AVERAGE_OF_TRUNCATED and self.kind != TRUNCATED:
+            raise ValueError("the average of truncated models (pam) takes only the truncated kind")
 
     @property
     def method_id(self) -> str:

@@ -73,8 +73,8 @@ class StepSchedule:
             if not 0.0 <= self.beta <= 1.0:
                 raise ValueError("beta must lie in [0, 1]")
         elif self.kind == SMOOTHNESS_ADAPTIVE:
-            if self.L < 0 or self.eta0 < 0 or self.L + self.eta0 <= 0:
-                raise ValueError("need L, eta0 >= 0 with L + eta0 > 0")
+            if not (min(self.L, self.eta0) >= 0 and 0 < self.L + self.eta0 < math.inf):
+                raise ValueError("need finite L, eta0 >= 0 with L + eta0 > 0")
             if self.power not in (0.0, 0.5):
                 raise ValueError("power must be 0 or 1/2")
         else:
@@ -401,17 +401,14 @@ def _settle(cells, k, gaps, epsilon, limit, status, k_conv):
     return cells[running]
 
 
-_SOLVER_ERRORS = (prox.InnerSolveError, prox.DegenerateSampleError)
-
-
 def _stepper(inst, m, n_steps, full, rngs, kernel):
     """step(cells, anchors, centers, alpha) -> (new points, ok) for the
     running cells: take each cell's next batch, apply the stacked kernel
-    (a ``prox.stacked_step``), project the stack onto the domain in one
-    call, and redraw up to ``_INNER_RETRIES`` times for the cells whose
-    solve failed.  ok is None when the first stacked attempt succeeded, else
-    a mask that is False for a cell whose every attempt failed (its row is
-    then meaningless).
+    (a ``prox.stacked_step``: points and ok, None or a per-cell mask),
+    project the stack onto the domain in one call, and redraw up to
+    ``_INNER_RETRIES`` times for the cells whose solve failed.  ok is None
+    when the first attempt solved every cell, else a mask that is False for
+    a cell whose every attempt failed (its row is then meaningless).
 
     A cell's batches come from a (rows, m) block drawn from its generator in
     one call and refilled when used up; the rows are the batches that one
@@ -451,8 +448,7 @@ def _stepper(inst, m, n_steps, full, rngs, kernel):
         return blocks[cells, at]
 
     def attempt(cells, A, Zc, alpha, redraw=False):
-        idx = batches(cells, redraw)
-        out, good = _apply(kernel, A, Zc, alpha, idx)
+        out, good = kernel(A, Zc, alpha, batches(cells, redraw))
         if project:
             out = geometry.project_domain(inst.domain, out)
         return out, good
@@ -471,27 +467,6 @@ def _stepper(inst, m, n_steps, full, rngs, kernel):
             ok[bad[good]] = True
         return new, ok
     return step
-
-
-def _apply(kernel, A, Zc, alpha, idx):
-    """(kernel output, None) when the stacked kernel succeeds.  If it raises
-    a solver error, the cells are redone one by one, so only the cells that
-    fail alone are charged with it, and the second item is the ok mask."""
-    try:
-        return kernel(A, Zc, alpha, idx), None
-    except _SOLVER_ERRORS:
-        if alpha.size == 1:
-            return Zc.copy(), np.zeros(1, dtype=bool)
-    out = Zc.copy()
-    good = np.ones(alpha.size, dtype=bool)
-    for i in range(alpha.size):
-        a = A[i:i + 1]
-        try:
-            out[i] = kernel(a, a if Zc is A else Zc[i:i + 1], alpha[i:i + 1],
-                            idx[i:i + 1])[0]
-        except _SOLVER_ERRORS:
-            good[i] = False
-    return out, good
 
 
 def _check_infinite_alpha(strategy, schedule, accelerated):

@@ -20,6 +20,11 @@ for a stack of cells by projected Newton (``solve_box_qps``, the box as two
 floats; a zero column of G fixes its coordinate at the endpoint given by the
 sign of v) and forms no duality gap: only the one-cell API reads it.  The
 polyhedron projection is the same QP over [0, inf), per coordinate.
+
+A stacked kernel returns (points, ok): ok is None when every cell was
+solved, else a per-cell mask, False where a cell's solve failed (its row is
+meaningless, but computed without a floating-point warning).  Only the
+one-cell API raises InnerSolveError or DegenerateSampleError.
 """
 
 from __future__ import annotations
@@ -263,27 +268,33 @@ def truncated_step(x_k, fbar, gbar, lam_lb, alpha):
         raise ValueError("stepsize must be positive")
     x_k = np.asarray(x_k, dtype=float)
     gbar = np.asarray(gbar, dtype=float)
-    return truncated_steps(x_k[np.newaxis], np.array([fbar - lam_lb]),
-                           gbar[np.newaxis], np.array([alpha], dtype=float))[0]
+    return _one(truncated_steps(x_k[np.newaxis], np.array([fbar - lam_lb]), gbar[np.newaxis],
+                                np.array([alpha], dtype=float)), DegenerateSampleError)
 
 
-def truncated_steps(centers, gaps, gbars, alpha) -> np.ndarray:
+def _one(out, error=InnerSolveError):
+    """Row 0 of a one-cell kernel's (points, ok); raises error if it failed."""
+    if out[1] is not None:
+        raise error(error.__doc__)
+    return out[0][0]
+
+
+def truncated_steps(centers, gaps, gbars, alpha):
     """truncated_step for a stack of C rows: centers and gbars (C, n), gaps
-    (model value minus its floor) and alpha (C,).  Raises
-    DegenerateSampleError if any row has a zero gradient above its floor.
+    (model value minus its floor) and alpha (C,); ok is False for a row with
+    a zero gradient above its floor, which keeps its center.
 
     A NaN ratio takes the full stepsize, as Python's min does.
     """
-    gsq = rowdot(gbars, gbars)
+    gsq, ok = rowdot(gbars, gbars), None
     if not gsq.all():
         flat = gsq == 0.0
-        if np.any(flat & (gaps > 1e-12 * (1.0 + np.abs(gaps)))):
-            raise DegenerateSampleError(
-                "zero model gradient with value above the lower bound"
-            )
-        gsq = np.where(flat, np.inf, gsq)  # already at the floor: no step
+        degenerate = flat & (gaps > 1e-12 * (1.0 + np.abs(gaps)))
+        if degenerate.any():
+            ok = ~degenerate
+        gsq = np.where(flat, np.inf, gsq)  # at the floor, or degenerate: no step
     t = np.fmin(np.maximum(gaps, 0.0) / gsq, alpha)
-    return centers - t[:, np.newaxis] * gbars
+    return centers - t[:, np.newaxis] * gbars, ok
 
 
 def rowdot(U, V) -> np.ndarray:
@@ -310,13 +321,14 @@ def box_dual_steps(centers, G, v, alpha, lo: float, hi: float, tol: float = 1e-9
     [lo, hi] (max(u, 0)/m for pam and halfspace, |u|/(2m) for absreg), with
     rows g_i in G (C, m, n), v (C, m) and alpha (C,).  Its dual is the box
     QP over [lo, hi]^m with Q = G G' (solve_box_qps on the shared box lo, hi);
-    x+ = center - alpha G'lam.  Returns (x+, lam, iterations), no duality gap
-    (``box_dual_gaps``); raises InnerSolveError if any cell's solve fails."""
+    x+ = center - alpha G'lam.  Returns (x+, ok, lam, iterations), no duality
+    gap (``box_dual_gaps``); an unconverged cell's lam is zeroed (x+ = center)."""
     Gt = G.transpose(0, 2, 1)
     lam, iters, res = solve_box_qps(np.matmul(G, Gt), v, alpha, lo, hi, tol)
-    if not (res <= tol).all():
-        raise InnerSolveError(f"box QP did not converge (residual {res.max():.3e})")
-    return centers + alpha[:, np.newaxis] * matvec(Gt, -lam), lam, iters
+    ok = None if (res <= tol).all() else res <= tol
+    if ok is not None:
+        lam[~ok] = 0.0
+    return centers + alpha[:, np.newaxis] * matvec(Gt, -lam), ok, lam, iters
 
 
 def box_dual_gaps(G, v, alpha, lam, lo: float, hi: float) -> np.ndarray:
@@ -330,9 +342,9 @@ def box_dual_gaps(G, v, alpha, lam, lo: float, hi: float) -> np.ndarray:
 
 def _first(centers, G, v, alpha, lo: float, hi: float, tol: float) -> ProxResult:
     """ProxResult of a one-cell box_dual_steps, with its duality gap."""
-    x, lam, iters = box_dual_steps(centers, G, v, alpha, lo, hi, tol)
-    gap = box_dual_gaps(G, v, alpha, lam, lo, hi)
-    return ProxResult(x[0], lam=lam[0], duality_gap=float(gap[0]), inner_iterations=int(iters[0]))
+    x, ok, lam, iters = box_dual_steps(centers, G, v, alpha, lo, hi, tol)
+    x, gap = _one((x, ok)), box_dual_gaps(G, v, alpha, lam, lo, hi)
+    return ProxResult(x, lam=lam[0], duality_gap=float(gap[0]), inner_iterations=int(iters[0]))
 
 
 def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
@@ -341,7 +353,7 @@ def prox_step_linreg(x_k, A_b, b_b, alpha) -> np.ndarray:
     Solves the m x m system (Woodbury) when m < n, else the n x n normal
     system; the operator I/alpha + A'A/m is always positive definite.
     """
-    return linreg_prox_stacked(*_one_cell("prox_step_linreg", x_k, A_b, b_b, alpha))[0]
+    return _one(linreg_prox_stacked(*_one_cell("prox_step_linreg", x_k, A_b, b_b, alpha)))
 
 
 def _one_cell(name, x_k, A_b, b_b, alpha):
@@ -354,11 +366,11 @@ def _one_cell(name, x_k, A_b, b_b, alpha):
             np.atleast_1d(np.asarray(b_b, dtype=float))[np.newaxis], np.array([float(alpha)]))
 
 
-def linreg_prox_stacked(X, A, B, alpha) -> np.ndarray:
+def linreg_prox_stacked(X, A, B, alpha):
     """prox_step_linreg for C problems at once: centers X (C, n), batches
     A (C, m, n) and B (C, m), stepsizes alpha (C,).  Every product and solve
     is per problem, so each row equals its own single solve bit for bit.
-    Raises InnerSolveError if any row fails its stationarity check."""
+    ok is False for a row that fails its stationarity check."""
     m, n = A.shape[1:]
     At = A.transpose(0, 2, 1)
     c = 1.0 / alpha
@@ -372,9 +384,8 @@ def linreg_prox_stacked(X, A, B, alpha) -> np.ndarray:
         x = np.linalg.solve(M, rhs[..., np.newaxis])[..., 0]
     resid = c[:, np.newaxis] * (x - X) + matvec(At, matvec(A, x) - B) / m
     bound = 1e-10 * (1.0 + np.sqrt(rowdot(X, X))) * np.maximum(c, 1.0)
-    if np.any(np.sqrt(rowdot(resid, resid)) > bound):
-        raise InnerSolveError("linear prox stationarity residual too large")
-    return x
+    bad = np.sqrt(rowdot(resid, resid)) > bound
+    return x, ~bad if bad.any() else None
 
 
 def matvec(M, V):
@@ -393,21 +404,13 @@ def prox_step_absreg(x_k, A_b, b_b, alpha, tol: float = 1e-9) -> ProxResult:
 def prox_step_logistic(x_k, A_b, b_b, alpha, tol: float = 1e-9,
                        max_newton: int = 100) -> ProxResult:
     """Full prox step for (1/2m) sum log(1+exp(-b <a,x>)): the one-cell call
-    of ``logistic_prox_steps``."""
-    (x,), (gnorm,), (iters,) = logistic_prox_steps(
-        *_one_cell("prox_step_logistic", x_k, A_b, b_b, alpha), tol, max_newton)
+    of ``problems.logistic_newton``."""
+    X, A, B, stepsizes = _one_cell("prox_step_logistic", x_k, A_b, b_b, alpha)
+    (x,), (gnorm,), (iters,) = problems.logistic_newton(A, B, X, stepsizes, tol, max_newton)
+    if not gnorm <= tol:
+        raise InnerSolveError(f"logistic prox Newton stopped at gradient norm {gnorm:.3e}")
     # (1/alpha)-strong convexity turns the gradient norm into a gap bound.
     return ProxResult(x, duality_gap=0.5 * alpha * float(gnorm) ** 2, inner_iterations=int(iters))
-
-
-def logistic_prox_steps(centers, A, b, alpha, tol: float = 1e-9, max_newton: int = 100):
-    """(points, gradient norms, iterations) of C cells' logistic batch prox by
-    ``problems.logistic_newton``; raises InnerSolveError if a cell ends above tol."""
-    x, gnorm, iters = problems.logistic_newton(A, b, centers, alpha, tol, max_newton)
-    if not (gnorm <= tol).all():
-        raise InnerSolveError("logistic prox Newton did not converge "
-                              f"(gradient norm {gnorm.max():.3e})")
-    return x, gnorm, iters
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +421,13 @@ def logistic_prox_steps(centers, A, b, alpha, tol: float = 1e-9, max_newton: int
 def stacked_step(inst, strategy, m: int, tol: float):
     """The step of a strategy on a stack of cells: step(A, Zc, alpha, idx)
     takes model anchors A and prox centers Zc (C, n), stepsizes alpha (C,)
-    and batches idx (C, m), and returns the new points before projection or
-    raises a solver error.  Pass the same array for A and Zc when the prox
-    term is centered at the anchor.  Closed forms, the box-QP duals (pam,
-    absreg and halfspace prox) and the logistic Newton run on the whole
-    stack.  Iterate averaging (pia) is the m = 1 step of its per-sample
-    model applied to every sample, averaged."""
+    and batches idx (C, m), and returns (points, ok): the new points before
+    projection, ok None or a mask, False where a cell failed.  Pass the same
+    array for A and Zc when the prox term is centered at the anchor.  Closed
+    forms, the box-QP duals (pam, absreg and halfspace prox) and the logistic
+    Newton run on the whole stack.  Iterate averaging (pia) is the m = 1 step
+    of its per-sample model applied to every sample, averaged; a cell fails
+    when one of its samples does."""
     scheme, kind = strategy.scheme, strategy.kind
     if scheme == models.ITERATE_AVERAGE:
         # Built here, once per factory call, rather than in every step.
@@ -433,8 +437,9 @@ def stacked_step(inst, strategy, m: int, tol: float):
             C, m = idx.shape
             anchors = np.repeat(A, m, axis=0)
             centers = anchors if Zc is A else np.repeat(Zc, m, axis=0)
-            parts = single(anchors, centers, np.repeat(alpha, m), idx.reshape(-1, 1))
-            return np.add.reduce(parts.reshape(C, m, -1), axis=1) / m
+            parts, ok = single(anchors, centers, np.repeat(alpha, m), idx.reshape(-1, 1))
+            return (np.add.reduce(parts.reshape(C, m, -1), axis=1) / m,
+                    ok if ok is None else ok.reshape(C, m).all(axis=1))
         return pia
     if scheme == models.AVERAGE_OF_TRUNCATED and m > 1:
         def pam(A, Zc, alpha, idx):
@@ -442,7 +447,7 @@ def stacked_step(inst, strategy, m: int, tol: float):
             vals, grads = problems.stacked_losses(inst, A, idx)
             if Zc is not A:  # the pieces' values at the prox center
                 vals = vals + matvec(grads, Zc - A)
-            return box_dual_steps(Zc, grads, vals, alpha, 0.0, 1.0 / m, tol)[0]
+            return box_dual_steps(Zc, grads, vals, alpha, 0.0, 1.0 / m, tol)[:2]
         return pam
     if scheme == models.MODEL_OF_AVERAGE and kind == models.FULL_PROX:
         return lambda A, Zc, alpha, idx: full_prox_steps(inst, Zc, idx, alpha, tol)
@@ -455,7 +460,7 @@ def stacked_step(inst, strategy, m: int, tol: float):
         inv_m = 1.0 / idx.shape[1]
         gbar = np.add.reduce(grads, axis=1) * inv_m
         if linear:
-            return Zc - alpha[:, np.newaxis] * gbar
+            return Zc - alpha[:, np.newaxis] * gbar, None
         fbar = np.add.reduce(vals, axis=1) * inv_m
         if Zc is not A:  # the model's value at the prox center
             fbar = fbar + rowdot(gbar, Zc - A)
@@ -474,11 +479,15 @@ def solve_model_prox(model: models.BatchModel, center, alpha,
     anchor = model.anchor[np.newaxis]
     center = np.asarray(center, dtype=float)[np.newaxis]
     step = stacked_step(model.inst, model.strategy, model.m, tol)
-    return ProxResult(step(anchor, anchor if np.array_equal(center, anchor) else center,
-                           np.array([alpha], dtype=float), model.batch[np.newaxis])[0])
+    # Only a truncated step (pam's too at m = 1) fails on a degenerate batch.
+    truncated = model.strategy.kind == models.TRUNCATED and not (
+        model.strategy.method_id == "pam" and model.m > 1)
+    return ProxResult(_one(step(anchor, anchor if np.array_equal(center, anchor) else center,
+                                np.array([alpha], dtype=float), model.batch[np.newaxis]),
+                           DegenerateSampleError if truncated else InnerSolveError))
 
 
-def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
+def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9):
     """Exact prox steps on the batch-averaged losses of C cells: centers
     (C, n), batches idx (C, m) and stepsizes alpha (C,).  One sample is a 1-d
     root, linreg a linear system, absreg and halfspace a box dual (halfspace
@@ -493,12 +502,13 @@ def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
     if inst.kind == problems.LINREG:
         return linreg_prox_stacked(centers, rows, b, alpha)
     if inst.kind == problems.LOGISTIC:
-        return logistic_prox_steps(centers, rows, b, alpha, tol)[0]
+        x, gnorm, _ = problems.logistic_newton(rows, b, centers, alpha, tol, 100)
+        return x, None if (gnorm <= tol).all() else gnorm <= tol
     r = matvec(rows, centers) - b
     if inst.kind == problems.ABSREG:
-        return box_dual_steps(centers, rows, r, alpha, -0.5 / m, 0.5 / m, tol)[0]
+        return box_dual_steps(centers, rows, r, alpha, -0.5 / m, 0.5 / m, tol)[:2]
     if inst.kind == problems.HALFSPACE:
-        return box_dual_steps(centers, rows, r, alpha, 0.0, 1.0 / m, tol)[0]
+        return box_dual_steps(centers, rows, r, alpha, 0.0, 1.0 / m, tol)[:2]
     raise ValueError(
         f"no batch full-prox solver for {inst.kind!r}; use m=1 or another model"
     )
@@ -509,8 +519,9 @@ def full_prox_steps(inst, centers, idx, alpha, tol: float = 1e-9) -> np.ndarray:
 # averaging takes per sample)
 
 
-def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.ndarray:
-    """Exact per-sample full-prox solutions from per-sample centers.
+def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha):
+    """Exact per-sample full-prox solutions from per-sample centers, as
+    (points, ok); only the logistic root can fail.
 
     ``centers`` has shape (m, n) (one prox center per sample; iterate
     averaging passes m copies of a cell's point) and ``alpha`` is a scalar
@@ -529,6 +540,7 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
     asq = np.einsum("ij,ij->i", rows, rows)
     if inst.kind in (problems.ABSREG, problems.HALFSPACE):
         safe_asq = np.where(asq > 0, asq, 1.0)
+    ok = None
 
     if inst.kind == problems.LINREG:
         t = alpha * r / (1.0 + alpha * asq)
@@ -540,18 +552,18 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha) -> np.
         # an infinite alpha projects.
         t = np.minimum(alpha, np.maximum(r, 0.0) / safe_asq)
     elif inst.kind == problems.LOGISTIC:
-        t = _logistic_single_prox_t(b, az, asq, alpha)
+        t, ok = _logistic_single_prox_t(b, az, asq, alpha)
     elif inst.kind in (problems.POWER, problems.TWOPOINT):
         t = _power_single_prox_t(r, asq, alpha, inst.gamma)
     else:
         raise ValueError(f"no single-sample prox for kind {inst.kind!r}")
-    return centers - t[:, np.newaxis] * rows
+    return centers - t[:, np.newaxis] * rows, ok
 
 
 def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
-    """t with x = z - t a minimizing the single-sample logistic prox; az =
-    <a, z>, vectorized over the entries (alpha is a scalar or one stepsize
-    per entry).
+    """(t, ok), t with x = z - t a minimizing the single-sample logistic
+    prox; az = <a, z>, vectorized over the entries (alpha is a scalar or one
+    stepsize per entry).
 
     Stationarity gives t = -(alpha b / 2) expit(v) at v = -b <a, x> (minus
     the margin), the root of g(v) = v + c + k expit(v) with c = b az and
@@ -561,7 +573,7 @@ def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
     v = min(-c, 0), where g >= 0, then decreases monotonically to the root
     without safeguards.  A step is taken only while it moves v left, so each
     entry ends at a fixed point of its own iteration, whatever the others
-    do; raises InnerSolveError if max_iter steps do not reach one everywhere.
+    do; ok is False for the entries that max_iter steps leave short of one.
     """
     c = b * az
     k = 0.5 * alpha * asq
@@ -575,10 +587,13 @@ def _logistic_single_prox_t(b, az, asq, alpha, max_iter: int = 100):
         s[v < -708.0] = 0.0
         ks = k * s
         v_next = v - np.maximum((v + c + ks) / (1.0 + ks * (1.0 - s)), 0.0)
-        if (v_next == v).all():  # expit(-v) = 1 / (1 + e) for the reflected entries
-            return -0.5 * alpha * b * np.where(flip, 1.0 / (1.0 + e), s)
+        ok = v_next == v
+        if ok.all():
+            ok = None
+            break
         v = v_next
-    raise InnerSolveError("single-sample logistic prox did not converge")
+    # expit(-v) = 1 / (1 + e) for the reflected entries
+    return -0.5 * alpha * b * np.where(flip, 1.0 / (1.0 + e), s), ok
 
 
 def _power_single_prox_t(r, asq, alpha, gamma, iters: int = 100):
@@ -606,14 +621,12 @@ def _power_single_prox_t(r, asq, alpha, gamma, iters: int = 100):
 
 def pia_step(inst, x_k, idx, kind: str, alpha) -> np.ndarray:
     """Iterate-averaging update: solve the m single-sample prox subproblems
-    from the same point and average the solutions (``stacked_step`` for one
-    cell)."""
+    from the same point and average the solutions (``solve_model_prox`` on
+    the pia model of the batch)."""
     if kind == models.LINEAR and not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError("linear model needs a finite positive stepsize")
-    x_k = np.asarray(x_k, dtype=float)[np.newaxis]
-    idx = np.asarray(idx, dtype=int)[np.newaxis]
-    step = stacked_step(inst, models.pia(kind), idx.shape[1], 1e-9)
-    return step(x_k, x_k, np.array([alpha], dtype=float), idx)[0]
+    return solve_model_prox(models.build_batch_model(inst, x_k, idx, models.pia(kind)), x_k,
+                            alpha).x_next
 
 
 # ---------------------------------------------------------------------------

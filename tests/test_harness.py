@@ -401,8 +401,8 @@ class TestSweep:
             assert all(line in lines for line in mine)
 
     def test_solver_failure_is_an_innerfail_row(self, monkeypatch):
-        def fail(*args):
-            raise prox.InnerSolveError("forced")
+        def fail(centers, gaps, gbars, alpha):  # every row reads failed
+            return centers.copy(), np.zeros(alpha.size, dtype=bool)
 
         monkeypatch.setattr(prox, "truncated_steps", fail)
         rows = execute_sweep(config_mod.config_from_dict(TINY_CONFIG),
@@ -609,6 +609,32 @@ class TestLab:
         cov = np.atleast_2d(np.cov(sq[:, positive], rowvar=False))
         assert rep.log_factor_se == pytest.approx(math.sqrt(g @ cov @ g / trials),
                                                   rel=1e-10)
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("twopoint", dict(gamma=1.5)),
+        ("twopoint", dict(lambda1=0.3, gamma=1.0)),  # delta = 4 * 0.3 = 1.2
+        ("twopoint", dict(radius=0.0)),
+        ("twopoint", dict(radius=-1.0)),
+        ("twopoint", dict(rounds=0)),
+        ("orthcol", dict(n=4, m=5)),
+    ])
+    def test_labs_reject_bad_arguments(self, kind, flags, tmp_path, capsys):
+        args = dict(rounds=5, trials=5, radius=1.0) | flags
+        if kind == "twopoint":
+            args = dict(lambda1=0.05, gamma=0.0) | args
+            run, names = lab.twopoint_lab, "delta = (1+gamma)^2 * lambda1"
+        else:
+            run, names = lab.orthcol_lab, "m <= n"
+        with pytest.raises(ConfigError) as info:
+            run(R=args.pop("radius"), **args)
+        if "rounds" not in flags:
+            assert names in str(info.value)
+        # lbtest exits 1 and prints nothing on stdout.
+        argv = ["lbtest", "--kind", kind, "--out", str(tmp_path)]
+        for flag, value in (dict(rounds=5, trials=5) | flags).items():
+            argv += [f"--{flag}", str(value)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("rounds, trials", [(0, 5), (5, 0), (-1, 5)])
     def test_labs_reject_empty_runs(self, rounds, trials):

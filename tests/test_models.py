@@ -199,6 +199,13 @@ class TestStrategyIds:
         assert models.full_prox().method_id == "prox"
         assert models.pia().method_id == "pia"
 
+    def test_pam_takes_only_the_truncated_kind(self):
+        # Any other kind would spell pam a second way, unequal to models.pam().
+        for kind in (models.LINEAR, models.FULL_PROX):
+            with pytest.raises(ValueError):
+                models.BatchStrategy(models.AVERAGE_OF_TRUNCATED, kind)
+        assert models.BatchStrategy(models.AVERAGE_OF_TRUNCATED, models.TRUNCATED) == models.pam()
+
     def test_round_trip(self):
         for mid in ("sgm", "pma", "pam", "prox", "pia"):
             assert models.strategy_from_id(mid).method_id == mid

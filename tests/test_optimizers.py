@@ -44,6 +44,9 @@ class TestSchedules:
             optimizers.smoothness_adaptive(0.0, 0.0)
         with pytest.raises(ValueError):
             optimizers.smoothness_adaptive(1.0, 1.0, power=0.3)
+        for L, eta0 in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, math.inf)]:
+            with pytest.raises(ValueError):
+                optimizers.smoothness_adaptive(L, eta0)
 
     def test_theta_schedule_properties(self):
         assert optimizers.theta(0) == 1.0
@@ -373,40 +376,53 @@ def _lockstep_kwargs(inst, m, accelerated):
                 record=optimizers.RecordOptions(stride=4))
 
 
-def _group(inst, method, alphas, m, accelerated):
+def _group(inst, method, alphas, m, accelerated, pia_kind=models.TRUNCATED):
     return optimizers._run_lockstep(
-        inst, models.strategy_from_id(method),
+        inst, models.strategy_from_id(method, pia_kind),
         [optimizers.poly_decay(a) for a in alphas],
         rngs=[np.random.default_rng(40 + i) for i in range(len(alphas))],
         **_lockstep_kwargs(inst, m, accelerated))
 
 
-def _group_and_alone(inst, method, alphas, m, accelerated):
-    strategy = models.strategy_from_id(method)
+def _group_and_alone(inst, method, alphas, m, accelerated, pia_kind=models.TRUNCATED):
+    strategy = models.strategy_from_id(method, pia_kind)
     alone = [optimizers._run_lockstep(inst, strategy, [optimizers.poly_decay(a)],
                                       rngs=[np.random.default_rng(40 + i)],
                                       **_lockstep_kwargs(inst, m, accelerated))[0]
              for i, a in enumerate(alphas)]
-    return _group(inst, method, alphas, m, accelerated), alone
+    return _group(inst, method, alphas, m, accelerated, pia_kind), alone
 
 
 def _fail_fifth_step_of_alpha0_2(monkeypatch, kernel):
-    """Make the alpha0 = 2 cell fail every attempt of its fifth step."""
-    real = getattr(prox, kernel)
-    doomed = 2.0 * 5 ** -0.5
-    alpha_arg = 3 if kernel == "box_dual_steps" else -1
+    """Make the alpha0 = 2 cell fail every attempt of its fifth step: the
+    kernel (alpha its fourth argument) returns False for it in its ok mask,
+    and the logistic batch Newton an infinite gradient norm.  Returns the
+    instance the kernel runs on and the per-sample model pia takes there."""
+    module = problems if kernel == "logistic_newton" else prox
+    real, doomed = getattr(module, kernel), 2.0 * 5 ** -0.5
 
     def flaky(*args):
-        if np.any(args[alpha_arg] == doomed):
-            raise prox.InnerSolveError("forced")
-        return real(*args)
+        out, hit = list(real(*args)), args[3] == doomed
+        if hit.any():
+            if kernel == "logistic_newton":
+                out[1] = np.where(hit, np.inf, out[1])
+            else:
+                out[1] = ~hit if out[1] is None else out[1] & ~hit
+        return tuple(out)
 
-    monkeypatch.setattr(prox, kernel, flaky)
+    monkeypatch.setattr(module, kernel, flaky)
+    if "logistic" in kernel:
+        inst = problems.generate_problem("logistic", seed=5, **ENGINE_INSTANCES["logistic"])
+        return inst, models.FULL_PROX
+    return noisy_linreg(30), models.TRUNCATED
 
 
+# The logistic kernels: the batch Newton (prox, m = 16) and the single-sample
+# root (prox at m = 1, and pia's per-sample full prox, reduced per cell).
 FORCED_FAILURES = pytest.mark.parametrize("method, m, kernel", [
     ("pma", 4, "truncated_steps"), ("prox", 4, "linreg_prox_stacked"),
-    ("pam", 4, "box_dual_steps")])
+    ("pam", 4, "box_dual_steps"), ("prox", 16, "logistic_newton"),
+    ("prox", 1, "_logistic_single_prox_t"), ("pia", 4, "_logistic_single_prox_t")])
 
 
 class TestLockstep:
@@ -424,9 +440,8 @@ class TestLockstep:
     @FORCED_FAILURES
     def test_failing_cell_leaves_the_others_alone(self, monkeypatch, method, m,
                                                   kernel):
-        _fail_fifth_step_of_alpha0_2(monkeypatch, kernel)
-        inst = noisy_linreg(30)
-        group, alone = _group_and_alone(inst, method, [0.5, 2.0, 8.0], m, False)
+        inst, pia_kind = _fail_fifth_step_of_alpha0_2(monkeypatch, kernel)
+        group, alone = _group_and_alone(inst, method, [0.5, 2.0, 8.0], m, False, pia_kind)
         for a, b in zip(group, alone):
             _assert_same_record(a, b)
         assert group[1].status == optimizers.STATUS_INNERFAIL
@@ -451,12 +466,11 @@ class TestLockstep:
         # With five batches per block, the fifth step's first attempt takes
         # the last batch of the doomed cell's first block and its redraws
         # take the first two of the next.
-        _fail_fifth_step_of_alpha0_2(monkeypatch, kernel)
-        inst = noisy_linreg(30)
+        inst, pia_kind = _fail_fifth_step_of_alpha0_2(monkeypatch, kernel)
         runs = []
         for block in (optimizers._BLOCK_INDICES, 5 * m, 1):
             monkeypatch.setattr(optimizers, "_BLOCK_INDICES", block)
-            runs.append(_group(inst, method, [0.5, 2.0, 8.0], m, False))
+            runs.append(_group(inst, method, [0.5, 2.0, 8.0], m, False, pia_kind))
         assert runs[0][1].status == optimizers.STATUS_INNERFAIL
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
@@ -467,8 +481,8 @@ class TestLockstep:
     def test_a_redraw_that_succeeds_puts_one_cell_ahead(self, monkeypatch, method,
                                                         accelerated):
         # The alpha0 = 2 cell fails only the first attempt of its fifth step
-        # (the stacked call and its lone redo), and its redraw succeeds: from
-        # then on it reads its batches one ahead of the other cells.
+        # (its entry of the stacked call's ok mask), and its redraw succeeds:
+        # from then on it reads its batches one ahead of the other cells.
         real, doomed = prox.stacked_step, 2.0 * 5 ** -0.5
         failed = []
 
@@ -479,10 +493,12 @@ class TestLockstep:
                 hit = np.flatnonzero(alpha == doomed)
                 if hit.size and not first:
                     first.append(idx[hit[0]].copy())
+                out, ok = kernel(A, Zc, alpha, idx)
+                assert ok is None
                 if hit.size and np.array_equal(idx[hit[0]], first[0]):
                     failed.append(alpha.size)
-                    raise prox.InnerSolveError("forced")
-                return kernel(A, Zc, alpha, idx)
+                    ok = alpha != doomed
+                return out, ok
             return step
 
         monkeypatch.setattr(prox, "stacked_step", stacked_step)
@@ -507,7 +523,7 @@ class TestLockstep:
             group = optimizers._run_lockstep(
                 inst, strategy, [optimizers.poly_decay(a) for a in alphas],
                 rngs=[np.random.default_rng(40 + i) for i in range(3)], **kw)
-            assert failed == [3, 1]
+            assert failed == [3]
             assert group[1].status != optimizers.STATUS_INNERFAIL
             assert group[1].ks[-1] == 30
             for i, (rec, ref) in enumerate(zip(group, reference)):
@@ -687,9 +703,8 @@ class TestRecorder:
             kernel = real(*args)
 
             def step(A, Zc, alpha, idx):
-                if np.any(alpha == doomed):
-                    raise prox.InnerSolveError("forced")
-                return kernel(A, Zc, alpha, idx)
+                out, ok = kernel(A, Zc, alpha, idx)
+                return out, alpha != doomed if np.any(alpha == doomed) else ok
             return step
 
         monkeypatch.setattr(prox, "stacked_step", stacked_step)

@@ -7,7 +7,7 @@ from helpers import grid_minimize, primal_fn
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batchprox import models, optimizers, problems, prox
+from batchprox import models, problems, prox
 
 
 class TestTruncatedStep:
@@ -39,6 +39,11 @@ class TestTruncatedStep:
     def test_zero_gradient_above_floor_raises(self):
         with pytest.raises(prox.DegenerateSampleError):
             prox.truncated_step(np.zeros(2), 1.0, np.zeros(2), 0.0, 1.0)
+        # Two residuals of opposite sign on one row: the batch gradient is 0.
+        inst = problems.make_custom_linreg([[1.0, 0.0], [1.0, 0.0]], [1.0, -1.0])
+        model = models.build_batch_model(inst, np.zeros(2), np.array([0, 1]), models.pma())
+        with pytest.raises(prox.DegenerateSampleError):
+            prox.solve_model_prox(model, np.zeros(2), 1.0)
 
 
 class TestBoxQP:
@@ -274,11 +279,12 @@ class TestProjectedNewton:
         centers = rng.standard_normal((C, n))
         v = rng.uniform(-0.5, 2.0, (C, m))
         alpha = np.array([0.1, 1.0, 10.0, 100.0])
-        x, lam, iters = prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        x, ok, lam, iters = prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        assert ok is None
         gap = prox.box_dual_gaps(G, v, alpha, lam, 0.0, 1.0 / m)
         for c in range(C):
             one = (G[c:c + 1], v[c:c + 1], alpha[c:c + 1])
-            xc, lc, ic = prox.box_dual_steps(centers[c:c + 1], *one, 0.0, 1.0 / m)
+            xc, _, lc, ic = prox.box_dual_steps(centers[c:c + 1], *one, 0.0, 1.0 / m)
             gc = prox.box_dual_gaps(*one, lc, 0.0, 1.0 / m)
             np.testing.assert_array_equal(x[c], xc[0])
             np.testing.assert_array_equal(lam[c], lc[0])
@@ -286,9 +292,12 @@ class TestProjectedNewton:
             np.testing.assert_allclose(
                 x[c], centers[c] - alpha[c] * (G[c].T @ lam[c]), rtol=1e-14, atol=1e-14)
         assert np.all(np.abs(gap) <= 1e-8)
-        v[3, 1] = np.nan  # one cell that cannot be solved fails the stack
-        with pytest.raises(prox.InnerSolveError):
-            prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        v[3, 1] = np.nan  # one cell that cannot be solved fails alone, at its center
+        with np.errstate(all="raise"):
+            xf, ok, _, _ = prox.box_dual_steps(centers, G, v, alpha, 0.0, 1.0 / m)
+        assert ok.tolist() == [True, True, True, False]
+        np.testing.assert_array_equal(xf[:3], x[:3])
+        np.testing.assert_array_equal(xf[3], centers[3])
 
 def _reference_solve_box_qps(Q, v, alpha, lo, hi, tol, max_iter=500):
     """Reference projected Newton for solve_box_qps to match byte for byte:
@@ -760,7 +769,8 @@ class TestFullProxSolvers:
         az = rng.standard_normal(40) * np.repeat([0.1, 1.0, 10.0, 100.0], 10)
         asq = rng.uniform(0.01, 60.0, 40)
         for alpha in 10.0 ** np.arange(-3, 5):
-            t = prox._logistic_single_prox_t(b, az, asq, alpha)
+            t, ok = prox._logistic_single_prox_t(b, az, asq, alpha)
+            assert ok is None
             np.testing.assert_allclose(t, bisect_t(b, az, asq, alpha),
                                        rtol=0, atol=2e-15 * alpha)
         # An exact root after one Newton step (phi(0) ~ 8e-36), and a case
@@ -768,10 +778,11 @@ class TestFullProxSolvers:
         b = np.array([1.0, -1.0])
         az = np.array([80.06523159, 3.7552639])
         asq = np.array([41.55740061, 45.95995174])
-        t = prox._logistic_single_prox_t(b, az, asq, 1.0)
+        t, _ = prox._logistic_single_prox_t(b, az, asq, 1.0)
         np.testing.assert_allclose(t, bisect_t(b, az, asq, 1.0), rtol=1e-12)
-        with pytest.raises(prox.InnerSolveError):
-            prox._logistic_single_prox_t(b, az, asq, 1.0, max_iter=2)
+        # Two steps do not reach the cycling entry's fixed point: it alone fails.
+        capped, ok = prox._logistic_single_prox_t(b, az, asq, 1.0, max_iter=2)
+        assert ok.tolist() == [True, False] and capped[0] == t[0]
 
     def test_logistic_single_prox_entries_do_not_depend_on_the_stack(self):
         # Every entry stops at a fixed point of its own Newton iteration, so
@@ -781,9 +792,9 @@ class TestFullProxSolvers:
         az = rng.standard_normal(30) * np.repeat([0.1, 10.0, 300.0], 10)
         asq = 10.0 ** rng.uniform(-3, 3, 30)
         alpha = 10.0 ** rng.uniform(-3, 4, 30)
-        t = prox._logistic_single_prox_t(b, az, asq, alpha)
+        t, _ = prox._logistic_single_prox_t(b, az, asq, alpha)
         alone = [prox._logistic_single_prox_t(b[i:i + 1], az[i:i + 1], asq[i:i + 1],
-                                              alpha[i:i + 1])[0] for i in range(30)]
+                                              alpha[i:i + 1])[0][0] for i in range(30)]
         np.testing.assert_array_equal(t, alone)
 
     def test_logistic_single_prox_loop_keeps_its_bits(self):
@@ -813,7 +824,7 @@ class TestFullProxSolvers:
         asq = 10.0 ** rng.uniform(-3, 2, 400)
         with np.errstate(all="raise"):
             for alpha in (1e-3, 1.0, 10.0 ** rng.uniform(-3, 4, 400), 1e4):
-                t = prox._logistic_single_prox_t(b, az, asq, alpha)
+                t, _ = prox._logistic_single_prox_t(b, az, asq, alpha)
                 np.testing.assert_array_equal(t, expit_loop_t(b, az, asq, alpha))
                 assert (t == 0.0).any()  # s = 0 exactly: some v ended below -708
             # Margins just short of 708 take exp(v) itself, not the clamp (k s
@@ -823,7 +834,7 @@ class TestFullProxSolvers:
             asq = rng.uniform(30.0, 100.0, 50)
             for alpha in (1.0, 1e4):
                 np.testing.assert_array_equal(
-                    prox._logistic_single_prox_t(np.ones(50), near, asq, alpha),
+                    prox._logistic_single_prox_t(np.ones(50), near, asq, alpha)[0],
                     expit_loop_t(np.ones(50), near, asq, alpha))
 
 
@@ -902,8 +913,8 @@ class TestStackedLogisticNewton:
 
     def test_a_cell_at_max_newton_fails_alone(self, monkeypatch):
         # With max_newton = 10 only the near-separable cell runs out of steps:
-        # the stack raises, and _apply's cell-by-cell redo charges that cell
-        # alone, giving the others their stacked points.
+        # the stack's mask charges that cell alone, and the others keep the
+        # points of the uncapped stack.
         A, b, Z, alpha = logistic_stack(25, 6, seed=25)
         inst = dataclasses.replace(problems.generate_problem("logistic", N=40, n=6, seed=3),
                                    A=A.reshape(150, 6), b=b.reshape(150), N=150)
@@ -914,13 +925,77 @@ class TestStackedLogisticNewton:
         monkeypatch.setattr(problems, "logistic_newton",
                             lambda A, b, X0, alpha, tol, max_newton:
                             newton(A, b, X0, alpha, tol, 10))
-        with pytest.raises(prox.InnerSolveError):
-            prox.full_prox_steps(inst, Z, idx, alpha)
         kernel = prox.stacked_step(inst, models.full_prox(), 25, 1e-9)
-        out, good = optimizers._apply(kernel, Z, Z, alpha, idx)
-        np.testing.assert_array_equal(good, np.arange(6) != 4)
-        np.testing.assert_array_equal(out[good], X[good])
-        np.testing.assert_array_equal(out[4], Z[4])
+        for out, good in (prox.full_prox_steps(inst, Z, idx, alpha), kernel(Z, Z, alpha, idx)):
+            np.testing.assert_array_equal(good, np.arange(6) != 4)
+            np.testing.assert_array_equal(out[good], X[good])
+        TestFailureMasks.check(lambda *args: prox.full_prox_steps(inst, *args), (Z, idx, alpha), 4)
+
+
+class TestFailureMasks:
+    """A stack with one failing cell: the kernel's ok mask is False there
+    only, every other row equals its lone call bit for bit, and nothing
+    raises a floating-point warning."""
+
+    @staticmethod
+    def check(kernel, args, bad):
+        """kernel(*args), every argument stacked on axis 0, against each
+        cell's lone call; returns the stacked points."""
+        with np.errstate(all="raise", under="ignore"):
+            out, ok = kernel(*args)[:2]
+            assert ok.tolist() == [c != bad for c in range(ok.size)]
+            for c in np.flatnonzero(ok):
+                lone, lone_ok = kernel(*(a[c:c + 1] for a in args))[:2]
+                assert lone_ok is None
+                np.testing.assert_array_equal(out[c], lone[0])
+        return out
+
+    def test_truncated_steps(self):
+        rng = np.random.default_rng(30)
+        centers, gbars = rng.standard_normal((2, 4, 3))
+        gbars[2] = 0.0  # a zero gradient above the floor
+        args = (centers, rng.uniform(0.1, 2.0, 4), gbars, np.full(4, 0.5))
+        out = self.check(prox.truncated_steps, args, 2)
+        np.testing.assert_array_equal(out[2], centers[2])
+
+    def test_linreg_prox_stacked(self):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((4, 3, 5))
+        A[1] *= 1e6  # an ill-conditioned batch: its stationarity residual fails
+        A[1, :, 0] *= 1e-6
+        X, B = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+        self.check(prox.linreg_prox_stacked, (X, A, B, np.full(4, 1e3)), 1)
+        with pytest.raises(prox.InnerSolveError):
+            prox.prox_step_linreg(X[1], A[1], B[1], 1e3)
+
+    def test_box_dual_steps(self):
+        rng = np.random.default_rng(32)
+        G, v = rng.standard_normal((4, 6, 3)), rng.uniform(-0.5, 2.0, (4, 6))
+        v[0, 2] = np.nan
+        centers = rng.standard_normal((4, 3))
+        out = self.check(lambda *args: prox.box_dual_steps(*args, -0.1, 0.1),
+                         (centers, G, v, np.array([0.1, 1.0, 10.0, 100.0])), 0)
+        np.testing.assert_array_equal(out[0], centers[0])
+
+    @pytest.mark.parametrize("method, m", [("prox", 1), ("pia", 3)])
+    def test_single_sample_logistic_root(self, monkeypatch, method, m):
+        # Capped at 8 Newton steps, only the root of the sample with
+        # |a|^2 = 1e6 (13 steps; 3 or 4 for the others) stays unreached.  It is in cell 3's batch: prox at m = 1 fails that cell,
+        # and so does pia, whose cell holds two solved samples besides.
+        rng = np.random.default_rng(33)
+        A = np.zeros((12, 2))
+        A[:, 0] = rng.uniform(0.1, 1.0, 12)
+        A[11, 0] = 1e3
+        inst = dataclasses.replace(problems.generate_problem("logistic", N=40, n=2, seed=3),
+                                   A=A, b=np.where(rng.random(12) < 0.5, -1.0, 1.0), N=12)
+        idx = np.arange(12).reshape(4, 3)[:, 3 - m:]
+        real = prox._logistic_single_prox_t
+        monkeypatch.setattr(prox, "_logistic_single_prox_t",
+                            lambda b, az, asq, alpha: real(b, az, asq, alpha, max_iter=8))
+        kernel = prox.stacked_step(inst, models.strategy_from_id(method, models.FULL_PROX), m,
+                                   1e-9)
+        self.check(lambda X, alpha, idx: kernel(X, X, alpha, idx),
+                   (0.1 * rng.standard_normal((4, 2)), np.full(4, 1.0), idx), 3)
 
 
 class TestDispatcherAndPia:
@@ -965,7 +1040,7 @@ class TestDispatcherAndPia:
             x = rng.standard_normal(2)
             i = 3
             out = prox.single_sample_prox(inst, x[np.newaxis, :],
-                                          np.array([i]), 0.9)[0]
+                                          np.array([i]), 0.9)[0][0]
             a = inst.A[i]
             ts = np.arange(-2.0, 2.0, 1e-6)
             pts = x[np.newaxis, :] - ts[:, np.newaxis] * a[np.newaxis, :]
@@ -983,7 +1058,8 @@ class TestDispatcherAndPia:
         centers = 3.0 * rng.standard_normal((40, 1))
         idx = rng.integers(0, 2, 40)
         alpha = rng.uniform(0.1, 5.0, 40)
-        out = prox.single_sample_prox(inst, centers, idx, alpha)
+        out, ok = prox.single_sample_prox(inst, centers, idx, alpha)
+        assert ok is None
         on = idx == 1
         r = centers[on, 0] - inst.b[1]  # v * R
         t = prox._power_single_prox_t(r, np.ones_like(r), alpha[on], gamma)
