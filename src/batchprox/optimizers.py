@@ -15,7 +15,8 @@ the one after it.  Every stacked product is per cell, so a cell's record
 does not depend on C or on the other cells.  The step of a strategy is
 ``prox.stacked_step``, which ``prox.solve_model_prox`` also calls for one
 model; iterate averaging is the m = 1 step of its per-sample model,
-averaged, inside it.  ``run_base``, ``run_pia`` and ``run_accelerated`` are
+averaged, inside it, and at m = 1 is that step itself, the step pma and
+pam take.  ``run_base``, ``run_pia`` and ``run_accelerated`` are
 one-cell calls; sweeps step the alpha0 cells of a (method, m) group
 together, and the two-point lab the trials that share an instance.
 
@@ -275,7 +276,7 @@ def _run_lockstep(inst, strategy, schedules, m, n_steps, epsilon, rngs, *,
     run, and every stacked product is per cell, so a cell's record does not
     depend on C or on the other cells.
     """
-    if n_steps < 1 or epsilon <= 0:
+    if n_steps < 1 or not 0 < epsilon:  # a NaN epsilon too
         raise ValueError("need n_steps >= 1 and epsilon > 0")
     if m < 1:
         raise ValueError("batch size must be at least 1")

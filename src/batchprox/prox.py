@@ -7,6 +7,9 @@ reduces to a box-constrained QP in the dual; the full proximal model gets an
 exact per-loss solver (linear system, box QP, or one damped Newton in min(m, n)
 dimensions for a stack of logistic batches).  Single-sample proxes are 1-d roots
 along the sample direction, the logistic one by monotone Newton on the margin.
+At m = 1 a step takes the one sample's model, with no mean over the batch
+axis, and iterate averaging's step is its per-sample step (pma and pam share
+it for the truncated model).
 
 One box dual serves pam and the absreg and halfspace batch prox: with
 per-sample rows G = [g_1 ... g_m]' and affine values v_i at the prox center,
@@ -427,11 +430,14 @@ def stacked_step(inst, strategy, m: int, tol: float):
     forms, the box-QP duals (pam, absreg and halfspace prox) and the logistic
     Newton run on the whole stack.  Iterate averaging (pia) is the m = 1 step
     of its per-sample model applied to every sample, averaged; a cell fails
-    when one of its samples does."""
+    when one of its samples does.  At m = 1 pia's step is that per-sample
+    step itself, with no repeat or average."""
     scheme, kind = strategy.scheme, strategy.kind
     if scheme == models.ITERATE_AVERAGE:
         # Built here, once per factory call, rather than in every step.
         single = stacked_step(inst, models.BatchStrategy(models.MODEL_OF_AVERAGE, kind), 1, tol)
+        if m == 1:  # one sample: its step is the whole step
+            return single
 
         def pia(A, Zc, alpha, idx):
             C, m = idx.shape
@@ -452,16 +458,16 @@ def stacked_step(inst, strategy, m: int, tol: float):
     if scheme == models.MODEL_OF_AVERAGE and kind == models.FULL_PROX:
         return lambda A, Zc, alpha, idx: full_prox_steps(inst, Zc, idx, alpha, tol)
     linear = scheme == models.MODEL_OF_AVERAGE and kind == models.LINEAR
+    inv_m = 1.0 / m
 
     def model_of_average(A, Zc, alpha, idx):
         # The linear or truncated model of the batch average (pam at m = 1
-        # is the same truncated step).
+        # is the same truncated step); at m = 1, the one sample's model.
         vals, grads = problems.stacked_losses(inst, A, idx)
-        inv_m = 1.0 / idx.shape[1]
-        gbar = np.add.reduce(grads, axis=1) * inv_m
+        gbar = grads[:, 0] if m == 1 else np.add.reduce(grads, axis=1) * inv_m
         if linear:
             return Zc - alpha[:, np.newaxis] * gbar, None
-        fbar = np.add.reduce(vals, axis=1) * inv_m
+        fbar = vals[:, 0] if m == 1 else np.add.reduce(vals, axis=1) * inv_m
         if Zc is not A:  # the model's value at the prox center
             fbar = fbar + rowdot(gbar, Zc - A)
         return truncated_steps(Zc, fbar, gbar, alpha)
@@ -531,8 +537,10 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha):
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     idx = np.asarray(idx, dtype=int)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), idx.shape)
-    if inst.kind != problems.HALFSPACE and not np.all(np.isfinite(alpha)):
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != idx.shape:
+        alpha = np.broadcast_to(alpha, idx.shape)
+    if inst.kind != problems.HALFSPACE and not np.isfinite(alpha).all():
         raise ValueError("full prox with infinite stepsize is not supported")
     rows, b = inst.A[idx], inst.b[idx]
     az = np.einsum("ij,ij->i", rows, centers)

@@ -126,6 +126,15 @@ class TestRunBase:
                                   rng=np.random.default_rng(0))
         assert not rec.config["full_batch"]
 
+    def test_epsilon_must_be_positive(self):
+        # A NaN epsilon used to pass and mark every cell diverged at k = 0.
+        inst = noisy_linreg(8)
+        for run in (optimizers.run_base, optimizers.run_accelerated):
+            for epsilon in (math.nan, 0.0, -1e-6):
+                with pytest.raises(ValueError, match="epsilon > 0"):
+                    run(inst, models.pma(), optimizers.poly_decay(0.5), m=1, n_steps=5,
+                        epsilon=epsilon, rng=np.random.default_rng(0))
+
     def test_infinite_alpha_restricted_to_truncated(self):
         inst = noisy_linreg(8)
         sched = optimizers.poly_decay(math.inf, 0.0)
@@ -213,6 +222,31 @@ class TestRunPia:
                                            rng=np.random.default_rng(7), **kw)
                 assert a.status == base.status == optimizers.STATUS_BUDGET, (inst.kind, kind)
                 assert a.gaps.tobytes() == base.gaps.tobytes(), (inst.kind, kind)
+
+    @pytest.mark.parametrize("kind", problems.KINDS + ("zero-row",))
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_m1_pma_pam_pia_take_one_step(self, kind, accelerated):
+        # At m = 1 the three truncated methods take the same step, so their
+        # records are byte-identical from the same generators.  The zero-row
+        # instance has a sample with a zero gradient above its floor, so the
+        # runs redraw after a failed step.
+        if kind == "zero-row":
+            rng = np.random.default_rng(13)
+            A, b = rng.standard_normal((30, 4)), rng.standard_normal(30)
+            A[0], b[0] = 0.0, 1.0
+            inst = problems.make_custom_linreg(A, b)
+        else:
+            inst = problems.generate_problem(kind, N=30, n=1 if kind == "twopoint" else 4,
+                                             sigma=0.5, p=0.1, gamma=0.5, seed=17)
+        run = optimizers.run_accelerated if accelerated else optimizers.run_base
+        kw = dict(m=1, n_steps=120, epsilon=1e-12, record=optimizers.RecordOptions(stride=1))
+        pma, pam, pia = (run(inst, strat, optimizers.poly_decay(0.7),
+                             rng=np.random.default_rng(9), **kw)
+                         for strat in (models.pma(), models.pam(), models.pia()))
+        for other in (pam, pia):
+            assert other.status == pma.status
+            assert other.gaps.tobytes() == pma.gaps.tobytes()
+            assert other.x_final.tobytes() == pma.x_final.tobytes()
 
     def test_linear_kind_equals_sgm(self):
         inst = noisy_linreg(14)

@@ -998,6 +998,89 @@ class TestFailureMasks:
                    (0.1 * rng.standard_normal((4, 2)), np.full(4, 1.0), idx), 3)
 
 
+def _batch_axis_m1_step(inst, strategy, A, Zc, alpha, idx):
+    """The m = 1 step as the batch axis computes it: the model of the batch
+    mean over the length-one axis (add.reduce, times 1/1), and pia's
+    per-sample steps repeated, averaged and divided by 1."""
+    if strategy.scheme == models.ITERATE_AVERAGE:
+        C, m = idx.shape
+        anchors = np.repeat(A, m, axis=0)
+        centers = anchors if Zc is A else np.repeat(Zc, m, axis=0)
+        single = models.BatchStrategy(models.MODEL_OF_AVERAGE, strategy.kind)
+        parts, ok = _batch_axis_m1_step(inst, single, anchors, centers, np.repeat(alpha, m),
+                                        idx.reshape(-1, 1))
+        return (np.add.reduce(parts.reshape(C, m, -1), axis=1) / m,
+                ok if ok is None else ok.reshape(C, m).all(axis=1))
+    if strategy.kind == models.FULL_PROX:
+        return prox.single_sample_prox(inst, Zc, idx[:, 0], np.broadcast_to(alpha, idx.shape[:1]))
+    vals, grads = problems.stacked_losses(inst, A, idx)
+    inv_m = 1.0 / idx.shape[1]
+    gbar = np.add.reduce(grads, axis=1) * inv_m
+    if strategy.kind == models.LINEAR:
+        return Zc - alpha[:, np.newaxis] * gbar, None
+    fbar = np.add.reduce(vals, axis=1) * inv_m
+    if Zc is not A:
+        fbar = fbar + prox.rowdot(gbar, Zc - A)
+    return prox.truncated_steps(Zc, fbar, gbar, alpha)
+
+
+class TestOneSampleStep:
+    """At m = 1 the step takes the one sample's model and pia its per-sample
+    step, with no batch axis: the same bytes as the batch-axis computation."""
+
+    STRATEGIES = [models.sgm(), models.pma(), models.pam(), models.full_prox(),
+                  models.pia(models.LINEAR), models.pia(models.TRUNCATED),
+                  models.pia(models.FULL_PROX)]
+
+    @pytest.mark.parametrize("kind", problems.KINDS)
+    def test_m1_steps_keep_the_batch_axis_bytes(self, kind):
+        rng = np.random.default_rng(40)
+        n = 1 if kind == "twopoint" else 4
+        inst = problems.generate_problem(kind, N=12, n=n, sigma=0.5, p=0.1, gamma=0.5, seed=4)
+        if kind != "twopoint":  # row 0: a zero gradient above its floor
+            inst = dataclasses.replace(inst, A=np.vstack([np.zeros(n), inst.A[1:]]),
+                                       b=np.r_[-1.0 if kind == "halfspace" else 1.0, inst.b[1:]])
+        failed = False
+        for trial in range(4):
+            A = rng.standard_normal((6, n))
+            alpha = 10.0 ** rng.uniform(-2.0, 2.0, 6)
+            idx = rng.integers(0, inst.N, (6, 1))
+            idx[2, 0] = 0
+            for Zc in (A, A + rng.standard_normal((6, n))):
+                for strategy in self.STRATEGIES:
+                    out, ok = prox.stacked_step(inst, strategy, 1, 1e-9)(A, Zc, alpha, idx)
+                    ref, ref_ok = _batch_axis_m1_step(inst, strategy, A, Zc, alpha, idx)
+                    assert out.dtype == ref.dtype and out.shape == ref.shape
+                    assert out.tobytes() == ref.tobytes(), (kind, strategy, trial)
+                    assert (ok is None) == (ref_ok is None), (kind, strategy, trial)
+                    if ok is not None:
+                        np.testing.assert_array_equal(ok, ref_ok)
+                        failed = True
+        assert failed == (kind != "twopoint")
+
+    @pytest.mark.parametrize("kind", problems.KINDS)
+    def test_single_sample_prox_checks_every_stepsize(self, kind):
+        # One stepsize per sample (taken as given) and a scalar (broadcast)
+        # give the same bytes, and a non-finite one raises except on
+        # halfspaces, which take no check (an infinite stepsize projects).
+        rng = np.random.default_rng(41)
+        n = 1 if kind == "twopoint" else 3
+        inst = problems.generate_problem(kind, N=10, n=n, sigma=0.5, p=0.1, gamma=0.5, seed=5)
+        centers, idx = rng.standard_normal((5, n)), rng.integers(0, inst.N, 5)
+        scalar = prox.single_sample_prox(inst, centers, idx, 0.8)[0]
+        np.testing.assert_array_equal(
+            prox.single_sample_prox(inst, centers, idx, np.full(5, 0.8))[0], scalar)
+        if kind == "halfspace":
+            out, _ = prox.single_sample_prox(inst, centers, idx, math.inf)
+            assert (inst.A[idx] * out).sum(axis=1) == pytest.approx(
+                np.minimum(inst.b[idx], (inst.A[idx] * centers).sum(axis=1)))
+            return
+        for bad in (math.inf, math.nan):
+            for alpha in (bad, np.r_[np.ones(4), bad]):
+                with pytest.raises(ValueError, match="infinite stepsize"):
+                    prox.single_sample_prox(inst, centers, idx, alpha)
+
+
 class TestDispatcherAndPia:
     def test_shifted_center_truncated(self):
         # Model anchored at y, prox centered at z: matches grid minimization.
