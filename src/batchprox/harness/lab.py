@@ -12,8 +12,9 @@ all trials at once with Floyd's algorithm, m vectorized draws, from one
 ``twopoint``: the one-dimensional two-atom family on which no method can
 beat a (1 - delta)^k decay of squared distance; running the pure Polyak
 step (truncated model, infinite stepsize) shows an algorithm tracking that
-envelope.  Trials whose atom has the same sign v draw the same instance, so
-they step together as one lockstep stack, each trial on its own stream.
+envelope.  The family is symmetric under v -> -v (the mirror x -> -x maps a
+run on one sign's instance to the other's bit for bit), so all trials run on
+one instance as one lockstep stack, each trial on its own stream.
 
 Both labs reject bad arguments with a ``ConfigError`` (a ValueError) before
 any work.
@@ -121,11 +122,12 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     delta = (1+gamma)^2 lambda1 and compare the squared-distance decay with
     the unimprovable envelope.
 
-    Trial t draws its instance from seed + 7t and its batches from its own
-    generator.  The instance depends only on its atom sign v, so only that
-    sign is drawn per trial, and the trials of one sign run as the cells of
-    one lockstep stack; a cell's record does not depend on the stack, so
-    each trial's distances are those of a lone run.
+    Trial t stands for the instance of seed + 7t, which depends only on its
+    atom sign v, and draws its batches from its own generator.  The mirror
+    x -> -x maps a run on one sign's instance to the run on the other's bit
+    for bit (negation is exact, the step is odd in x - vR and the distance
+    even, from x = 0), so all trials run on trial 0's instance as one
+    lockstep stack; a cell's record does not depend on the stack.
     """
     delta = (1.0 + gamma) ** 2 * lambda1
     try:
@@ -133,25 +135,17 @@ def twopoint_lab(lambda1: float, gamma: float, rounds: int, trials: int,
     except ValueError as exc:
         raise ConfigError(f"{exc}, with delta = (1+gamma)^2 * lambda1 = {delta:g}") from exc
     _check_run_args(rounds, trials)
-    stacks: dict[int, list] = {}  # sign -> its trials
-    for t in range(trials):
-        stacks.setdefault(problems.twopoint_sign(seed + 7 * t), []).append(t)
-    sq = np.zeros((trials, rounds + 1))
-    schedule = optimizers.poly_decay(math.inf, beta=0.0)
+    inst = problems.generate_problem("twopoint", delta=delta, gamma=gamma, radius=R,
+                                     seed=seed)
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0])
+            for t in range(trials)]
     record = optimizers.RecordOptions(stride=1, record_average=False,
                                       record_distance=True)
-    for ts in stacks.values():
-        inst = problems.generate_problem("twopoint", delta=delta, gamma=gamma, radius=R,
-                                         seed=seed + 7 * ts[0])
-        rngs = [np.random.default_rng(
-            np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0]) for t in ts]
-        recs = optimizers._run_lockstep(inst, models.pma(), [schedule] * len(ts), 1,
-                                        rounds, 1e-300, rngs, record=record)
-        for t, rec in zip(ts, recs):
-            d = rec.dists
-            if d.size < rounds + 1:  # converged early; distance stays put after
-                d = np.concatenate([d, np.full(rounds + 1 - d.size, d[-1])])
-            sq[t] = d[: rounds + 1] ** 2
+    recs = optimizers._run_lockstep(inst, models.pma(), [optimizers.poly_decay(math.inf, beta=0.0)]
+                                    * trials, 1, rounds, 1e-300, rngs, record=record)
+    # A trial that converged early keeps its last distance for the remaining rounds.
+    sq = np.array([np.concatenate([r.dists, np.full(rounds + 1 - r.dists.size, r.dists[-1])])
+                   for r in recs]) ** 2
 
     mean_sq = sq.mean(axis=0)
     ks = np.arange(rounds + 1)

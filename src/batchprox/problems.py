@@ -137,7 +137,7 @@ def generate_problem(
     noise parameter (``NOISE_PARAMETERS``) and ignores the other."""
     check_parameters(kind, N, n, sigma, p, cond, gamma, delta, radius)
     if kind == TWOPOINT:
-        v = twopoint_sign(seed)
+        v = (-1, 1)[int(np.random.default_rng(seed).integers(0, 2))]  # its only draw
         # Atom 0 carries zero loss; atom 1 is the informative sample v.
         return ProblemInstance(
             kind=TWOPOINT, A=np.array([[0.0], [1.0]]), b=np.array([0.0, v * radius]),
@@ -223,11 +223,6 @@ def make_custom_linreg(A, b, x_planted=None,
         domain=domain if domain is not None else geometry.all_space(),
         n=n, N=N, x_planted=x_planted,
     )
-
-
-def twopoint_sign(seed: int) -> int:
-    """The atom sign v of the two-point instance from ``seed``, its only draw."""
-    return (-1, 1)[int(np.random.default_rng(seed).integers(0, 2))]
 
 
 def _rescale_condition(A: np.ndarray, cond: float) -> np.ndarray:
@@ -354,14 +349,16 @@ def reference_optimum(inst: ProblemInstance) -> OptimumInfo:
 
     Interpolation instances return 0 directly.  Noisy linear regression is
     solved by least squares; noisy absolute regression by an interior point
-    on its n-row dual LP (max b'y s.t. A'y = 0, |y_i| <= 1/(2N)), then
-    exactly at the vertex x* that interpolates the n rows of smallest
-    residual, with f* = f(x*) and the duality gap f* - b'y of the dual point
-    built on those rows reported as the tolerance; noisy logistic regression
+    on its n-row dual LP (max b'y s.t. A'y = 0, |y_i| <= 1/(2N)) that only
+    names the n rows of smallest residual, then exactly at the vertex x* that
+    interpolates them, solved on them in index order, so that f* = f(x*)
+    depends only on which rows are named, with the duality gap f* - b'y of
+    the dual point built on them as the tolerance; noisy logistic regression
     by the one-cell, alpha = inf call of ``logistic_newton`` (n x n Newton) to
     a gradient norm of 1e-12, reported as the tolerance, and f* = 0 when the
     planted point or the Newton iterate separates the data.  Raises
-    ReferenceSolveError when that dual point leaves its box by more than
+    ReferenceSolveError on a singular interior-point Newton system, when that
+    dual point leaves its box by more than
     1e-12 relative or leaves a duality gap above 1e-10 * max(1, f*), or when
     the Newton solve stops with a gradient norm above 1e-8, so that no gap
     is ever measured against an inexact f*.  Raises ValueError on a ball
@@ -414,24 +411,30 @@ _ABSREG_REFERENCE_GAP = 1e-10
 def _absreg_reference(inst: ProblemInstance) -> OptimumInfo:
     # The LAD dual max b'y s.t. A'y = 0, |y_i| <= r has n equality rows where
     # the primal has 2N inequality rows, and its optimum is attained at a
-    # vertex x* that interpolates n rows (the basis B).  The interior point
-    # only names B: x* is solved from it exactly, and the dual point built on
-    # it certifies f* = f(x*) by the gap f* - b'y.
+    # vertex x* that interpolates n rows (the basis B).  The interior point's
+    # iterate only orders the rows to name B: x* is solved from B exactly, and
+    # the dual point built on B certifies f* = f(x*) by the gap f* - b'y.
     A, b, r = inst.A, inst.b, 0.5 / inst.N
-    x, u = _lad_interior_point(A, b)
-    basis, q = [], np.zeros((inst.n, 0))
-    for i in np.argsort(np.abs(A @ x - b), kind="stable"):
-        v = A[i] - q @ (q.T @ A[i])
-        v -= q @ (q.T @ v)  # Gram-Schmidt, twice for orthogonality
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-9 * np.linalg.norm(A[i]):
-            basis.append(i)
-            q = np.column_stack([q, v / norm])
-            if len(basis) == inst.n:
-                break
-    # LU, not lstsq, on a square basis: lstsq's rounding on B can lift f(x*).
-    x = (np.linalg.solve(A[basis], b[basis]) if len(basis) == inst.n
-         else np.linalg.lstsq(A[basis], b[basis], rcond=None)[0])
+    try:
+        x, u = _lad_interior_point(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise ReferenceSolveError(f"absreg reference interior point failed: {exc}") from exc
+    # B: the first rows by residual that are independent of those taken, read
+    # off one QR per block of candidates; a dependent row ends its block.
+    basis, rest = [], np.argsort(np.abs(A @ x - b), kind="stable")
+    while len(basis) < inst.n and rest.size:
+        take = rest[:inst.n - len(basis)]
+        R = np.linalg.qr(A[basis + take.tolist()].T, mode="r")
+        ok = np.abs(R.diagonal()[len(basis):]) > 1e-9 * np.linalg.norm(A[take], axis=1)
+        j = take.size if ok.all() else int(ok.argmin())  # the first dependent row
+        basis += take[:j].tolist()
+        rest = rest[j + 1:]  # past the dependent row, which is skipped
+    # B in index order, so f* does not depend on the iterate's last bits; LU,
+    # not lstsq, on a square basis: lstsq's rounding on B can lift f(x*).
+    basis.sort()
+    solve = (np.linalg.solve if len(basis) == inst.n
+             else lambda M, v: np.linalg.lstsq(M, v, rcond=None)[0])
+    x = solve(A[basis], b[basis])
     res = A @ x - b
     # Off B, complementary slackness fixes y_i = -r sign(res_i), except on
     # rows that B also interpolates (duplicates of basis rows, or N <= n):
@@ -439,7 +442,7 @@ def _absreg_reference(inst: ProblemInstance) -> OptimumInfo:
     zero = np.abs(res) <= 1e-12 * (np.abs(A) @ np.abs(x) + np.abs(b))
     y = np.where(zero, np.clip(r * (2.0 * u - 1.0), -r, r), -r * np.sign(res))
     y[basis] = 0.0
-    y[basis] = np.linalg.lstsq(A[basis].T, -(A.T @ y), rcond=None)[0]
+    y[basis] = solve(A[basis].T, -(A.T @ y))
     excess = float(np.max(np.abs(y))) / r - 1.0
     if not excess <= 1e-12:
         raise ReferenceSolveError(
@@ -456,48 +459,50 @@ def _lad_interior_point(A, b):
     """Mehrotra predictor-corrector on the LAD dual in u = 1/2 + N y:
     max b'u s.t. A'u = A'1/2, 0 <= u <= 1, paired with the primal x and
     w - z = b - Ax, w, z >= 0.  The slack s = 1 - u is a variable of its own,
-    so that it keeps its relative accuracy as u nears 1.  Each Newton system
-    is the n x n A'(Theta)A, solved through the triangular factor of
-    sqrt(Theta) A, whose condition number is the square root of the
-    product's.  Returns (x, u) once the complementarity u'z + s'w is
-    1e-12 of the objective, or after 100 iterations."""
+    so that it keeps its relative accuracy as u nears 1.  The pairs (u, s)
+    and (z, w) are the rows of P and D, so that one operation serves both
+    bounds.  Both Newton systems of an iteration are solved with the n x n
+    normal matrix A'(Theta)A, as in Portnoy & Koenker's Frisch-Newton LAD
+    solver: its condition is squared, but the iterate only orders the rows
+    for ``_absreg_reference`` to name a basis.  Returns (x, u) once the
+    complementarity u'z + s'w is 1e-12 of the objective, or after 100
+    iterations; LinAlgError on a singular system."""
     N = A.shape[0]
     c = 0.5 * A.sum(axis=0)
-    u, s = np.full(N, 0.5), np.full(N, 0.5)
     x = np.linalg.lstsq(A, b, rcond=None)[0]
     res = b - A @ x
     shift = float(np.abs(res).mean()) + 1e-300  # w, z > 0 also when Ax = b
-    w, z = np.maximum(res, 0.0) + shift, np.maximum(-res, 0.0) + shift
+    P = np.full((2, N), 0.5)  # u and s
+    D = np.stack([np.maximum(-res, 0.0), np.maximum(res, 0.0)]) + shift  # z and w
+    sign = np.array([[1.0], [-1.0]])  # ds = -du
 
     def ratio(v, dv):  # the longest step that keeps v positive, capped at 1
-        neg = dv < 0
-        return min(1.0, 0.99995 * float(np.min(-v[neg] / dv[neg], initial=np.inf)))
+        t = np.divide(v, -dv, out=np.full(v.shape, np.inf), where=dv < 0)
+        return min(1.0, 0.99995 * float(t.min()))
 
     for _ in range(100):
-        gap = float(u @ z + s @ w)
-        if gap <= 1e-12 * (1.0 + abs(float(b @ u))):
+        gap = float(np.vdot(P, D))
+        if gap <= 1e-12 * (1.0 + abs(float(b @ P[0]))):
             break
-        theta = 1.0 / (z / u + w / s)
-        R = np.linalg.qr(np.sqrt(theta)[:, np.newaxis] * A, mode="r")
-        r_p, r_d = c - A.T @ u, b - A @ x - w + z
+        theta = 1.0 / (D / P).sum(axis=0)
+        B = np.sqrt(theta)[:, np.newaxis] * A  # A'(Theta)A = B'B, a symmetric product
+        M = B.T @ B
+        r_p, r_d = c - A.T @ P[0], b - A @ x - D[1] + D[0]
 
-        def newton(r_uz, r_sw):  # right-hand sides of U dz + Z du, S dw + W ds
-            t = r_d + r_uz / u - r_sw / s
-            dx = np.linalg.solve(R, np.linalg.solve(R.T, A.T @ (theta * t) - r_p))
-            du = theta * (t - A @ dx)
-            dz, dw = (r_uz - z * du) / u, (r_sw + w * du) / s
-            return (dx, du, dz, dw, min(ratio(u, du), ratio(s, -du)),
-                    min(ratio(z, dz), ratio(w, dw)))
+        def newton(R):  # right-hand sides of U dz + Z du and S dw + W ds
+            q = R / P
+            t = r_d + q[0] - q[1]
+            dx = np.linalg.solve(M, A.T @ (theta * t) - r_p)
+            dP = sign * (theta * (t - A @ dx))
+            dD = (R - D * dP) / P
+            return dx, dP, dD, ratio(P, dP), ratio(D, dD)
 
-        dx, du, dz, dw, ap, ad = newton(-u * z, -s * w)
+        dx, dP, dD, ap, ad = newton(-P * D)
         mu = gap / (2 * N)
-        sigma = (float((u + ap * du) @ (z + ad * dz) + (s - ap * du) @ (w + ad * dw))
-                 / (2 * N) / mu) ** 3
-        dx, du, dz, dw, ap, ad = newton(sigma * mu - u * z - du * dz,
-                                        sigma * mu - s * w + du * dw)
-        u, s = u + ap * du, s - ap * du
-        x, z, w = x + ad * dx, z + ad * dz, w + ad * dw
-    return x, u
+        sigma = (float(np.vdot(P + ap * dP, D + ad * dD)) / (2 * N) / mu) ** 3
+        dx, dP, dD, ap, ad = newton(sigma * mu - P * D - dP * dD)
+        P, x, D = P + ap * dP, x + ad * dx, D + ad * dD
+    return x, P[0]
 
 
 _LOGISTIC_REFERENCE_GTOL = 1e-8

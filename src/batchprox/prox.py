@@ -540,8 +540,9 @@ def single_sample_prox(inst, centers: np.ndarray, idx: np.ndarray, alpha):
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != idx.shape:
         alpha = np.broadcast_to(alpha, idx.shape)
-    if inst.kind != problems.HALFSPACE and not np.isfinite(alpha).all():
-        raise ValueError("full prox with infinite stepsize is not supported")
+    # An infinite alpha projects on halfspaces; a NaN one is never taken.
+    if not np.isfinite(alpha).all() and (inst.kind != problems.HALFSPACE or np.isnan(alpha).any()):
+        raise ValueError("full prox with infinite stepsize (or a NaN stepsize) is not supported")
     rows, b = inst.A[idx], inst.b[idx]
     az = np.einsum("ij,ij->i", rows, centers)
     r = az - b

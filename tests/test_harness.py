@@ -576,8 +576,9 @@ class TestLab:
 
     @pytest.mark.parametrize("seed, trials", [(0, 30), (5, 57), (11, 3)])
     def test_twopoint_sign_draws_keep_the_per_trial_instances(self, seed, trials):
-        # The per-trial instance path: one instance drawn per trial, and one
-        # lockstep stack per sign on its first trial's instance.
+        # The lab as it ran before the mirror argument: one instance drawn
+        # per trial, and one lockstep stack per sign on its first trial's
+        # instance.
         lambda1, gamma, rounds = 0.05, 0.0, 12
         rep = lab.twopoint_lab(lambda1, gamma, rounds, trials, seed=seed)
         stacks = {}
@@ -609,6 +610,34 @@ class TestLab:
         cov = np.atleast_2d(np.cov(sq[:, positive], rowvar=False))
         assert rep.log_factor_se == pytest.approx(math.sqrt(g @ cov @ g / trials),
                                                   rel=1e-10)
+
+    @pytest.mark.parametrize("gamma, R", [(0.3, 2.5), (0.5, 0.7)])
+    def test_mirrored_instances_give_the_same_distances(self, gamma, R):
+        # v -> -v: each trial's lone run on its own instance (seed + 7t) has
+        # the distances of its lone run on trial 0's instance, bit for bit.
+        lambda1, rounds, trials, seed = 0.05, 12, 16, 4
+        delta = (1.0 + gamma) ** 2 * lambda1
+        record = optimizers.RecordOptions(stride=1, record_average=False,
+                                          record_distance=True)
+        first = problems.generate_problem("twopoint", delta=delta, gamma=gamma, radius=R,
+                                          seed=seed)
+        signs, sq = set(), np.zeros((trials, rounds + 1))
+        for t in range(trials):
+            own = problems.generate_problem("twopoint", delta=delta, gamma=gamma, radius=R,
+                                            seed=seed + 7 * t)
+            signs.add(float(np.sign(own.b[1])))
+            dists = [optimizers.run_base(
+                inst, models.pma(), optimizers.poly_decay(math.inf, beta=0.0), m=1,
+                n_steps=rounds, epsilon=1e-300, record=record,
+                rng=np.random.default_rng(
+                    np.random.SeedSequence((seed, t, 12345)).generate_state(1)[0])).dists
+                for inst in (own, first)]
+            assert dists[0].tobytes() == dists[1].tobytes(), t
+            d = np.concatenate([dists[0], np.full(rounds + 1 - dists[0].size, dists[0][-1])])
+            sq[t] = d ** 2
+        assert signs == {-1.0, 1.0}
+        rep = lab.twopoint_lab(lambda1, gamma, rounds, trials, R=R, seed=seed)
+        assert rep.mean_sq_dist.tobytes() == sq.mean(axis=0).tobytes()
 
     @pytest.mark.parametrize("kind, flags", [
         ("twopoint", dict(gamma=1.5)),

@@ -118,12 +118,11 @@ class TestGeneration:
 
 
 def test_twopoint_sign_is_the_generated_sign():
-    # The sign is the `choice([-1, 1])` draw of the same stream, and the
+    # The sign v is the `choice([-1, 1])` draw of the seed's stream, and the
     # instance holds v * R (R = 1) as its informative label and planted point.
     for seed in range(1000):
         inst = problems.generate_problem("twopoint", delta=0.1, seed=seed)
-        v = problems.twopoint_sign(seed)
-        assert v == int(np.random.default_rng(seed).choice([-1, 1]))
+        v = int(np.random.default_rng(seed).choice([-1, 1]))
         assert inst.b.tolist() == [0.0, v] and inst.x_planted.tolist() == [v]
 
 
@@ -170,7 +169,7 @@ class TestLossEval:
         inst = problems.generate_problem("twopoint", delta=0.3, radius=1.7,
                                          gamma=0.5, seed=5)
         np.testing.assert_array_equal(inst.A, [[0.0], [1.0]])
-        v = problems.twopoint_sign(5)
+        v = int(np.random.default_rng(5).choice([-1, 1]))
         np.testing.assert_array_equal(inst.b, [0.0, v * 1.7])
         np.testing.assert_array_equal(inst.x_planted, [v * 1.7])
         x = np.array([0.4])
@@ -630,6 +629,27 @@ class TestReferenceOptimum:
                               ).stdout for t in ("1", "2")]
         assert out[0] == out[1] and out[0].startswith("0x1.05a73bc597e")
 
+    def test_absreg_reference_does_not_depend_on_blas_threads(self):
+        # Paper-size noisy absreg (N = 1000, n = 40, sigma 0.5) at cond 1 and
+        # 10: f* is solved on the named rows in index order, so it holds its
+        # bits however the interior point's products are split.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = (
+            "from batchprox import problems\n"
+            "from batchprox.harness import config, sweep\n"
+            "prob = config.preset('paper-absreg').problems[0]\n"
+            "for cond in (1.0, 10.0):\n"
+            "    for seed in range(12):\n"
+            "        inst = prob.instantiate(cond, sweep._instance_seed(0, prob, cond, seed))\n"
+            "        print(problems.reference_optimum(inst).f_star.hex())\n")
+        out = [subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                              capture_output=True, env=dict(env, **{k: t for k in threads})
+                              ).stdout for t in ("1", "2")]
+        assert out[0].count("\n") == 24 and out[0] == out[1]
+
     def test_separable_flipped_logistic(self):
         # A flipped label that the planted point misclassifies, but another
         # direction still separates every sample: inf f = 0, unattained.
@@ -654,6 +674,159 @@ class TestReferenceOptimum:
     def test_cached(self):
         inst = problems.generate_problem("linreg", N=20, n=3, sigma=0.3, seed=1)
         assert problems.reference_optimum(inst) is problems.reference_optimum(inst)
+
+
+def _qr_lad_interior_point(A, b):
+    """The Mehrotra interior point as it was before the normal equations:
+    each iteration QR-factors sqrt(Theta) A and solves both Newton systems
+    through R'R.  Kept as the oracle for the naming of the basis."""
+    N = A.shape[0]
+    c = 0.5 * A.sum(axis=0)
+    u, s = np.full(N, 0.5), np.full(N, 0.5)
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    res = b - A @ x
+    shift = float(np.abs(res).mean()) + 1e-300
+    w, z = np.maximum(res, 0.0) + shift, np.maximum(-res, 0.0) + shift
+
+    def ratio(v, dv):
+        neg = dv < 0
+        return min(1.0, 0.99995 * float(np.min(-v[neg] / dv[neg], initial=np.inf)))
+
+    for _ in range(100):
+        gap = float(u @ z + s @ w)
+        if gap <= 1e-12 * (1.0 + abs(float(b @ u))):
+            break
+        theta = 1.0 / (z / u + w / s)
+        R = np.linalg.qr(np.sqrt(theta)[:, np.newaxis] * A, mode="r")
+        r_p, r_d = c - A.T @ u, b - A @ x - w + z
+
+        def newton(r_uz, r_sw):
+            t = r_d + r_uz / u - r_sw / s
+            dx = np.linalg.solve(R, np.linalg.solve(R.T, A.T @ (theta * t) - r_p))
+            du = theta * (t - A @ dx)
+            dz, dw = (r_uz - z * du) / u, (r_sw + w * du) / s
+            return (dx, du, dz, dw, min(ratio(u, du), ratio(s, -du)),
+                    min(ratio(z, dz), ratio(w, dw)))
+
+        dx, du, dz, dw, ap, ad = newton(-u * z, -s * w)
+        mu = gap / (2 * N)
+        sigma = (float((u + ap * du) @ (z + ad * dz) + (s - ap * du) @ (w + ad * dw))
+                 / (2 * N) / mu) ** 3
+        dx, du, dz, dw, ap, ad = newton(sigma * mu - u * z - du * dz,
+                                        sigma * mu - s * w + du * dw)
+        u, s = u + ap * du, s - ap * du
+        x, z, w = x + ad * dx, z + ad * dz, w + ad * dw
+    return x, u
+
+
+def _named_basis(A, b, x):
+    """The rows named from the iterate x, in the order they are named: by
+    residual, skipping rows dependent on those already named (Gram-Schmidt,
+    twice), as ``problems._absreg_reference`` named them before it read the
+    same test off the diagonal of one QR per block of rows.  The oracle for
+    that naming."""
+    n = A.shape[1]
+    basis, q = [], np.zeros((n, 0))
+    for i in np.argsort(np.abs(A @ x - b), kind="stable"):
+        v = A[i] - q @ (q.T @ A[i])
+        v -= q @ (q.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-9 * np.linalg.norm(A[i]):
+            basis.append(i)
+            q = np.column_stack([q, v / norm])
+            if len(basis) == n:
+                break
+    return basis
+
+
+def _vertex(A, b, basis):
+    """x solved on the rows ``basis`` in the given order (LU when square)."""
+    if len(basis) == A.shape[1]:
+        return np.linalg.solve(A[basis], b[basis])
+    return np.linalg.lstsq(A[basis], b[basis], rcond=None)[0]
+
+
+def _stressed_absreg(i):
+    """Instance i of a seeded noisy-absreg stress family: n 1-40, N <= n in
+    half the draws, else up to 1000, cond 1, 10 or 100, sigma 0.01-5, and
+    duplicated rows, shuffled in, in 30% of the draws."""
+    rng = np.random.default_rng(1000 + i)
+    n = int(rng.integers(1, 41))
+    shape = int(rng.integers(0, 4))
+    N = ((n, max(1, n - int(rng.integers(1, n + 1))))[shape] if shape < 2
+         else int(rng.integers(n + 1, 1001)))
+    cond = float(rng.choice([1.0, 10.0, 100.0]))
+    sigma = float(10 ** rng.uniform(-2, np.log10(5)))
+    inst = problems.generate_problem("absreg", N=N, n=n, sigma=sigma, cond=cond, seed=i)
+    if rng.random() < 0.3:
+        extra = rng.integers(0, N, int(rng.integers(1, N + 1)))
+        perm = rng.permutation(N + extra.size)
+        inst.A = np.vstack([inst.A, inst.A[extra]])[perm]
+        inst.b = np.concatenate([inst.b, inst.b[extra]])[perm]
+        inst.N = inst.A.shape[0]
+    return inst
+
+
+class TestAbsregNormalEquations:
+    """The interior point solves its Newton systems with A'(Theta)A; it only
+    has to name the basis, which the QR form it replaced named too."""
+
+    def test_names_the_basis_of_the_qr_interior_point(self):
+        moved = 0
+        for i in range(200):
+            inst = _stressed_absreg(i)
+            A, b = inst.A, inst.b
+            named = _named_basis(A, b, problems._lad_interior_point(A, b)[0])
+            oracle = _named_basis(A, b, _qr_lad_interior_point(A, b)[0])
+            # The same rows; a duplicated row may be named by another copy.
+            assert ({(A[j].tobytes(), b[j].tobytes()) for j in named}
+                    == {(A[j].tobytes(), b[j].tobytes()) for j in oracle}), i
+            ref = problems.reference_optimum(inst)
+            assert 0.0 <= ref.tolerance <= 1e-10 * max(1.0, ref.f_star), i
+            assert ref.x_star.tobytes() == _vertex(A, b, sorted(named)).tobytes(), i
+            assert ref.f_star == problems.objective_value(inst, ref.x_star), i
+            # Against f* solved on the rows in the order the QR iterate named
+            # them: the two differ only by the rounding of the vertex solve.
+            parent = problems.objective_value(inst, _vertex(A, b, oracle))
+            moved += parent != ref.f_star
+            if np.unique(A, axis=0).shape[0] > inst.n:
+                assert abs(ref.f_star - parent) <= 1e-15 * max(1.0, parent), i
+            else:  # at most n distinct rows: f* is 0 up to rounding
+                assert max(ref.f_star, parent) <= 1e-13, i
+        assert 0 < moved < 200
+
+    def test_f_star_depends_only_on_the_named_rows(self, monkeypatch):
+        # Iterates that order the basis rows differently but name the same
+        # rows give the same f* and x* bytes: the rows are solved in index
+        # order.  The QR solve in the naming order moved f* on some of them.
+        inst = problems.generate_problem("absreg", N=1000, n=40, sigma=0.5, seed=3)
+        A, b = inst.A, inst.b
+        x, u = problems._lad_interior_point(A, b)
+        basis = set(_named_basis(A, b, x))
+        ref = problems.reference_optimum(inst)
+        rng = np.random.default_rng(0)
+        orders, named_order_f = set(), set()
+        for _ in range(8):
+            xp = x + 1e-9 * rng.standard_normal(inst.n)
+            assert set(_named_basis(A, b, xp)) == basis
+            orders.add(tuple(_named_basis(A, b, xp)))
+            named_order_f.add(problems.objective_value(inst, _vertex(A, b, _named_basis(A, b, xp))))
+            monkeypatch.setattr(problems, "_lad_interior_point", lambda A, b: (xp, u))
+            inst._reference = None
+            again = problems.reference_optimum(inst)
+            assert again.f_star.hex() == ref.f_star.hex()
+            assert again.x_star.tobytes() == ref.x_star.tobytes()
+        assert len(orders) > 1 and len(named_order_f) > 1
+
+    @pytest.mark.parametrize("N,n,seed", [(30, 3, 19), (200, 10, 1), (3, 3, 4)])
+    @pytest.mark.parametrize("column", ["duplicated", "zero"])
+    def test_rank_deficient_data_raises_reference_error(self, N, n, seed, column):
+        # A'(Theta)A is singular: the solve's LinAlgError must not escape.
+        inst = problems.generate_problem("absreg", N=N, n=n, sigma=0.5, seed=seed)
+        inst.A[:, -1] = inst.A[:, 0] if column == "duplicated" else 0.0
+        with pytest.raises(problems.ReferenceSolveError) as err:
+            problems.reference_optimum(inst)
+        assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
 class TestBallDomain:

@@ -1061,8 +1061,8 @@ class TestOneSampleStep:
     @pytest.mark.parametrize("kind", problems.KINDS)
     def test_single_sample_prox_checks_every_stepsize(self, kind):
         # One stepsize per sample (taken as given) and a scalar (broadcast)
-        # give the same bytes, and a non-finite one raises except on
-        # halfspaces, which take no check (an infinite stepsize projects).
+        # give the same bytes, and a non-finite one raises, except that an
+        # infinite one projects on halfspaces (a NaN one raises there too).
         rng = np.random.default_rng(41)
         n = 1 if kind == "twopoint" else 3
         inst = problems.generate_problem(kind, N=10, n=n, sigma=0.5, p=0.1, gamma=0.5, seed=5)
@@ -1074,6 +1074,9 @@ class TestOneSampleStep:
             out, _ = prox.single_sample_prox(inst, centers, idx, math.inf)
             assert (inst.A[idx] * out).sum(axis=1) == pytest.approx(
                 np.minimum(inst.b[idx], (inst.A[idx] * centers).sum(axis=1)))
+            for alpha in (math.nan, np.r_[np.full(4, math.inf), math.nan]):
+                with pytest.raises(ValueError, match="NaN stepsize"):
+                    prox.single_sample_prox(inst, centers, idx, alpha)
             return
         for bad in (math.inf, math.nan):
             for alpha in (bad, np.r_[np.ones(4), bad]):
